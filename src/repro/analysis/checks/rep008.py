@@ -1,22 +1,27 @@
 """REP008 pipe-protocol-pairing: every dispatch send reaches a barrier recv.
 
 The master↔worker protocols — the refine pool's pipe protocol
-(``core/parallel_refine.py``), the mp backend's superstep pipes
-(``distributed/backend_mp.py``), and the RPC superstep loop
-(``distributed/backend_rpc.py``) — are strict request/reply state
-machines: the master sends one dispatch per worker, then receives one
-barrier reply per worker, in order.  A dispatch whose reply is never
-received desynchronizes the stream permanently: the *next* barrier
-receives the stale reply and every message after it is interpreted one
-slot off (the failure is silent and arbitrarily delayed).
+(``core/parallel_refine.py``) and the engine's superstep protocol, spoken
+by the mp backend over pipes (``distributed/backend_mp.py``) and by the
+RPC backend over framed sockets (``distributed/backend_rpc.py``) — are
+strict request/reply state machines: the master sends one dispatch per
+worker, then receives one barrier reply per worker, in order.  A dispatch
+whose reply is never received desynchronizes the stream permanently: the
+*next* barrier receives the stale reply and every message after it is
+interpreted one slot off (the failure is silent and arbitrarily delayed).
 
-The check models each file's protocol explicitly, REP005-style
-(module-wide rather than per-function):
+The check models each protocol explicitly, REP005-style (module-wide
+rather than per-function):
 
 * the **worker service loop** (``while True:`` around a ``recv()``,
-  branching on the message kind) is located first and read as the
+  dispatching on the message kind) is located first and read as the
   protocol table — which kinds are answered with a reply and which
-  (``exit``) are fire-and-forget;
+  (``exit``) are fire-and-forget.  A loop either branches per kind
+  (``if kind == "gains": ... send(...)``) or looks the kind up in a
+  dispatch table (``{"step": handler, ...}``) ahead of one reply site.
+  A file with no service loop of its own — both engine masters, whose
+  workers all run ``distributed/worker.py:serve`` — is checked against
+  the table mined from that one shared loop;
 * every **master-side** function is then walked with a pending-dispatch
   set: a send of a reply-carrying kind adds a pending dispatch, a
   barrier ``recv`` discharges all of them (barrier semantics: one recv
@@ -36,6 +41,7 @@ The runtime twin is the sanitizer's wire state machine
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterable
 
 from ..core import LINT_CHECKS, Check, FileContext, Finding
@@ -90,9 +96,17 @@ def _send_msg_kind(call: ast.Call, aliases: dict[str, str]) -> str | None:
 
 
 def _is_service_loop(fn: ast.AST) -> bool:
-    """A worker loop: ``while`` whose body assigns from a ``recv()``."""
+    """A worker loop: ``while True:`` whose body assigns from a ``recv()``.
+
+    (A master's retry loop — ``while pending:`` around its barrier recvs —
+    is not one, and must stay subject to the master scan.)
+    """
     for node in ast.walk(fn):
-        if not isinstance(node, ast.While):
+        if not (
+            isinstance(node, ast.While)
+            and isinstance(node.test, ast.Constant)
+            and node.test.value is True
+        ):
             continue
         for sub in ast.walk(node):
             if (
@@ -104,9 +118,22 @@ def _is_service_loop(fn: ast.AST) -> bool:
 
 
 def _protocol_table(fn: ast.AST) -> dict[str, bool]:
-    """kind -> carries-reply, read from a service loop's branch structure."""
+    """kind -> carries-reply, read from a service loop's dispatch structure."""
     table: dict[str, bool] = {}
     for node in ast.walk(fn):
+        if (
+            isinstance(node, ast.Dict)
+            and node.keys
+            and all(
+                isinstance(key, ast.Constant) and isinstance(key.value, str)
+                for key in node.keys
+            )
+        ):
+            # A dispatch table: every kind it lists is looked up, run and
+            # answered at the loop's one reply site.
+            for key in node.keys:
+                table[key.value] = True  # type: ignore[union-attr]
+            continue
         if not isinstance(node, ast.If):
             continue
         test = node.test
@@ -127,6 +154,32 @@ def _protocol_table(fn: ast.AST) -> dict[str, bool]:
         )
         # Conservative merge across loops: reply-carrying wins.
         table[kind] = table.get(kind, False) or replies
+    return table
+
+
+def _mine(tree: ast.AST) -> tuple[dict[str, bool], set[int]]:
+    """``(protocol table, ids of the service-loop functions)`` of a module."""
+    table: dict[str, bool] = {}
+    service: set[int] = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_service_loop(fn):
+            service.add(id(fn))
+            for kind, replies in _protocol_table(fn).items():
+                table[kind] = table.get(kind, False) or replies
+    return table, service
+
+
+def engine_protocol_table() -> dict[str, bool]:
+    """The engine protocol, mined from the one loop every engine worker runs.
+
+    Raises when ``distributed/worker.py`` has no service loop left to mine:
+    scanning both masters against an empty table would turn the rule into
+    a silent no-op.
+    """
+    path = Path(__file__).resolve().parents[2] / "distributed" / "worker.py"
+    table, service = _mine(ast.parse(path.read_text(encoding="utf-8")))
+    if not service or not table:
+        raise RuntimeError(f"REP008: no engine service loop found in {path}")
     return table
 
 
@@ -290,19 +343,13 @@ class PipeProtocolPairing(Check):
 
     def run(self, ctx: FileContext) -> Iterable[Finding]:
         assert ctx.tree is not None
-        functions = [
-            node for node in ast.walk(ctx.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        table: dict[str, bool] = {}
-        service: set[int] = set()
-        for fn in functions:
-            if _is_service_loop(fn):
-                service.add(id(fn))
-                for kind, replies in _protocol_table(fn).items():
-                    table[kind] = table.get(kind, False) or replies
+        table, service = _mine(ctx.tree)
+        if not service:
+            table = engine_protocol_table()
         findings: list[Finding] = []
-        for fn in functions:
+        for fn in ast.walk(ctx.tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
             if id(fn) in service:
                 continue
             scan = _MasterScan(self, ctx, fn, table)

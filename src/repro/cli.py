@@ -538,8 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/running-distributed.md)",
     )
     w.add_argument(
-        "--host", default="0.0.0.0",
-        help="interface to bind (default: all interfaces)",
+        "--host", default="127.0.0.1",
+        help="interface to bind (default: loopback only; the worker unpickles "
+        "whatever connects, so pass 0.0.0.0 or a private interface "
+        "explicitly to serve a trusted cluster network)",
     )
     w.add_argument(
         "--port", type=int, default=0,

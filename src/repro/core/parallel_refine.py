@@ -217,8 +217,7 @@ class ParallelGainPool:
     ):
         import multiprocessing as mp
 
-        from ..distributed.backend_mp import _default_context
-        from ..distributed.shared_pool import SharedArrayPool
+        from ..distributed.shared_pool import SharedArrayPool, default_mp_context
 
         if num_workers < 1:
             raise ValueError(f"num_workers must be at least 1, got {num_workers!r}")
@@ -227,7 +226,7 @@ class ParallelGainPool:
         self._pool = SharedArrayPool()
         self._level_loaded = False
         self._failed = False
-        ctx = mp.get_context(mp_context or _default_context())
+        ctx = mp.get_context(mp_context or default_mp_context())
         self._workers = []
         self._conns = []
         for worker_id in range(num_workers):

@@ -1,23 +1,28 @@
 """Execution backends for the vertex-centric engine.
 
-The engine's superstep loop is backend-agnostic; a :class:`Backend` decides
-*where* worker partitions execute:
+The engine's superstep loop is backend-agnostic, and so is the worker: one
+:class:`~repro.distributed.worker.WorkerHost` holds the logical workers a
+peer hosts and runs their share of every superstep.  A :class:`Backend`
+is a *transport* — where hosts live, how requests and hops reach them:
 
-* :class:`SimulatedBackend` — every worker runs sequentially in the calling
-  process.  Zero startup cost, deterministic, and the metering (messages,
-  bytes, per-worker ops and memory) models what a real cluster would see.
-* :class:`MultiprocessBackend` (``backend_mp``) — one OS process per worker,
+* :class:`SimulatedBackend` — one host in the calling process, called
+  directly with live message objects.  Zero startup cost, deterministic,
+  and the metering (messages, bytes, per-worker ops and memory) models
+  what a real cluster would see.
+* :class:`MultiprocessBackend` (``backend_mp``) — one OS process per
+  worker serving :func:`~repro.distributed.worker.serve` over a pipe,
   shared-memory graph arrays, real parallel wall-clock.
-* :class:`RpcBackend` (``backend_rpc``) — worker processes reachable over
-  TCP (auto-spawned localhost processes or external ``repro rpc-worker``
-  hosts), length-prefixed pickled frames, superstep retry on worker death.
+* :class:`RpcBackend` (``backend_rpc``) — worker processes serving the
+  same loop over TCP (auto-spawned localhost processes or external
+  ``repro rpc-worker`` hosts), length-prefixed pickled frames, a
+  checkpoint on every barrier reply, superstep retry on worker death.
 
-All backends call :func:`execute_worker_superstep` (dict path) or
-:func:`execute_worker_superstep_batch` (columnar path) for the per-worker
-work and :func:`assemble_superstep_metrics` at the barrier, so the numbers
-they report — and, given a seed, the vertex states they produce — are
-identical.  The layer map and the parity invariants backends must uphold
-are documented in ``docs/architecture.md``.
+:func:`execute_worker_superstep` (dict path) and
+:func:`execute_worker_superstep_batch` (columnar path) each have a single
+call site, ``WorkerHost.step``, and the master half every transport shares
+lives on :class:`Backend` — so the numbers backends report and, given a
+seed, the vertex states they produce are identical by construction.  See
+``docs/architecture.md`` for the layer map and the parity invariants.
 """
 
 from __future__ import annotations
@@ -315,27 +320,30 @@ def merge_aggregates(target: dict, parts: list[dict]) -> dict:
 
 
 class Backend(ABC):
-    """Strategy deciding where the engine's worker partitions execute.
+    """Transport strategy: where worker hosts live and how bytes reach them.
 
     :meth:`run` is a template method owning the whole superstep protocol —
     master compute/halt, combiner resolution, aggregate reduction, metrics
-    assembly, wall-clock — so every backend (``sim`` in-process, ``mp``
-    OS processes, ``rpc`` TCP workers) shares one driver and can only
-    differ in *where* the per-worker work happens and *how* bytes move.
+    assembly, wall-clock — and the helpers below it own the master half of
+    every barrier (:meth:`_plan`, :meth:`_commit`, :meth:`_fold_back`,
+    :meth:`_payload`), so a backend (``sim`` in-process, ``mp`` OS
+    processes, ``rpc`` TCP workers) can only differ in *where* its
+    :class:`~repro.distributed.worker.WorkerHost` instances run and *how*
+    requests and replies move.
 
-    Subclasses implement the hooks below: the three mandatory ones
-    (:meth:`_open` / :meth:`_execute_superstep` / :meth:`_finish`) carry
-    the run; :meth:`_close` releases resources on every exit path; and
-    :meth:`_annotate_step` lets a backend attach physical measurements
-    (wire bytes, barrier latency) to each superstep's metrics without
-    touching the logical meters.  A backend instance drives one run at a
-    time.
+    Subclasses implement four hooks — :meth:`_open` /
+    :meth:`_execute_superstep` / :meth:`_finish` carry the run,
+    :meth:`_close` releases resources on every exit path — plus, for
+    process-crossing transports, a channel for
+    :func:`~repro.distributed.worker.serve`.  :meth:`_annotate_step` lets
+    a backend attach physical measurements (wire bytes, barrier latency)
+    to each superstep's metrics without touching the logical meters.  A
+    backend instance drives one run at a time.
 
     Backend contract: after :meth:`run`, the per-vertex state dicts the
     caller passed to ``engine.load()`` hold the final values (mutated in
     place), bitwise-identical on every backend for a given seed — see
-    ``docs/architecture.md`` ("bitwise-parity invariants") for what that
-    requires of a new backend.
+    ``docs/architecture.md`` ("bitwise-parity invariants").
     """
 
     name: str = "abstract"
@@ -391,12 +399,13 @@ class Backend(ABC):
     # -- hooks -----------------------------------------------------------
     @abstractmethod
     def _open(self, engine, program, combiner) -> None:
-        """Prepare a run: bind/ship the graph, start workers, reset queues."""
+        """Prepare a run: start/reach the hosts and ``init`` them."""
 
     @abstractmethod
     def _execute_superstep(self, superstep: int, broadcasts: dict) -> list[WorkerStepResult]:
-        """Run every worker's share of one superstep and route the batches
-        so they are delivered at ``superstep + 1``; returns barrier reports."""
+        """Have every logical worker ``step`` once and :meth:`_commit` the
+        barrier, so hops are delivered at ``superstep + 1``; returns the
+        barrier reports."""
 
     @abstractmethod
     def _finish(self) -> dict[int, dict]:
@@ -413,108 +422,107 @@ class Backend(ABC):
         sockets).  Default: no-op — the *logical* meters stay untouched so
         cross-backend parity holds."""
 
+    # -- the master half every transport shares ----------------------------
+    def _plan(self, engine, program, combiner) -> tuple[dict, list[tuple]]:
+        """Describe a run the way ``WorkerHost.init`` takes it.
+
+        Returns ``(shared, snapshots)``: the job-wide context and one
+        pristine ``(vids, states, program, None)`` snapshot per logical
+        worker (its partition is built by whichever host adopts it).  Also
+        resets the per-run master state (:attr:`_inboxes`).
+        """
+        batch = is_batch_program(program)
+        if batch and engine._worker_of_array is None:
+            raise ValueError(
+                "batch vertex programs require contiguous vertex ids 0..n-1"
+            )
+        self._engine = engine
+        self._num_workers = engine.cluster.num_workers
+        #: per logical worker, the hops to deliver at the next superstep.
+        self._inboxes: list[list] = [[] for _ in range(self._num_workers)]
+        shared = {
+            "seed": engine.seed,
+            "num_workers": self._num_workers,
+            "batch": batch,
+            "combiner": combiner,
+            "graph": engine._graph,
+            # Dense lookup for the columnar kernels; the dict path keeps the
+            # dict, so a message to a vertex that was never loaded is a
+            # KeyError on every backend instead of a wrapped array index.
+            "worker_of": engine._worker_of_array if batch else engine._worker_of,
+        }
+        snapshots = [
+            (vids, {vid: engine._states[vid] for vid in vids}, program, None)
+            for vids in engine._worker_vertices
+        ]
+        return shared, snapshots
+
+    def _commit(self, replies: dict[int, tuple]) -> list[WorkerStepResult]:
+        """Barrier commit of ``wid -> (report, {dst: hop}, ...)`` replies.
+
+        Hops are delivered in ascending source-worker order — the order
+        that fixes every vertex's message sequence, hence the bitwise
+        result — whatever order the replies arrived in.  A hop is opaque
+        here: live lists on ``sim``, once-pickled blobs on ``mp``/``rpc``.
+        """
+        inboxes: list[list] = [[] for _ in range(self._num_workers)]
+        results = []
+        for wid in range(self._num_workers):
+            result, hops = replies[wid][:2]
+            results.append(result)
+            for dst, hop in hops.items():
+                inboxes[dst].append(hop)
+        self._inboxes = inboxes
+        return results
+
+    def _fold_back(self, collected: dict[int, dict]) -> None:
+        """Copy worker-final states into the caller's own dicts, so the
+        in-place mutation contract holds when workers ran on copies."""
+        for vid, state in collected.items():
+            original = self._engine._states[vid]
+            original.clear()
+            original.update(state)
+
+    @staticmethod
+    def _payload(reply: tuple, who: str):
+        """Payload of an ``("ok", payload)`` reply; a shipped ``("error",
+        exc, traceback)`` is re-raised with the worker's traceback chained."""
+        if reply[0] == "error":
+            _, exc, tb = reply
+            raise exc from RuntimeError(f"{who} failed:\n{tb}")
+        return reply[1]
+
 
 class SimulatedBackend(Backend):
-    """In-process sequential execution of every worker (the classic mode)."""
+    """In-process sequential execution of every worker (the classic mode):
+    one :class:`~repro.distributed.worker.WorkerHost`, called directly."""
 
     name = "sim"
 
     def __init__(self):
-        self._engine = None
-        self._program = None
-        self._combiner = None
-        self._batch = False
-        self._mailboxes: dict[int, list] = {}
-        self._partitions: list = []
-        self._batch_inboxes: list[list] = []
+        self._host = None
 
     def _open(self, engine, program, combiner) -> None:
-        self._engine = engine
-        self._program = program
-        self._combiner = combiner
-        self._mailboxes = {}
-        self._batch = is_batch_program(program)
-        if self._batch:
-            if engine._worker_of_array is None:
-                raise ValueError(
-                    "batch vertex programs require contiguous vertex ids 0..n-1"
-                )
-            self._partitions = [
-                program.create_partition(
-                    worker_id,
-                    engine._worker_vertices[worker_id],
-                    engine._states,
-                    engine._graph,
-                )
-                for worker_id in range(engine.cluster.num_workers)
-            ]
-            self._batch_inboxes = [[] for _ in range(engine.cluster.num_workers)]
-        elif engine._graph is not None and hasattr(program, "bind_graph"):
-            program.bind_graph(engine._graph)
+        from .worker import WorkerHost
+
+        shared, snapshots = self._plan(engine, program, combiner)
+        self._host = WorkerHost()
+        # Live snapshots: the host works on the engine's own state dicts
+        # and one shared program instance — nothing is copied or pickled.
+        self._host.init(shared, dict(enumerate(snapshots)))
 
     def _execute_superstep(self, superstep: int, broadcasts: dict) -> list[WorkerStepResult]:
-        engine = self._engine
-        num_workers = engine.cluster.num_workers
-        if self._batch:
-            results = [
-                execute_worker_superstep_batch(
-                    worker_id,
-                    engine._worker_vertices[worker_id],
-                    self._partitions[worker_id],
-                    self._program,
-                    superstep,
-                    broadcasts,
-                    self._batch_inboxes[worker_id],
-                    engine.seed,
-                    engine._worker_of_array,
-                    num_workers,
-                    self._combiner,
-                )
-                for worker_id in range(num_workers)
-            ]
-            inboxes: list[list] = [[] for _ in range(num_workers)]
-            for res in results:
-                for dst_worker, batches in res.batches.items():
-                    inboxes[dst_worker].extend(batches)
-                res.batches = {}
-            self._batch_inboxes = inboxes
-            return results
-        results = [
-            execute_worker_superstep(
-                worker_id,
-                engine._worker_vertices[worker_id],
-                engine._states,
-                self._program,
-                superstep,
-                broadcasts,
-                self._mailboxes,
-                engine.seed,
-                engine._worker_of,
-                num_workers,
-                self._combiner,
-            )
-            for worker_id in range(num_workers)
-        ]
-        mailboxes: dict[int, list] = {}
-        for res in results:
-            for batch in res.batches.values():
-                for dst, payload in batch:
-                    mailboxes.setdefault(dst, []).append(payload)
-        self._mailboxes = mailboxes
-        return results
+        return self._commit(
+            self._host.step(superstep, broadcasts, dict(enumerate(self._inboxes)))
+        )
 
     def _finish(self) -> dict[int, dict]:
-        if self._batch:
-            for partition in self._partitions:
-                self._program.collect_states(partition, self._engine._states)
+        self._host.collect()  # columns fold back into the engine's dicts
         return self._engine._states
 
     def _close(self) -> None:
-        self._engine = self._program = self._combiner = None
-        self._batch = False
-        self._mailboxes = {}
-        self._partitions = []
-        self._batch_inboxes = []
+        self._host = self._engine = None
+        self._inboxes = []
 
 
 def _sizeof_state(state: dict) -> int:

@@ -3,20 +3,22 @@
 Layout (mirrors a small Giraph deployment on a single machine):
 
 * The **master** (calling process) runs the master program, reduces
-  aggregators, routes message batches between workers and assembles the
+  aggregators, routes message hops between workers and assembles the
   per-superstep metrics — exactly the responsibilities Giraph gives its
   master/coordinator.
-* Each **worker process** owns its vertex partition (states are shipped
-  once at startup and never shared), executes
-  :func:`repro.distributed.backend.execute_worker_superstep` every
-  superstep, and reports outbound batches + aggregates at the barrier.
-* The immutable graph (bipartite CSR arrays) and the vertex-placement table
-  are published once through the shared-memory pool
-  (:mod:`repro.distributed.shared_pool`) — workers attach zero-copy,
-  read-only views instead of receiving pickled copies.
-* Message batches are pickled **once per hop** in the sending worker and
-  routed by the master as opaque byte blobs, so the master never
-  re-serializes traffic it merely forwards.
+* Each **worker process** runs the shared service loop
+  (:func:`repro.distributed.worker.serve`) over its end of a pipe: a
+  :class:`~repro.distributed.worker.WorkerHost` holding one logical
+  worker, whose states are handed over once at startup and never shared.
+* The immutable graph travels by reference: an in-memory graph's CSR
+  arrays are published once through the shared-memory pool
+  (:mod:`repro.distributed.shared_pool`) and attached zero-copy,
+  read-only; a store-backed graph pickles as its path and every worker
+  maps the file itself.
+* Message hops are pickled **once** in the sending worker and routed by
+  the master as opaque byte blobs, so the master never re-serializes
+  traffic it merely forwards.  No checkpoints are taken: a dead worker
+  fails the run.
 
 Determinism: placement comes from the engine seed and ``ctx.random()`` is
 counter-based (see :mod:`repro.distributed.engine`), so a job produces
@@ -26,31 +28,16 @@ bit-identical vertex states on this backend and on the simulator.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
-import pickle
 import time
-import traceback
 
 import numpy as np
 
-from .backend import (
-    Backend,
-    execute_worker_superstep,
-    execute_worker_superstep_batch,
-    is_batch_program,
-)
-from .shared_pool import SharedArrayPack, SharedArrayPool
+from ..storage import open_store_view
+from .backend import Backend
+from .shared_pool import SharedArrayPack, SharedArrayPool, default_mp_context
+from .worker import WorkerHost, serve
 
 __all__ = ["MultiprocessBackend", "SharedArrayPack", "share_graph", "attach_graph"]
-
-_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
-
-
-def _default_context() -> str:
-    override = os.environ.get("REPRO_MP_CONTEXT")
-    if override:
-        return override
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 def share_graph(graph) -> tuple[SharedArrayPack, dict]:
@@ -65,8 +52,6 @@ def share_graph(graph) -> tuple[SharedArrayPack, dict]:
         "num_queries": graph.num_queries,
         "num_data": graph.num_data,
         "name": graph.name,
-        "has_data_weights": graph.data_weights is not None,
-        "has_query_weights": graph.query_weights is not None,
     }
     if graph.data_weights is not None:
         arrays["data_weights"] = np.asarray(graph.data_weights)
@@ -98,136 +83,53 @@ def attach_graph(handle: tuple, meta: dict):
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _worker_main(worker_id: int, conn, init: dict) -> None:
-    """Entry point of one worker process: superstep loop over its partition."""
-    graph_pack = None
-    place_pack = None
+class _PipeChannel:
+    """Worker end of the master pipe, as :func:`serve` sees it.
+
+    The ``init`` request rides in on the process arguments instead of the
+    pipe: under ``fork`` it is inherited, never pickled, so programs and
+    states reach the worker at no cost and need not be picklable.
+    """
+
+    def __init__(self, conn, init: tuple):
+        self._conn = conn
+        self._init = init
+
+    def recv(self):
+        if self._init is not None:
+            msg, self._init = self._init, None
+            return msg
+        return self._conn.recv()
+
+    def send(self, reply) -> None:
+        self._conn.send(reply)
+
+
+def _worker_main(conn, init: tuple, handles: dict) -> None:
+    """Entry point of one worker process: the shared service loop.
+
+    ``handles`` names the parts of the job context that were handed over
+    by reference; they are attached (zero-copy, read-only) and filled into
+    the ``init`` request before the loop sees it.
+    """
+    packs = []
     try:
-        program = init["program"]
-        states = init["states"]
-        vids = init["vids"]
-        seed = init["seed"]
-        num_workers = init["num_workers"]
-        combiner = init["combiner"]
-        batch_mode = init["batch"]
-
-        place_pack = SharedArrayPack.attach(init["placement_handle"])
-        place = place_pack.arrays()
-        # The master publishes ids sorted ascending, so this equality test
-        # is exactly the 0..n-1 contiguity check the engine performs.
-        ids, assignment = place["ids"], place["placement"]
-        if ids.size and np.array_equal(ids, np.arange(ids.size, dtype=ids.dtype)):
-            worker_of = assignment  # contiguous ids: direct array lookup
-        else:
-            worker_of = dict(zip(ids.tolist(), assignment.tolist()))
-
-        graph = None
-        if init.get("graph_store") is not None:
-            # Store-backed graph: map the file directly instead of a
-            # shared-memory copy — co-located workers share page-cache
-            # pages, and the init message carried only the path.
-            from ..storage import open_store_view
-
-            graph = open_store_view(init["graph_store"])
-        elif init["graph_handle"] is not None:
-            graph, graph_pack = attach_graph(init["graph_handle"], init["graph_meta"])
-        if graph is not None and not batch_mode and hasattr(program, "bind_graph"):
-            program.bind_graph(graph)
-
-        partition = None
-        if batch_mode:
-            # Struct-of-arrays partition built locally from the shipped
-            # dict states + the shared (zero-copy) graph arrays.
-            partition = program.create_partition(worker_id, vids, states, graph)
-
-        while True:
-            msg = conn.recv()
-            kind = msg[0]
-            if kind == "step":
-                _, superstep, broadcasts, inbox_blobs = msg
-                if batch_mode:
-                    inbox: list = []
-                    for blob in inbox_blobs:
-                        inbox.extend(pickle.loads(blob))
-                    result = execute_worker_superstep_batch(
-                        worker_id,
-                        vids,
-                        partition,
-                        program,
-                        superstep,
-                        broadcasts,
-                        inbox,
-                        seed,
-                        worker_of,
-                        num_workers,
-                        combiner,
-                    )
-                    # Compact each outbound batch to the entry rows its
-                    # messages reference, then pickle once per hop —
-                    # columns travel as a few large buffers, never as
-                    # per-message tuples.
-                    blobs = {
-                        dw: pickle.dumps(
-                            [b.compact() for b in batches], protocol=_PICKLE_PROTO
-                        )
-                        for dw, batches in result.batches.items()
-                    }
-                else:
-                    mailboxes: dict[int, list] = {}
-                    for blob in inbox_blobs:
-                        for dst, payload in pickle.loads(blob):
-                            mailboxes.setdefault(dst, []).append(payload)
-                    result = execute_worker_superstep(
-                        worker_id,
-                        vids,
-                        states,
-                        program,
-                        superstep,
-                        broadcasts,
-                        mailboxes,
-                        seed,
-                        worker_of,
-                        num_workers,
-                        combiner,
-                    )
-                    # Serialize each outbound batch exactly once; the master
-                    # routes the blobs without looking inside.
-                    blobs = {
-                        dw: pickle.dumps(batch, protocol=_PICKLE_PROTO)
-                        for dw, batch in result.batches.items()
-                    }
-                result.batches = {}
-                conn.send(("ok", result, blobs))
-            elif kind == "collect":
-                if batch_mode:
-                    program.collect_states(partition, states)
-                conn.send(("states", states))
-            elif kind == "exit":
-                break
-    except EOFError:  # master went away; nothing to report to
-        pass
-    except BaseException as exc:  # ship the failure to the master
-        tb = traceback.format_exc()
-        try:
-            conn.send(("error", exc, tb))
-        except Exception:
-            # The original exception does not survive pickling (custom
-            # __init__ signature, unpicklable attributes, ...): fall back to
-            # a summary that always does, so the master still sees the cause.
-            try:
-                conn.send(
-                    ("error", RuntimeError(f"{type(exc).__name__}: {exc}"), tb)
-                )
-            except Exception:
-                pass
+        shared = init[1]
+        if "worker_of" in handles:
+            packs.append(SharedArrayPack.attach(handles["worker_of"]))
+            shared["worker_of"] = packs[-1].arrays()["worker_of"]
+        if "store" in handles:
+            shared["graph"] = open_store_view(handles["store"])
+        elif "graph" in handles:
+            shared["graph"], graph_pack = attach_graph(*handles["graph"])
+            packs.append(graph_pack)
+        serve(_PipeChannel(conn, init), WorkerHost())
     finally:
-        if graph_pack is not None:
-            graph_pack.close()
-        if place_pack is not None:
-            # Lookup views into the segment may still be referenced here;
-            # close() tolerates that (BufferError) — the handle goes away
-            # with the process either way, this keeps cleanup symmetric.
-            place_pack.close()
+        for pack in packs:
+            # Views into a segment may still be referenced here; close()
+            # tolerates that (BufferError) — the handle goes away with the
+            # process either way, this keeps cleanup symmetric.
+            pack.close()
         conn.close()
 
 
@@ -251,15 +153,12 @@ class MultiprocessBackend(Backend):
     name = "mp"
 
     def __init__(self, mp_context: str | None = None, step_timeout: float = 600.0):
-        self.mp_context = mp_context or _default_context()
+        self.mp_context = mp_context or default_mp_context()
         self.step_timeout = step_timeout
         # Per-run state (managed by the _open/_finish/_close hooks; defaults
         # let _close run safely even when _open failed partway).
-        self._engine = None
-        self._num_workers = 0
         self._workers: list = []
         self._conns: list = []
-        self._inboxes: list[list] = []
         # All shared segments (placement table, graph CSR) live in one
         # pool so teardown is a single idempotent close().
         self._pool = SharedArrayPool()
@@ -268,59 +167,35 @@ class MultiprocessBackend(Backend):
     # Backend hooks (the shared superstep driver lives in Backend.run)
     # ------------------------------------------------------------------
     def _open(self, engine, program, combiner) -> None:
-        num_workers = engine.cluster.num_workers
+        shared, snapshots = self._plan(engine, program, combiner)
         ctx = mp.get_context(self.mp_context)
-        self._engine = engine
-        self._num_workers = num_workers
-        batch_mode = is_batch_program(program)
-        if batch_mode and engine._worker_of_array is None:
-            raise ValueError(
-                "batch vertex programs require contiguous vertex ids 0..n-1"
+
+        # What every worker reads travels by reference: arrays as one
+        # shared-memory copy (not one private copy per worker), a
+        # store-backed graph as its path — each worker maps the file
+        # itself and the OS page cache shares the pages.
+        handles: dict = {}
+        if shared["batch"]:
+            handles["worker_of"] = self._pool.publish(
+                "placement", {"worker_of": shared["worker_of"]}
             )
-
-        ids = np.fromiter(engine._worker_of.keys(), dtype=np.int64)
-        assignment = np.fromiter(engine._worker_of.values(), dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
-        placement_handle = self._pool.publish(
-            "placement", {"ids": ids[order], "placement": assignment[order]}
-        )
-
-        graph_handle = None
-        graph_meta = None
-        graph_store = None
-        if engine._graph is not None:
-            store_path = getattr(engine._graph, "store_path", None)
-            if store_path is not None:
-                # Store-backed graph: workers mmap the file themselves; no
-                # shared-memory copy, the init message ships only the path.
-                graph_store = str(store_path)
-            else:
-                graph_pack, graph_meta = share_graph(engine._graph)
-                self._pool.adopt("graph", graph_pack)
-                graph_handle = graph_pack.handle
+            shared["worker_of"] = None
+        graph, shared["graph"] = shared["graph"], None
+        store_path = getattr(graph, "store_path", None)
+        if store_path is not None:
+            handles["store"] = str(store_path)
+        elif graph is not None:
+            graph_pack, graph_meta = share_graph(graph)
+            self._pool.adopt("graph", graph_pack)
+            handles["graph"] = (graph_pack.handle, graph_meta)
 
         self._workers = []
         self._conns = []
-        self._inboxes: list[list] = [[] for _ in range(num_workers)]
-        for worker_id in range(num_workers):
+        for worker_id, snapshot in enumerate(snapshots):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
-            vids = engine._worker_vertices[worker_id]
-            init = {
-                "program": program,
-                "states": {vid: engine._states[vid] for vid in vids},
-                "vids": vids,
-                "seed": engine.seed,
-                "num_workers": num_workers,
-                "combiner": combiner,
-                "batch": batch_mode,
-                "placement_handle": placement_handle,
-                "graph_handle": graph_handle,
-                "graph_meta": graph_meta,
-                "graph_store": graph_store,
-            }
             proc = ctx.Process(
                 target=_worker_main,
-                args=(worker_id, child_conn, init),
+                args=(child_conn, ("init", shared, {worker_id: snapshot}), handles),
                 name=f"repro-worker-{worker_id}",
                 daemon=True,
             )
@@ -328,39 +203,30 @@ class MultiprocessBackend(Backend):
             child_conn.close()
             self._workers.append(proc)
             self._conns.append(parent_conn)
+        for worker_id in range(self._num_workers):
+            self._recv(worker_id)  # the init reply: partitions are built
 
     def _execute_superstep(self, superstep: int, broadcasts: dict):
         for worker_id, conn in enumerate(self._conns):
-            conn.send(("step", superstep, broadcasts, self._inboxes[worker_id]))
-        replies = [
-            self._recv(self._conns[w], self._workers[w], w)
-            for w in range(self._num_workers)
-        ]
-        self._inboxes = [[] for _ in range(self._num_workers)]
-        results = []
-        for _, result, blobs in replies:
-            results.append(result)
-            for dst_worker, blob in blobs.items():
-                self._inboxes[dst_worker].append(blob)
-        return results
+            conn.send(
+                ("step", superstep, broadcasts, {worker_id: self._inboxes[worker_id]}, False)
+            )
+        replies: dict[int, tuple] = {}
+        for worker_id in range(self._num_workers):
+            replies.update(self._recv(worker_id))
+        return self._commit(replies)
 
     def _finish(self) -> dict[int, dict]:
-        # Fold worker-final states back into the caller's own dicts so the
-        # in-place mutation contract matches the simulator exactly.
-        engine_states = self._engine._states
         for conn in self._conns:
             conn.send(("collect",))
-        for worker_id, conn in enumerate(self._conns):
-            _, collected = self._recv(conn, self._workers[worker_id], worker_id)
-            for vid, state in collected.items():
-                original = engine_states[vid]
-                original.clear()
-                original.update(state)
+        for worker_id in range(self._num_workers):
+            for states in self._recv(worker_id).values():
+                self._fold_back(states)
         for conn in self._conns:
             conn.send(("exit",))
         for proc in self._workers:
             proc.join(timeout=30)
-        return engine_states
+        return self._engine._states
 
     def _close(self) -> None:
         for proc in self._workers:
@@ -373,10 +239,12 @@ class MultiprocessBackend(Backend):
         self._conns = []
         self._pool.close()
         self._engine = None
+        self._inboxes = []
 
     # ------------------------------------------------------------------
-    def _recv(self, conn, proc, worker_id: int):
-        """Receive one barrier message, surfacing worker death or errors."""
+    def _recv(self, worker_id: int):
+        """One reply payload from a worker, surfacing its death or error."""
+        conn, proc = self._conns[worker_id], self._workers[worker_id]
         deadline = time.monotonic() + self.step_timeout
         while not conn.poll(0.05):
             if not proc.is_alive():
@@ -390,7 +258,7 @@ class MultiprocessBackend(Backend):
                     f"({self.step_timeout:.0f}s)"
                 )
         try:
-            msg = conn.recv()
+            reply = conn.recv()
         except (EOFError, ConnectionResetError) as exc:
             raise RuntimeError(
                 f"worker {worker_id} died at the superstep barrier "
@@ -402,7 +270,4 @@ class MultiprocessBackend(Backend):
             raise RuntimeError(
                 f"worker {worker_id} sent an undecodable message: {exc!r}"
             ) from exc
-        if msg[0] == "error":
-            _, exc, tb = msg
-            raise exc from RuntimeError(f"worker {worker_id} failed:\n{tb}")
-        return msg
+        return self._payload(reply, f"worker {worker_id}")

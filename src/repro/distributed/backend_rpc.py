@@ -5,31 +5,33 @@ coordinating dumb workers over the network — and mirrors the multiprocess
 backend's split of responsibilities:
 
 * The **master** (calling process) runs the master program, routes message
-  blobs between workers, reduces aggregators, assembles metrics, and now
-  also owns *fault handling*: per-worker state checkpoints, worker-death
+  blobs between workers, reduces aggregators, assembles metrics, and also
+  owns *fault handling*: per-worker state checkpoints, worker-death
   detection, and superstep retry against the surviving worker set.
 * Each **worker peer** is a process reachable over TCP — auto-spawned on
   localhost (tests/CI, ``hosts=None``) or started externally with
-  ``repro rpc-worker`` on real machines (``hosts=["host:port", ...]``).
-  A peer serves one or more *logical workers*: logical worker ``w`` of a
-  ``num_workers``-cluster lives on peer ``w % len(peers)``.
+  ``repro rpc-worker`` on real machines (``hosts=["host:port", ...]``) —
+  running the shared service loop (:func:`repro.distributed.worker.serve`)
+  per master connection.  A peer hosts one or more *logical workers*:
+  logical worker ``w`` of a ``num_workers``-cluster lives on peer
+  ``w % len(peers)``.
 * Transport is the framed-pickle protocol of
   :mod:`repro.distributed.wire`: length-prefixed frames carrying pickled
   column batches, with per-superstep accounting of real bytes-on-wire and
   barrier round-trip time (``SuperstepMetrics.wire_bytes`` /
   ``round_trip_seconds``).
 
-Workers execute the very same :func:`~repro.distributed.backend.
-execute_worker_superstep` / ``execute_worker_superstep_batch`` functions as
-every other backend, keyed by *logical* worker id — so for a given seed the
+Peers run the one :class:`~repro.distributed.worker.WorkerHost` every
+backend runs, keyed by *logical* worker id — so for a given seed the
 assignments and all logical meters are bitwise-identical to ``sim``/``mp``
 regardless of how logical workers map onto peers, before or after a
 failover.
 
 Fault tolerance
 ---------------
-Every step reply carries a pickled checkpoint of each logical worker's
-post-superstep state (vids, states, program instance, columnar partition).
+This is the one transport that asks ``step`` for checkpoints: every step
+reply carries a pickled snapshot of each logical worker's post-superstep
+state (vids, states, program instance, columnar partition).
 The master retains the latest committed checkpoint per logical worker plus
 the current superstep's inbound blobs; when a peer dies mid-superstep
 (connection failure or barrier timeout) its logical workers are *adopted*
@@ -42,189 +44,38 @@ The run fails only when every peer is gone.  See
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 import socket
 import time
-import traceback
 
-import numpy as np
-
-from .backend import (
-    Backend,
-    execute_worker_superstep,
-    execute_worker_superstep_batch,
-    is_batch_program,
-)
+from .backend import Backend
+from .shared_pool import default_mp_context
 from .wire import WireError, recv_obj, send_obj
+from .worker import WorkerHost, final_states, serve
 
 __all__ = ["RpcBackend", "serve_worker"]
 
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
 
-def _default_context() -> str:
-    override = os.environ.get("REPRO_MP_CONTEXT")
-    if override:
-        return override
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class _LogicalWorker:
-    """One logical worker's state living inside a peer process."""
+class _SocketChannel:
+    """Worker end of a master connection, as :func:`serve` sees it: one
+    framed object per request and per reply (a dead master surfaces as
+    :class:`WireError`, an ``OSError``)."""
 
-    __slots__ = ("vids", "states", "program", "partition")
+    def __init__(self, sock: socket.socket):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
 
-    def __init__(self, vids, states, program, partition):
-        self.vids = vids
-        self.states = states
-        self.program = program
-        self.partition = partition
+    def recv(self):
+        msg, _ = recv_obj(self._sock)  # reprolint: disable=REP009 -- worker side: the master meters each request when it sends it
+        return msg
 
-    def checkpoint(self) -> bytes:
-        """Post-superstep snapshot the master can re-home onto any peer."""
-        return pickle.dumps(
-            (self.vids, self.states, self.program, self.partition),
-            protocol=_PICKLE_PROTO,
-        )
-
-
-class _WorkerHost:
-    """Per-connection worker runtime: owns the peer's logical workers."""
-
-    def __init__(self):
-        self.seed = 0
-        self.num_workers = 0
-        self.batch = False
-        self.combiner = None
-        self.graph = None
-        self.worker_of = None
-        self.workers: dict[int, _LogicalWorker] = {}
-
-    # ------------------------------------------------------------------
-    def init(self, init: dict) -> None:
-        self.seed = init["seed"]
-        self.num_workers = init["num_workers"]
-        self.batch = init["batch"]
-        self.combiner = init["combiner"]
-        self.graph = init["graph"]
-        ids, assignment = init["placement"]
-        if ids.size and np.array_equal(ids, np.arange(ids.size, dtype=ids.dtype)):
-            self.worker_of = assignment  # contiguous ids: direct array lookup
-        else:
-            self.worker_of = dict(zip(ids.tolist(), assignment.tolist()))
-        self.workers = {}
-        for wid, (vids, states) in init["workers"].items():
-            # One program instance per *logical* worker (not per peer): any
-            # worker-local program state stays keyed to the logical worker,
-            # exactly as under the one-process-per-worker mp backend.
-            program = pickle.loads(init["program_bytes"])
-            self.workers[wid] = self._build(wid, vids, states, program)
-
-    def _build(self, wid, vids, states, program, partition=None) -> _LogicalWorker:
-        if not self.batch and self.graph is not None and hasattr(program, "bind_graph"):
-            program.bind_graph(self.graph)
-        if self.batch and partition is None:
-            partition = program.create_partition(wid, vids, states, self.graph)
-        return _LogicalWorker(vids, states, program, partition)
-
-    def adopt(self, wid: int, checkpoint: bytes) -> None:
-        """Restore an orphaned logical worker from a master checkpoint."""
-        vids, states, program, partition = pickle.loads(checkpoint)
-        self.workers[wid] = self._build(wid, vids, states, program, partition)
-
-    # ------------------------------------------------------------------
-    def step(self, superstep: int, broadcasts: dict, inboxes: dict) -> dict:
-        """Run one superstep for the requested logical workers."""
-        out = {}
-        for wid in sorted(inboxes):
-            worker = self.workers[wid]
-            blobs_in = inboxes[wid]
-            if self.batch:
-                inbox: list = []
-                for blob in blobs_in:
-                    inbox.extend(pickle.loads(blob))
-                result = execute_worker_superstep_batch(
-                    wid,
-                    worker.vids,
-                    worker.partition,
-                    worker.program,
-                    superstep,
-                    broadcasts,
-                    inbox,
-                    self.seed,
-                    self.worker_of,
-                    self.num_workers,
-                    self.combiner,
-                )
-                blobs_out = {
-                    dw: pickle.dumps(
-                        [b.compact() for b in batches], protocol=_PICKLE_PROTO
-                    )
-                    for dw, batches in result.batches.items()
-                }
-            else:
-                mailboxes: dict[int, list] = {}
-                for blob in blobs_in:
-                    for dst, payload in pickle.loads(blob):
-                        mailboxes.setdefault(dst, []).append(payload)
-                result = execute_worker_superstep(
-                    wid,
-                    worker.vids,
-                    worker.states,
-                    worker.program,
-                    superstep,
-                    broadcasts,
-                    mailboxes,
-                    self.seed,
-                    self.worker_of,
-                    self.num_workers,
-                    self.combiner,
-                )
-                blobs_out = {
-                    dw: pickle.dumps(batch, protocol=_PICKLE_PROTO)
-                    for dw, batch in result.batches.items()
-                }
-            result.batches = {}
-            out[wid] = (result, blobs_out, worker.checkpoint())
-        return out
-
-
-def _serve_connection(sock: socket.socket) -> None:
-    """Serve one master connection until it sends ``exit`` or hangs up."""
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    host = _WorkerHost()
-    while True:
-        try:
-            msg, _ = recv_obj(sock)  # reprolint: disable=REP009 -- worker side: the master meters each request when it sends it
-        except WireError:
-            return  # master went away; nothing to report to
-        kind = msg[0]
-        try:
-            if kind == "init":
-                host.init(msg[1])
-                send_obj(sock, ("ready",))  # reprolint: disable=REP009 -- worker side: the master meters this reply on receipt
-            elif kind == "adopt":
-                host.adopt(msg[1], msg[2])
-                send_obj(sock, ("adopted", msg[1]))  # reprolint: disable=REP009 -- worker side: the master meters this reply on receipt
-            elif kind == "step":
-                _, superstep, broadcasts, inboxes = msg
-                send_obj(sock, ("ok", host.step(superstep, broadcasts, inboxes)))  # reprolint: disable=REP009 -- worker side: the master meters this reply on receipt
-            elif kind == "exit":
-                return
-            else:
-                send_obj(sock, ("error", f"unknown message kind {kind!r}", ""))  # reprolint: disable=REP009 -- worker side: the master meters this reply on receipt
-        except WireError:
-            return
-        except BaseException as exc:  # ship the failure to the master
-            tb = traceback.format_exc()
-            try:
-                send_obj(sock, ("error", f"{type(exc).__name__}: {exc}", tb))  # reprolint: disable=REP009 -- worker side: the master meters this reply on receipt
-            except Exception:
-                return
+    def send(self, reply) -> None:
+        send_obj(self._sock, reply)  # reprolint: disable=REP009 -- worker side: the master meters each reply on receipt
 
 
 def serve_worker(
@@ -251,7 +102,7 @@ def serve_worker(
         while True:
             sock, _ = srv.accept()
             try:
-                _serve_connection(sock)
+                serve(_SocketChannel(sock), WorkerHost())
             finally:
                 try:
                     sock.close()
@@ -325,17 +176,15 @@ class RpcBackend(Backend):
         self.hosts = list(hosts) if hosts else None
         self.connect_timeout = float(connect_timeout)
         self.step_timeout = float(step_timeout)
-        self.mp_context = mp_context or _default_context()
+        self.mp_context = mp_context or default_mp_context()
         self.chaos_kill = chaos_kill
         # Per-run state (reset by _open/_close).
-        self._engine = None
-        self._num_workers = 0
         self._peers: list[_Peer] = []
         self._wid_peer: list[int] = []
-        self._inboxes: list[list[bytes]] = []
         self._checkpoints: list[bytes] = []
-        self._last_wire_bytes = 0
-        self._last_rtt = 0.0
+        #: bytes on the wire and barrier latency of the current superstep.
+        self._wire = 0
+        self._rtt = 0.0
         #: bytes moved during the init handshake (graph + program shipping);
         #: not part of any superstep's meter but still real traffic.
         self._setup_wire_bytes = 0
@@ -344,65 +193,27 @@ class RpcBackend(Backend):
     # Backend hooks
     # ------------------------------------------------------------------
     def _open(self, engine, program, combiner) -> None:
-        num_workers = engine.cluster.num_workers
-        self._engine = engine
-        self._num_workers = num_workers
-        batch_mode = is_batch_program(program)
-        if batch_mode and engine._worker_of_array is None:
-            raise ValueError(
-                "batch vertex programs require contiguous vertex ids 0..n-1"
-            )
-
+        shared, snapshots = self._plan(engine, program, combiner)
+        num_workers = self._num_workers
         self._connect_peers(num_workers)
         num_peers = len(self._peers)
         self._wid_peer = [wid % num_peers for wid in range(num_workers)]
-        self._inboxes = [[] for _ in range(num_workers)]
-
-        ids = np.fromiter(engine._worker_of.keys(), dtype=np.int64)
-        assignment = np.fromiter(engine._worker_of.values(), dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
-        placement = (ids[order], assignment[order])
-
-        program_bytes = pickle.dumps(program, protocol=_PICKLE_PROTO)
-        partitions = {
-            wid: (
-                engine._worker_vertices[wid],
-                {vid: engine._states[vid] for vid in engine._worker_vertices[wid]},
-            )
-            for wid in range(num_workers)
-        }
-        # The initial checkpoints let any peer adopt a logical worker that
-        # dies before its first barrier: pristine states, fresh program,
-        # partition rebuilt by the adopter.
+        # Pristine checkpoints are what init ships, and what lets any peer
+        # adopt a logical worker that dies before its first barrier.
         self._checkpoints = [
-            pickle.dumps(
-                (partitions[wid][0], partitions[wid][1], program, None),
-                protocol=_PICKLE_PROTO,
-            )
-            for wid in range(num_workers)
+            pickle.dumps(snapshot, protocol=_PICKLE_PROTO) for snapshot in snapshots
         ]
-
         for peer_idx, peer in enumerate(self._peers):
-            init = {
-                "program_bytes": program_bytes,
-                "seed": engine.seed,
-                "num_workers": num_workers,
-                "batch": batch_mode,
-                "combiner": combiner,
-                "graph": engine._graph,
-                "placement": placement,
-                "workers": {
-                    wid: partitions[wid]
-                    for wid in range(num_workers)
-                    if self._wid_peer[wid] == peer_idx
-                },
+            hosted = {
+                wid: self._checkpoints[wid]
+                for wid in range(num_workers)
+                if self._wid_peer[wid] == peer_idx
             }
-            self._setup_wire_bytes += send_obj(peer.sock, ("init", init))
+            self._setup_wire_bytes += send_obj(peer.sock, ("init", shared, hosted))
         for peer in self._peers:
             reply, nbytes = recv_obj(peer.sock)
             self._setup_wire_bytes += nbytes
-            if reply[0] != "ready":
-                raise RuntimeError(f"worker {peer.label} failed to init: {reply!r}")
+            self._payload(reply, f"rpc worker {peer.label} (init)")
 
     def _connect_peers(self, num_workers: int) -> None:
         self._peers = []
@@ -458,68 +269,34 @@ class RpcBackend(Backend):
             self._kill_peer(self.chaos_kill[1])
             self.chaos_kill = None
         start = time.perf_counter()
-        wire = 0
+        self._wire = 0
         pending = set(range(self._num_workers))
-        results: dict[int, object] = {}
-        new_checkpoints = list(self._checkpoints)
-        new_inboxes: list[list[bytes]] = [[] for _ in range(self._num_workers)]
-
+        replies: dict[int, tuple] = {}
         while pending:
-            by_peer: dict[int, list[int]] = {}
+            by_peer: dict[int, dict[int, list]] = {}
             for wid in sorted(pending):
-                by_peer.setdefault(self._wid_peer[wid], []).append(wid)
-            dispatched = []
-            for peer_idx, wids in by_peer.items():
-                peer = self._peers[peer_idx]
-                payload = (
-                    "step",
-                    superstep,
-                    broadcasts,
-                    {wid: self._inboxes[wid] for wid in wids},
-                )
-                try:
-                    wire += send_obj(peer.sock, payload)  # reprolint: disable=REP002 -- integer wire-byte meter: int sums are order-exact
-                except (WireError, OSError):
-                    self._mark_dead(peer_idx)
-                    continue
-                dispatched.append(peer_idx)
+                by_peer.setdefault(self._wid_peer[wid], {})[wid] = self._inboxes[wid]
+            # Dispatch to every peer, then gather.  The last field asks for
+            # a checkpoint on every reply: what a failover restores.
+            dispatched = [
+                peer_idx
+                for peer_idx, inboxes in by_peer.items()
+                if self._send(peer_idx, ("step", superstep, broadcasts, inboxes, True))
+            ]
             for peer_idx in dispatched:
-                peer = self._peers[peer_idx]
-                try:
-                    reply, nbytes = recv_obj(peer.sock)
-                except (WireError, OSError):
-                    self._mark_dead(peer_idx)
-                    continue
-                wire += nbytes
-                if reply[0] == "error":
-                    raise RuntimeError(
-                        f"rpc worker {peer.label} failed in superstep "
-                        f"{superstep}: {reply[1]}\n{reply[2]}"
-                    )
-                for wid, (result, blobs, ckpt) in reply[1].items():
-                    results[wid] = (result, blobs)
-                    new_checkpoints[wid] = ckpt
-                    pending.discard(wid)
+                replies.update(self._recv(peer_idx, f"superstep {superstep}") or {})
+            pending -= replies.keys()
             if pending:
-                wire += self._reassign(sorted(pending))
-        # Commit: route outbound blobs in ascending logical-worker order
-        # (the delivery order every backend uses) and replace checkpoints
-        # only now that the whole barrier completed.
-        ordered = []
-        for wid in range(self._num_workers):
-            result, blobs = results[wid]
-            ordered.append(result)
-            for dst_wid, blob in blobs.items():
-                new_inboxes[dst_wid].append(blob)
-        self._inboxes = new_inboxes
-        self._checkpoints = new_checkpoints
-        self._last_wire_bytes = wire
-        self._last_rtt = time.perf_counter() - start
-        return ordered
+                self._reassign(sorted(pending))
+        # The inboxes and checkpoints a retry needs are replaced only now
+        # that the whole barrier completed.
+        results = self._commit(replies)
+        self._checkpoints = [replies[wid][2] for wid in range(self._num_workers)]
+        self._rtt = time.perf_counter() - start
+        return results
 
-    def _reassign(self, orphans: list[int]) -> int:
+    def _reassign(self, orphans: list[int]) -> None:
         """Adopt orphaned logical workers onto surviving peers."""
-        wire = 0
         survivors = [i for i, peer in enumerate(self._peers) if peer.alive]
         if not survivors:
             raise RuntimeError(
@@ -527,24 +304,34 @@ class RpcBackend(Backend):
             )
         for j, wid in enumerate(orphans):
             peer_idx = survivors[j % len(survivors)]
-            peer = self._peers[peer_idx]
-            try:
-                wire += send_obj(
-                    peer.sock, ("adopt", wid, self._checkpoints[wid])
-                )
-                reply, nbytes = recv_obj(peer.sock)
-                wire += nbytes
-            except (WireError, OSError):
-                self._mark_dead(peer_idx)
-                # The orphan stays pending; the outer loop reassigns it.
-                continue
-            if reply[0] == "error":
-                raise RuntimeError(
-                    f"rpc worker {peer.label} failed to adopt logical "
-                    f"worker {wid}: {reply[1]}\n{reply[2]}"
-                )
-            self._wid_peer[wid] = peer_idx
-        return wire
+            # If this peer dies too, the orphan stays pending and the
+            # caller's loop reassigns it.
+            if (
+                self._send(peer_idx, ("adopt", wid, self._checkpoints[wid]))
+                and self._recv(peer_idx, f"adopting worker {wid}") is not None
+            ):
+                self._wid_peer[wid] = peer_idx
+
+    def _send(self, peer_idx: int, request: tuple) -> bool:
+        """Send one metered request; a peer that cannot take it is dead."""
+        try:
+            self._wire += send_obj(self._peers[peer_idx].sock, request)
+        except (WireError, OSError):
+            self._mark_dead(peer_idx)
+            return False
+        return True
+
+    def _recv(self, peer_idx: int, what: str):
+        """One metered reply payload — ``None`` from a peer that hung up or
+        timed out, now marked dead; a shipped worker error is re-raised."""
+        peer = self._peers[peer_idx]
+        try:
+            reply, nbytes = recv_obj(peer.sock)
+        except (WireError, OSError):
+            self._mark_dead(peer_idx)
+            return None
+        self._wire += nbytes
+        return self._payload(reply, f"rpc worker {peer.label} ({what})")
 
     def _mark_dead(self, peer_idx: int) -> None:
         peer = self._peers[peer_idx]
@@ -571,20 +358,13 @@ class RpcBackend(Backend):
         # already holds every logical worker's post-superstep snapshot, so
         # collection needs no further round-trips and survives any peer
         # dying after its last barrier.
-        engine_states = self._engine._states
-        for wid in range(self._num_workers):
-            vids, states, program, partition = pickle.loads(self._checkpoints[wid])
-            if partition is not None:
-                program.collect_states(partition, states)
-            for vid, state in states.items():
-                original = engine_states[vid]
-                original.clear()
-                original.update(state)
-        return engine_states
+        for checkpoint in self._checkpoints:
+            self._fold_back(final_states(pickle.loads(checkpoint)))
+        return self._engine._states
 
     def _annotate_step(self, step) -> None:
-        step.wire_bytes = self._last_wire_bytes
-        step.round_trip_seconds = self._last_rtt
+        step.wire_bytes = self._wire
+        step.round_trip_seconds = self._rtt
 
     def _close(self) -> None:
         for peer in self._peers:
@@ -608,5 +388,3 @@ class RpcBackend(Backend):
         self._inboxes = []
         self._checkpoints = []
         self._engine = None
-        self._last_wire_bytes = 0
-        self._last_rtt = 0.0

@@ -10,18 +10,25 @@ distributes vertices among machines in a Giraph cluster randomly"
 (Section 3.3) — so per-worker load and communication metering reflect what
 a real deployment would see.
 
-Execution is delegated to a pluggable :class:`~repro.distributed.Backend`:
+Execution is delegated to a pluggable :class:`~repro.distributed.Backend`.
+Worker behaviour has one implementation —
+:class:`repro.distributed.worker.WorkerHost` — and a backend is the
+transport that reaches it:
 
-* :class:`~repro.distributed.SimulatedBackend` (default) runs every worker
+* :class:`~repro.distributed.SimulatedBackend` (default) calls the host
   in-process, sequentially, with full metering — fast to start, fully
   deterministic, ideal for tests and message-complexity studies.
-* :class:`~repro.distributed.MultiprocessBackend` spawns one OS process per
-  worker, shares immutable graph arrays via ``multiprocessing.shared_memory``
-  and exchanges serialized message batches through per-superstep channels —
+* :class:`~repro.distributed.MultiprocessBackend` runs one host per OS
+  process behind a pipe, shares immutable graph arrays via
+  ``multiprocessing.shared_memory`` and routes once-pickled message hops —
   real parallel wall-clock on one machine.
+* :class:`~repro.distributed.RpcBackend` runs hosts behind framed TCP
+  sockets (localhost or other machines), checkpoints every barrier and
+  retries a superstep when a worker dies.
 
-Both backends run the *same* per-worker superstep code
-(:func:`repro.distributed.backend.execute_worker_superstep`) and are
+All three therefore run the *same* per-worker superstep code
+(:func:`repro.distributed.backend.execute_worker_superstep` and its
+columnar twin) and are
 bit-identical for a given seed: vertex placement comes from the engine seed,
 and :meth:`VertexContext.random` draws are counter-based — a pure hash of
 ``(seed, superstep, vertex, draw index)`` — so they do not depend on the
@@ -306,7 +313,8 @@ class GiraphEngine:
         Controls random vertex placement and all :meth:`VertexContext.random`
         draws; identical seeds reproduce identical runs on *every* backend.
     backend:
-        ``"sim"`` (default), ``"mp"``, or a :class:`Backend` instance.
+        ``"sim"`` (default), ``"mp"``, ``"rpc"``, or a :class:`Backend`
+        instance.
     """
 
     def __init__(

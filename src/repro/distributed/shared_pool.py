@@ -23,11 +23,23 @@ refiner's move/gain arrays — request ``writeable=True`` explicitly.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 from multiprocessing import shared_memory
 
 import numpy as np
 
-__all__ = ["SharedArrayPack", "SharedArrayPool"]
+__all__ = ["SharedArrayPack", "SharedArrayPool", "default_mp_context"]
+
+
+def default_mp_context() -> str:
+    """Start method for sibling processes (engine workers, the refine pool):
+    ``REPRO_MP_CONTEXT`` if set, else ``fork`` where available (instant
+    startup), else ``spawn``."""
+    override = os.environ.get("REPRO_MP_CONTEXT")
+    if override:
+        return override
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 class SharedArrayPack:

@@ -1,0 +1,210 @@
+"""The worker runtime: one :class:`WorkerHost`, one :func:`serve` loop.
+
+The paper's deployment (Sections 3.2-3.3) is one master coordinating
+identical workers through barriered supersteps.  This module is that
+worker, written once; the three backends are *transports* that reach it:
+
+* ``sim`` owns a :class:`WorkerHost` in the calling process and calls
+  :meth:`WorkerHost.step` directly with live message objects — nothing is
+  pickled.
+* ``mp`` runs :func:`serve` in one OS process per worker, over a
+  ``multiprocessing`` pipe.
+* ``rpc`` runs :func:`serve` per master connection, over a framed socket
+  (:mod:`repro.distributed.wire`), and is the only transport that asks
+  ``step`` for checkpoints.
+
+Because every worker-side operation has exactly one call site here
+(:func:`~repro.distributed.backend.execute_worker_superstep` /
+``execute_worker_superstep_batch``, ``create_partition``, ``bind_graph``,
+``collect_states``, the once-per-hop pickle), cross-backend bitwise parity
+holds by construction rather than by keeping three loops in step.
+
+Protocol (the master sends a request tuple, ``serve`` answers each with
+exactly one reply; ``exit`` is the only fire-and-forget kind — ``repro
+lint`` REP008 reads this table from ``serve`` itself):
+
+==========================================================  =======================================
+request                                                     reply payload (``("ok", payload)``)
+==========================================================  =======================================
+``("init", shared, {wid: snapshot})``                       hosted logical worker ids
+``("adopt", wid, snapshot)``                                ``wid``
+``("step", superstep, broadcasts, {wid: hops}, checkpoint)``  ``{wid: (report, {dst: hop}, ckpt)}``
+``("collect",)``                                            ``{wid: final states}``
+``("exit",)``                                               *(none — the loop ends)*
+==========================================================  =======================================
+
+A handler that raises is answered with ``("error", exc, traceback)`` and
+the loop keeps serving.
+"""
+
+from __future__ import annotations
+
+import pickle
+import traceback
+
+from .backend import execute_worker_superstep, execute_worker_superstep_batch
+
+__all__ = ["WorkerHost", "serve", "final_states"]
+
+_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
+
+
+def final_states(snapshot: tuple) -> dict[int, dict]:
+    """Per-vertex state dicts of one logical worker, columns folded back."""
+    _, states, program, partition = snapshot
+    if partition is not None:
+        program.collect_states(partition, states)
+    return states
+
+
+class WorkerHost:
+    """The state of every logical worker one peer hosts.
+
+    A logical worker is the tuple ``(vids, states, program, partition)`` —
+    which is also exactly what a checkpoint pickles, so a worker can be
+    re-homed onto any host by :meth:`adopt`.
+    """
+
+    def __init__(self):
+        self.graph = None
+        self.seed = 0
+        self.num_workers = 0
+        self.batch = False
+        self.combiner = None
+        #: vertex id -> logical worker: a dense array for batch programs
+        #: (contiguous ids), the engine's dict on the dict path.
+        self.worker_of = None
+        self.workers: dict[int, tuple] = {}
+
+    def init(self, shared: dict, snapshots: dict) -> list[int]:
+        """Install the job-wide context, then adopt the listed workers."""
+        self.graph = shared["graph"]
+        self.seed = shared["seed"]
+        self.num_workers = shared["num_workers"]
+        self.batch = shared["batch"]
+        self.combiner = shared["combiner"]
+        self.worker_of = shared["worker_of"]
+        self.workers = {}
+        return [self.adopt(wid, snapshots[wid]) for wid in sorted(snapshots)]
+
+    def adopt(self, wid: int, snapshot) -> int:
+        """Host logical worker ``wid`` from a snapshot tuple or its pickle
+        (how checkpoints travel): pristine at init, post-superstep when the
+        master re-homes an orphan."""
+        if isinstance(snapshot, bytes):
+            snapshot = pickle.loads(snapshot)
+        vids, states, program, partition = snapshot
+        if self.batch:
+            if partition is None:
+                partition = program.create_partition(wid, vids, states, self.graph)
+        elif self.graph is not None and hasattr(program, "bind_graph"):
+            program.bind_graph(self.graph)
+        self.workers[wid] = (vids, states, program, partition)
+        return wid
+
+    def step(
+        self, superstep: int, broadcasts: dict, inboxes: dict, checkpoint: bool = False
+    ) -> dict:
+        """Run one superstep for the listed logical workers, ascending.
+
+        ``inboxes[wid]`` is the list of hops delivered to ``wid`` — one per
+        source worker, each a list of ``MessageBatch`` (columnar) or of
+        ``(dst_vertex, payload)`` pairs (dict path).  Returns ``wid ->
+        (barrier report, outbound hops keyed by destination worker,
+        post-superstep checkpoint or None)``.
+        """
+        out = {}
+        for wid in sorted(inboxes):
+            vids, states, program, partition = self.workers[wid]
+            if self.batch:
+                inbox = [batch for hop in inboxes[wid] for batch in hop]
+                result = execute_worker_superstep_batch(
+                    wid, vids, partition, program, superstep, broadcasts, inbox,
+                    self.seed, self.worker_of, self.num_workers, self.combiner,
+                )
+            else:
+                mailboxes: dict[int, list] = {}
+                for hop in inboxes[wid]:
+                    for dst, payload in hop:
+                        mailboxes.setdefault(dst, []).append(payload)
+                result = execute_worker_superstep(
+                    wid, vids, states, program, superstep, broadcasts, mailboxes,
+                    self.seed, self.worker_of, self.num_workers, self.combiner,
+                )
+            hops, result.batches = result.batches, {}
+            ckpt = (
+                pickle.dumps(self.workers[wid], protocol=_PICKLE_PROTO)
+                if checkpoint
+                else None
+            )
+            out[wid] = (result, hops, ckpt)
+        return out
+
+    def collect(self) -> dict[int, dict]:
+        """Final per-vertex states of every hosted logical worker."""
+        return {wid: final_states(self.workers[wid]) for wid in sorted(self.workers)}
+
+
+def serve(channel, host: WorkerHost) -> None:
+    """Serve one master over ``channel`` until ``exit`` or hang-up.
+
+    ``channel.recv()`` returns the next request and ``channel.send(reply)``
+    ships one reply; both raise ``EOFError``/``OSError`` once the master is
+    gone, and ``send`` raises whatever pickling raises when a reply cannot
+    cross the process boundary.
+    """
+
+    def step(superstep, broadcasts, inboxes, checkpoint):
+        # The once-per-hop codec: each (source, destination) hop is pickled
+        # exactly once, here in the sending worker — columnar batches
+        # compacted to the entry rows they reference, so columns travel as
+        # a few large buffers — forwarded by the master as an opaque blob,
+        # and decoded once, here in the receiving worker.
+        live = {
+            wid: [pickle.loads(blob) for blob in blobs]
+            for wid, blobs in inboxes.items()
+        }
+        out = {}
+        for wid, (result, hops, ckpt) in host.step(superstep, broadcasts, live, checkpoint).items():
+            blobs = {
+                dst: pickle.dumps(
+                    [b.compact() for b in hop] if host.batch else hop,
+                    protocol=_PICKLE_PROTO,
+                )
+                for dst, hop in hops.items()
+            }
+            out[wid] = (result, blobs, ckpt)
+        return out
+
+    handlers = {
+        "init": host.init,
+        "adopt": host.adopt,
+        "step": step,
+        "collect": host.collect,
+    }
+    try:
+        while True:
+            msg = channel.recv()
+            kind = msg[0]
+            if kind == "exit":
+                return
+            try:
+                if kind not in handlers:
+                    raise ValueError(f"unknown message kind {kind!r}")
+                reply = ("ok", handlers[kind](*msg[1:]))
+            except Exception as exc:  # ship the failure; keep serving
+                reply = ("error", exc, traceback.format_exc())
+            try:
+                channel.send(reply)
+            except (EOFError, OSError):
+                raise
+            except Exception as exc:
+                # The reply does not survive pickling (an exception with a
+                # custom __init__, an unpicklable payload): fall back to a
+                # summary that always does, so the master still sees the cause.
+                tb = traceback.format_exc()
+                if reply[0] == "error":
+                    _, exc, tb = reply
+                channel.send(("error", RuntimeError(f"{type(exc).__name__}: {exc}"), tb))
+    except (EOFError, OSError):
+        return  # master went away; nothing to report to

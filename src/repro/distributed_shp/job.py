@@ -354,28 +354,26 @@ class _SHPMaster:
     # ------------------------------------------------------------------
     def _should_stop(self, aggregates: dict) -> bool:
         """Convergence / budget check at the start of each cycle."""
-        moved = aggregates.get("moved", {}).get("count", None)
         if self.total_cycles == 0:
             return False
-        if moved is not None:
-            self.moved_history.append(int(moved))
+        # No movement aggregate at all means nothing moved last cycle.
+        moved = int(aggregates.get("moved", {}).get("count", 0))
+        self.moved_history.append(moved)
+        # Zero moves is convergence of this level whatever the threshold
+        # (a fraction of 0 would otherwise never be "below" it).
         converged = (
-            moved is not None
-            and moved / max(1, self.num_data) < self.config.convergence_fraction
+            moved == 0
+            or moved / max(1, self.num_data) < self.config.convergence_fraction
         )
         budget = (
             self.config.iterations_per_bisection
             if self.mode == "2"
             else self.config.max_iterations
         )
-        exhausted = self.cycle_in_level >= budget
-        if converged or exhausted:
+        if converged or self.cycle_in_level >= budget:
             if self.mode == "2" and self.level < self.final_levels:
                 self.pending_advance = True
                 return False
-            return True
-        if moved is None and self.total_cycles > 0:
-            # No movement aggregate at all means nothing moved last cycle.
             return True
         return False
 

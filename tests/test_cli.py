@@ -224,3 +224,14 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         data_rows = [line for line in out.splitlines() if "|" in line][1:]  # skip header
         assert "shp-2" in data_rows[0]  # optimized result listed first
+
+
+class TestRpcWorkerCommand:
+    def test_binds_loopback_unless_told_otherwise(self):
+        """The worker unpickles whatever connects: exposing it beyond the
+        local machine must be an explicit --host."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["rpc-worker"]).host == "127.0.0.1"
+        assert parser.parse_args(["rpc-worker", "--host", "0.0.0.0"]).host == "0.0.0.0"

@@ -474,6 +474,72 @@ def test_rep008_fire_and_forget_kind_mined_from_service_loop(tmp_path):
     assert "work" in report.unsuppressed[0].message
 
 
+def test_rep008_dispatch_table_loop_is_mined(tmp_path):
+    # A loop that looks the kind up in a table and replies at one site
+    # answers every listed kind; 'exit' still leaves without a reply.
+    source = (
+        "def worker(conn, host):\n"
+        '    handlers = {"work": host.work}\n'
+        "    while True:\n"
+        "        msg = conn.recv()\n"
+        '        if msg[0] == "exit":\n'
+        "            return\n"
+        "        conn.send(handlers[msg[0]](*msg[1:]))\n"
+        "\n"
+        "def shutdown(conn):\n"
+        '    conn.send(("exit",))\n'
+        "    conn.close()\n"
+        "\n"
+        "def bad_dispatch(conn):\n"
+        '    conn.send(("work", 1))\n'
+    )
+    report = run_lint(tmp_path, source, select=["REP008"])
+    assert codes(report) == ["REP008"]
+    assert "work" in report.unsuppressed[0].message
+
+
+def test_rep008_master_only_file_is_checked_against_the_shared_engine_loop(tmp_path):
+    # Both engine masters have no service loop of their own: their workers
+    # run distributed/worker.py:serve.  The rule must read *that* loop —
+    # an empty table would wave every dispatch through or, with the
+    # "unknown kinds reply" default, condemn the fire-and-forget exit.
+    from repro.analysis.checks.rep008 import engine_protocol_table
+
+    table = engine_protocol_table()
+    assert {k: table[k] for k in ("init", "adopt", "step", "collect", "exit")} == {
+        "init": True, "adopt": True, "step": True, "collect": True, "exit": False,
+    }
+    source = (
+        "def superstep(conn):\n"
+        '    conn.send(("step", 3, {}, {}, False))\n'
+        "    return None\n"
+        "\n"
+        "def teardown(conn):\n"
+        '    conn.send(("exit",))\n'
+        "    conn.close()\n"
+    )
+    report = run_lint(tmp_path, source, select=["REP008"])
+    assert report.unsuppressed and {f.code for f in report.unsuppressed} == {"REP008"}
+    # Every finding is the un-received step; teardown's exit + close is clean.
+    assert all("'step'" in f.message for f in report.unsuppressed)
+
+
+def test_rep008_master_retry_loop_is_not_a_service_loop(tmp_path):
+    # backend_rpc idiom: `while pending:` around the barrier recvs is master
+    # code and must be scanned, not mistaken for a worker loop and skipped.
+    source = (
+        "def superstep(conn, pending):\n"
+        "    while pending:\n"
+        '        conn.send(("step", 1))\n'
+        "        reply = conn.recv()\n"
+        "        pending.discard(reply)\n"
+        '    conn.send(("collect",))\n'
+    )
+    report = run_lint(tmp_path, source, select=["REP008"])
+    assert [f.code for f in report.unsuppressed] == ["REP008"]
+    assert "'collect'" in report.unsuppressed[0].message
+
+
 def test_rep008_aliased_payload_tuple_is_tracked(tmp_path):
     # backend_rpc idiom: the payload tuple is built first, sent by name.
     source = (
