@@ -12,8 +12,7 @@ Unlike the per-file rules this is *program* analysis, not text analysis:
 the check imports the registries, forces every lazy loader, resolves every
 name and alias through the real lookup path, rebuilds the argparse tree
 via ``build_parser()``, and compares each ``choices`` list against the
-registry that should back it.  It also asserts the two vertex-mode
-catalogues (``api.spec.VERTEX_MODES`` vs ``distributed_shp.job``) agree.
+registry that should back it.
 
 Findings are anchored to the flag's line in ``cli.py``.
 """
@@ -30,7 +29,6 @@ _EXPECTED_CHOICES: tuple[tuple[str, str, str], ...] = (
     ("partition", "--algorithm", "partitioners"),
     ("partition", "--objective", "objectives"),
     ("partition", "--backend", "backends+local"),
-    ("partition", "--vertex-mode", "vertex-modes"),
     ("compare", "--algorithms", "partitioners"),
     ("compare", "--objective", "objectives"),
 )
@@ -57,8 +55,6 @@ def _subparsers(
 def audit_registry_cli_sync(
     registries: Sequence[tuple[str, Any]] | None = None,
     parser: argparse.ArgumentParser | None = None,
-    vertex_modes: Sequence[str] | None = None,
-    engine_vertex_modes: Sequence[str] | None = None,
 ) -> list[tuple[str | None, str]]:
     """Run the audit; return ``(anchor_flag, message)`` problems.
 
@@ -117,29 +113,6 @@ def audit_registry_cli_sync(
             )))
             return problems
 
-    if vertex_modes is None:
-        from ...api.spec import VERTEX_MODES
-
-        vertex_modes = VERTEX_MODES
-    if engine_vertex_modes is None:
-        try:
-            from ...distributed_shp.job import vertex_mode_names
-
-            engine_vertex_modes = vertex_mode_names()
-        except Exception as exc:
-            problems.append((None, (
-                f"distributed_shp.job vertex-mode catalogue failed to "
-                f"import: {type(exc).__name__}: {exc}"
-            )))
-            engine_vertex_modes = vertex_modes
-
-    if list(engine_vertex_modes) != list(vertex_modes):
-        problems.append(("--vertex-mode", (
-            f"vertex-mode catalogues disagree: api.spec.VERTEX_MODES="
-            f"{list(vertex_modes)!r} but the engine registers "
-            f"{list(engine_vertex_modes)!r}"
-        )))
-
     def safe_names(label: str) -> list[str] | None:
         reg = by_label.get(label)
         if reg is None:
@@ -157,8 +130,6 @@ def audit_registry_cli_sync(
         if kind == "backends+local":
             names = safe_names("backends")
             return None if names is None else ["local", *names]
-        if kind == "vertex-modes":
-            return list(vertex_modes)
         return None
 
     subs = _subparsers(parser)

@@ -212,7 +212,6 @@ def _run_engine(
         cluster=ClusterSpec(num_workers=execution.workers),
         mode=mode,
         backend=backend,
-        vertex_mode=execution.vertex_mode,
         combiner=execution.combiner,
     )
     return job.run(graph, initial=initial)
@@ -250,14 +249,13 @@ def _run_partition(
         metrics = result.metrics
         report.meters = {
             "backend": result.backend,
-            "vertex_mode": result.vertex_mode,
             "cycles": result.cycles,
             "supersteps": result.supersteps,
             "messages": int(metrics.total_messages),
             "remote_bytes": int(metrics.total_remote_bytes),
             "peak_worker_memory": float(metrics.peak_worker_memory()),
-            # Peak transient kernel-buffer bytes (columnar scratch; zero on
-            # the dict path), surfaced alongside the transport meters.
+            # Peak transient kernel-buffer bytes (columnar scratch),
+            # surfaced alongside the transport meters.
             "peak_transient_bytes": float(metrics.peak_transient_bytes()),
             # Physical transport meters: zero on in-process backends, real
             # serialized traffic + barrier latency on rpc.

@@ -63,7 +63,9 @@ __all__ = [
 GRAPH_SOURCES = ("file", "dataset", "darwini")
 JOB_KINDS = ("partition", "serving", "stream-refine")
 LEVEL_MODES = ("fused", "loop")
-VERTEX_MODES = ("columnar", "dict")
+#: Accepted for compatibility with specs that still write the key; it has
+#: one legal value and selects nothing (the engine runs one kind of program).
+VERTEX_MODES = ("columnar",)
 SERVING_METHODS = ("2", "k")
 LOCAL_BACKEND = "local"
 
@@ -227,8 +229,9 @@ class ExecutionSpec:
     ``backend`` is ``"local"`` (the vectorized in-process optimizer) or any
     :data:`~repro.api.registry.BACKENDS` entry — ``"sim"`` (in-process
     workers), ``"mp"`` (one OS process per worker), ``"rpc"`` (workers over
-    TCP; see ``docs/running-distributed.md``).  ``workers``,
-    ``vertex_mode``, and ``combiner`` apply to engine backends only;
+    TCP; see ``docs/running-distributed.md``).  ``workers`` and
+    ``combiner`` apply to engine backends only; ``vertex_mode`` is a
+    compatibility key whose only value is ``"columnar"``.
     ``combiner = true`` enables the protocol's message combiner (net-delta
     combining for SHP — fewer bytes, bitwise-identical result).
     ``refine_workers`` instead parallelizes the *local* shp-2 optimizer's
@@ -261,6 +264,12 @@ class ExecutionSpec:
                 f"{', '.join(map(repr, BACKENDS.names()))}; got {self.backend!r}"
             )
         _check_type(self.workers, int, f"{p}.workers")
+        if self.vertex_mode == "dict":
+            raise SpecError(
+                f"{p}.vertex_mode: the per-vertex 'dict' reference is no longer "
+                "an execution mode — it lives in tests/oracles/ as a test "
+                "oracle; drop the key (the engine always runs columnar)"
+            )
         _check_choice(self.vertex_mode, VERTEX_MODES, f"{p}.vertex_mode")
         if self.workers < 1:
             raise SpecError(f"{p}.workers: must be at least 1, got {self.workers!r}")

@@ -40,7 +40,6 @@ from .api import (
     SpecError,
 )
 from .api.registry import BACKENDS, OBJECTIVES, PARTITIONERS
-from .api.spec import VERTEX_MODES
 from .bench import format_table
 from .hypergraph import (
     DATASETS,
@@ -126,7 +125,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             backend=args.backend,
             workers=args.workers,
             refine_workers=args.refine_workers,
-            vertex_mode=args.vertex_mode,
             combiner=args.combiner,
             hosts=args.hosts or None,
         ),
@@ -405,13 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared-memory gain workers for the local shp-2 fused "
         "refinement (--backend local --level-mode fused); assignments "
         "stay bitwise-identical to serial per seed (default: 1)",
-    )
-    p.add_argument(
-        "--vertex-mode", default="columnar", choices=list(VERTEX_MODES),
-        help="vertex execution for engine backends: 'columnar' runs each "
-        "protocol phase as vectorized kernels over typed message batches "
-        "(default), 'dict' is the per-vertex reference path; both are "
-        "bitwise-identical per seed",
     )
     p.add_argument(
         "--combiner", action="store_true",

@@ -23,12 +23,10 @@ from .engine import (
     GiraphEngine,
     JobResult,
     MasterProgram,
-    VertexContext,
-    VertexProgram,
     counter_random,
     counter_random_array,
 )
-from .messages import Combiner, MessageBatch, MessageSchema, SumCombiner, sizeof_payload
+from .messages import Combiner, MessageBatch, MessageSchema, SumCombiner
 from .metrics import JobMetrics, SuperstepMetrics
 
 
@@ -64,8 +62,6 @@ __all__ = [
     "resolve_combiner",
     "GiraphEngine",
     "JobResult",
-    "VertexContext",
-    "VertexProgram",
     "BatchContext",
     "BatchVertexProgram",
     "MasterProgram",
@@ -73,7 +69,6 @@ __all__ = [
     "counter_random_array",
     "Combiner",
     "SumCombiner",
-    "sizeof_payload",
     "MessageSchema",
     "MessageBatch",
     "JobMetrics",

@@ -17,11 +17,10 @@ is a *transport* — where hosts live, how requests and hops reach them:
   ``repro rpc-worker`` hosts), length-prefixed pickled frames, a
   checkpoint on every barrier reply, superstep retry on worker death.
 
-:func:`execute_worker_superstep` (dict path) and
-:func:`execute_worker_superstep_batch` (columnar path) each have a single
-call site, ``WorkerHost.step``, and the master half every transport shares
-lives on :class:`Backend` — so the numbers backends report and, given a
-seed, the vertex states they produce are identical by construction.  See
+:func:`execute_worker_superstep_batch` has a single call site,
+``WorkerHost.step``, and the master half every transport shares lives on
+:class:`Backend` — so the numbers backends report and, given a seed, the
+vertex states they produce are identical by construction.  See
 ``docs/architecture.md`` for the layer map and the parity invariants.
 """
 
@@ -34,53 +33,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..api.registry import BACKENDS
-from .messages import Combiner, sizeof_payload
+from .messages import Combiner
 from .metrics import JobMetrics, SuperstepMetrics
 
 __all__ = [
     "Backend",
     "SimulatedBackend",
     "WorkerStepResult",
-    "execute_worker_superstep",
     "execute_worker_superstep_batch",
     "assemble_superstep_metrics",
-    "is_batch_program",
     "resolve_backend",
     "resolve_combiner",
     "backend_names",
 ]
 
 
-def is_batch_program(program) -> bool:
-    """True when ``program`` implements the columnar BatchVertexProgram API."""
-    return hasattr(program, "compute_partition")
-
-
-def resolve_combiner(program, combiner) -> Combiner | None:
-    """Validate a combiner against the program's execution path.
-
-    One resolution point for both vertex modes: dict-path programs accept
-    any :class:`~repro.distributed.messages.Combiner`; batch (columnar)
-    programs additionally require the combiner to implement
-    ``combine_batch`` — the vectorized per-destination reduction applied to
+def resolve_combiner(combiner) -> Combiner | None:
+    """Validate a job's combiner: ``None`` or a
+    :class:`~repro.distributed.messages.Combiner` (whose ``combine_batch``
+    is the vectorized per-destination reduction applied to outbound
     :class:`~repro.distributed.messages.MessageBatch` columns before
-    routing.  Returns the combiner (or ``None``), raising only for the
-    genuinely unsupported case: a dict-only custom combiner paired with a
-    batch program.
-    """
-    if combiner is None:
-        return None
-    if not isinstance(combiner, Combiner):
+    routing)."""
+    if combiner is not None and not isinstance(combiner, Combiner):
         raise TypeError(
             f"combiner must be a repro.distributed.Combiner, "
             f"got {type(combiner).__name__}"
-        )
-    if is_batch_program(program) and not hasattr(combiner, "combine_batch"):
-        raise ValueError(
-            f"combiner {type(combiner).__name__} only implements the dict-path "
-            "combine(); batch vertex programs need a batch-capable combiner — "
-            "implement combine_batch(batch) -> list[MessageBatch] "
-            "(see SumCombiner) or run with vertex_mode='dict'"
         )
     return combiner
 
@@ -90,8 +67,8 @@ class WorkerStepResult:
     """Everything one worker reports at the superstep barrier."""
 
     worker_id: int
-    #: outbound message batches, keyed by destination worker id; each batch
-    #: is a list of ``(dst_vertex, payload)`` in send order.
+    #: outbound hops, keyed by destination worker id; each hop is a list
+    #: of ``MessageBatch`` in send order.
     batches: dict[int, list] = field(default_factory=dict)
     aggregates: dict = field(default_factory=dict)
     ops: float = 0.0
@@ -107,92 +84,9 @@ class WorkerStepResult:
     transient_bytes: int = 0
 
 
-def execute_worker_superstep(
-    worker_id: int,
-    vids: list[int],
-    states: dict[int, dict],
-    program,
-    superstep: int,
-    broadcasts: dict,
-    mailboxes: dict[int, list],
-    seed: int,
-    worker_of,
-    num_workers: int,
-    combiner: Combiner | None = None,
-) -> WorkerStepResult:
-    """Run one worker's share of a superstep and meter its traffic.
-
-    This is the single code path executed by every backend (in-process or
-    inside a worker OS process), which is what guarantees cross-backend
-    parity.  ``worker_of`` only needs ``__getitem__`` (dict or array).
-    """
-    from .engine import VertexContext
-
-    ctx = VertexContext(
-        superstep=superstep,
-        worker_id=worker_id,
-        broadcasts=broadcasts or {},
-        seed=seed,
-    )
-    schema = None
-    if hasattr(program, "message_schema"):
-        schema = program.message_schema(superstep)
-    active = 0
-    for vid in vids:
-        msgs = mailboxes.get(vid)
-        ctx._begin_vertex(vid)
-        ops_before = ctx._ops
-        program.compute(ctx, vid, states[vid], msgs or [])
-        # Active = the vertex received messages or did observable work
-        # (sent, aggregated, charged compute).  Counting mailboxes alone
-        # undercounts: superstep 0 has no inbound traffic yet every vertex
-        # computes, and propose/move phases work without receiving.
-        # Mutation-only computes (state writes with no ctx calls) should
-        # ctx.charge(1) to be counted — inspecting dict state per vertex
-        # would put a deep-compare in the hot loop.
-        if msgs or ctx._ops > ops_before:
-            active += 1
-
-    outbox = ctx._outbox
-    if combiner is not None:
-        grouped: dict[int, list] = {}
-        for dst, payload in outbox:
-            grouped.setdefault(dst, []).append(payload)
-        outbox = [
-            (dst, payload)
-            for dst, payloads in grouped.items()
-            for payload in combiner.combine(payloads)
-        ]
-
-    result = WorkerStepResult(
-        worker_id=worker_id,
-        aggregates=ctx._aggregates,
-        ops=float(ctx._ops),
-        active=active,
-        remote_row=np.zeros(num_workers, dtype=np.float64),
-    )
-    for dst, payload in outbox:
-        dst_worker = int(worker_of[dst])
-        if combiner is not None:
-            size = combiner.measure(payload, schema)
-        elif schema is not None:
-            size = schema.measure(payload)
-        else:
-            size = sizeof_payload(payload)
-        result.messages_sent += 1
-        if dst_worker == worker_id:
-            result.messages_local += 1
-            result.bytes_local += size
-        else:
-            result.remote_row[dst_worker] += size
-        result.batches.setdefault(dst_worker, []).append((dst, payload))
-    result.state_bytes = sum(_sizeof_state(states[vid]) for vid in vids)
-    return result
-
-
 def execute_worker_superstep_batch(
     worker_id: int,
-    vids: list[int],
+    vids: np.ndarray,
     partition,
     program,
     superstep: int,
@@ -203,17 +97,19 @@ def execute_worker_superstep_batch(
     num_workers: int,
     combiner: Combiner | None = None,
 ) -> WorkerStepResult:
-    """Columnar twin of :func:`execute_worker_superstep`.
+    """Run one worker's share of a superstep and meter its traffic.
 
-    Runs a :class:`~repro.distributed.engine.BatchVertexProgram` kernel over
-    the worker's whole partition, then meters and routes its typed message
-    batches with vectorized arithmetic: destination workers come from one
-    dense placement lookup, byte counts from dtype-exact schema sizes, and
-    batches split per destination worker without per-message Python work.
-    When a batch-capable ``combiner`` is set, each outbound batch is
-    segment-reduced per destination (``combiner.combine_batch``) before
-    metering and routing, so the meters report the combined traffic that
-    actually travels.  ``result.batches`` maps worker id -> list of
+    This is the single code path executed by every backend (in-process or
+    inside a worker OS process), which is what guarantees cross-backend
+    parity.  Runs a :class:`~repro.distributed.engine.BatchVertexProgram`
+    kernel over the worker's whole partition, then meters and routes its
+    typed message batches with vectorized arithmetic: destination workers
+    come from one dense placement lookup, byte counts from dtype-exact
+    schema sizes, and batches split per destination worker without
+    per-message Python work.  When a ``combiner`` is set, each outbound
+    batch is segment-reduced per destination (``combiner.combine_batch``)
+    before metering and routing, so the meters report the combined traffic
+    that actually travels.  ``result.batches`` maps worker id -> list of
     MessageBatch.
     """
     from .engine import BatchContext
@@ -236,7 +132,7 @@ def execute_worker_superstep_batch(
     result = WorkerStepResult(
         worker_id=worker_id,
         aggregates=ctx._aggregates,
-        # One op per local vertex mirrors VertexContext._begin_vertex.
+        # One op per local vertex, on top of what the kernels charged.
         ops=float(ctx._ops) + float(len(vids)),
         active=ctx._active,
         remote_row=np.zeros(num_workers, dtype=np.float64),
@@ -325,9 +221,9 @@ class Backend(ABC):
     :meth:`run` is a template method owning the whole superstep protocol —
     master compute/halt, combiner resolution, aggregate reduction, metrics
     assembly, wall-clock — and the helpers below it own the master half of
-    every barrier (:meth:`_plan`, :meth:`_commit`, :meth:`_fold_back`,
-    :meth:`_payload`), so a backend (``sim`` in-process, ``mp`` OS
-    processes, ``rpc`` TCP workers) can only differ in *where* its
+    every barrier (:meth:`_plan`, :meth:`_commit`, :meth:`_payload`), so a
+    backend (``sim`` in-process, ``mp`` OS processes, ``rpc`` TCP workers)
+    can only differ in *where* its
     :class:`~repro.distributed.worker.WorkerHost` instances run and *how*
     requests and replies move.
 
@@ -340,9 +236,9 @@ class Backend(ABC):
     to each superstep's metrics without touching the logical meters.  A
     backend instance drives one run at a time.
 
-    Backend contract: after :meth:`run`, the per-vertex state dicts the
-    caller passed to ``engine.load()`` hold the final values (mutated in
-    place), bitwise-identical on every backend for a given seed — see
+    Backend contract: :meth:`run` returns, per logical worker, what the
+    program's ``collect_states`` made of that worker's final partition —
+    bitwise-identical on every backend for a given seed; see
     ``docs/architecture.md`` ("bitwise-parity invariants").
     """
 
@@ -352,7 +248,7 @@ class Backend(ABC):
         """Execute the superstep loop for a loaded engine."""
         from .engine import JobResult
 
-        combiner = resolve_combiner(program, combiner)
+        combiner = resolve_combiner(combiner)
         num_workers = engine.cluster.num_workers
         metrics = JobMetrics(cluster=engine.cluster)
         start = time.perf_counter()
@@ -373,24 +269,19 @@ class Backend(ABC):
                 aggregates = merge_aggregates(
                     {}, [res.aggregates for res in results]
                 )
-                phase = (
-                    program.phase_name(superstep)
-                    if hasattr(program, "phase_name")
-                    else ""
-                )
                 step = assemble_superstep_metrics(
-                    results, superstep, phase, num_workers
+                    results, superstep, program.phase_name(superstep), num_workers
                 )
                 self._annotate_step(step)
                 metrics.add(step)
                 executed += 1
-            states = self._finish()
+            collected = self._finish()
         finally:
             self._close()
 
         metrics.wall_seconds = time.perf_counter() - start
         return JobResult(
-            states=states,
+            states=[collected[wid] for wid in range(num_workers)],
             metrics=metrics,
             supersteps_run=executed,
             halted_by_master=halted,
@@ -408,9 +299,9 @@ class Backend(ABC):
         barrier reports."""
 
     @abstractmethod
-    def _finish(self) -> dict[int, dict]:
-        """Fold final vertex states back into the engine's dicts (in place)
-        and return them.  Called only when the loop completes cleanly."""
+    def _finish(self) -> dict:
+        """Collect ``wid -> collect_states(partition)`` for every logical
+        worker.  Called only when the loop completes cleanly."""
 
     def _close(self) -> None:
         """Release run resources (always called, including on errors)."""
@@ -427,15 +318,10 @@ class Backend(ABC):
         """Describe a run the way ``WorkerHost.init`` takes it.
 
         Returns ``(shared, snapshots)``: the job-wide context and one
-        pristine ``(vids, states, program, None)`` snapshot per logical
-        worker (its partition is built by whichever host adopts it).  Also
-        resets the per-run master state (:attr:`_inboxes`).
+        pristine ``(vids, program, None)`` snapshot per logical worker (its
+        partition is built by whichever host adopts it).  Also resets the
+        per-run master state (:attr:`_inboxes`).
         """
-        batch = is_batch_program(program)
-        if batch and engine._worker_of_array is None:
-            raise ValueError(
-                "batch vertex programs require contiguous vertex ids 0..n-1"
-            )
         self._engine = engine
         self._num_workers = engine.cluster.num_workers
         #: per logical worker, the hops to deliver at the next superstep.
@@ -443,18 +329,11 @@ class Backend(ABC):
         shared = {
             "seed": engine.seed,
             "num_workers": self._num_workers,
-            "batch": batch,
             "combiner": combiner,
             "graph": engine._graph,
-            # Dense lookup for the columnar kernels; the dict path keeps the
-            # dict, so a message to a vertex that was never loaded is a
-            # KeyError on every backend instead of a wrapped array index.
-            "worker_of": engine._worker_of_array if batch else engine._worker_of,
+            "worker_of": engine._worker_of_array,
         }
-        snapshots = [
-            (vids, {vid: engine._states[vid] for vid in vids}, program, None)
-            for vids in engine._worker_vertices
-        ]
+        snapshots = [(vids, program, None) for vids in engine._worker_vertices]
         return shared, snapshots
 
     def _commit(self, replies: dict[int, tuple]) -> list[WorkerStepResult]:
@@ -474,14 +353,6 @@ class Backend(ABC):
                 inboxes[dst].append(hop)
         self._inboxes = inboxes
         return results
-
-    def _fold_back(self, collected: dict[int, dict]) -> None:
-        """Copy worker-final states into the caller's own dicts, so the
-        in-place mutation contract holds when workers ran on copies."""
-        for vid, state in collected.items():
-            original = self._engine._states[vid]
-            original.clear()
-            original.update(state)
 
     @staticmethod
     def _payload(reply: tuple, who: str):
@@ -507,8 +378,8 @@ class SimulatedBackend(Backend):
 
         shared, snapshots = self._plan(engine, program, combiner)
         self._host = WorkerHost()
-        # Live snapshots: the host works on the engine's own state dicts
-        # and one shared program instance — nothing is copied or pickled.
+        # Live snapshots: one shared program instance — nothing is copied
+        # or pickled.
         self._host.init(shared, dict(enumerate(snapshots)))
 
     def _execute_superstep(self, superstep: int, broadcasts: dict) -> list[WorkerStepResult]:
@@ -516,20 +387,12 @@ class SimulatedBackend(Backend):
             self._host.step(superstep, broadcasts, dict(enumerate(self._inboxes)))
         )
 
-    def _finish(self) -> dict[int, dict]:
-        self._host.collect()  # columns fold back into the engine's dicts
-        return self._engine._states
+    def _finish(self) -> dict:
+        return self._host.collect()
 
     def _close(self) -> None:
         self._host = self._engine = None
         self._inboxes = []
-
-
-def _sizeof_state(state: dict) -> int:
-    total = 64  # object overhead
-    for value in state.values():
-        total += sizeof_payload(value)  # reprolint: disable=REP002 -- integer byte sizes: int sums are order-exact
-    return total
 
 
 @BACKENDS.register("sim")

@@ -9,7 +9,7 @@ Layout (mirrors a small Giraph deployment on a single machine):
 * Each **worker process** runs the shared service loop
   (:func:`repro.distributed.worker.serve`) over its end of a pipe: a
   :class:`~repro.distributed.worker.WorkerHost` holding one logical
-  worker, whose states are handed over once at startup and never shared.
+  worker, whose partition is built in the worker and never shared.
 * The immutable graph travels by reference: an in-memory graph's CSR
   arrays are published once through the shared-memory pool
   (:mod:`repro.distributed.shared_pool`) and attached zero-copy,
@@ -87,8 +87,8 @@ class _PipeChannel:
     """Worker end of the master pipe, as :func:`serve` sees it.
 
     The ``init`` request rides in on the process arguments instead of the
-    pipe: under ``fork`` it is inherited, never pickled, so programs and
-    states reach the worker at no cost and need not be picklable.
+    pipe: under ``fork`` it is inherited, never pickled, so programs reach
+    the worker at no cost and need not be picklable.
     """
 
     def __init__(self, conn, init: tuple):
@@ -115,9 +115,8 @@ def _worker_main(conn, init: tuple, handles: dict) -> None:
     packs = []
     try:
         shared = init[1]
-        if "worker_of" in handles:
-            packs.append(SharedArrayPack.attach(handles["worker_of"]))
-            shared["worker_of"] = packs[-1].arrays()["worker_of"]
+        packs.append(SharedArrayPack.attach(handles["worker_of"]))
+        shared["worker_of"] = packs[-1].arrays()["worker_of"]
         if "store" in handles:
             shared["graph"] = open_store_view(handles["store"])
         elif "graph" in handles:
@@ -174,12 +173,12 @@ class MultiprocessBackend(Backend):
         # shared-memory copy (not one private copy per worker), a
         # store-backed graph as its path — each worker maps the file
         # itself and the OS page cache shares the pages.
-        handles: dict = {}
-        if shared["batch"]:
-            handles["worker_of"] = self._pool.publish(
+        handles: dict = {
+            "worker_of": self._pool.publish(
                 "placement", {"worker_of": shared["worker_of"]}
             )
-            shared["worker_of"] = None
+        }
+        shared["worker_of"] = None
         graph, shared["graph"] = shared["graph"], None
         store_path = getattr(graph, "store_path", None)
         if store_path is not None:
@@ -216,17 +215,17 @@ class MultiprocessBackend(Backend):
             replies.update(self._recv(worker_id))
         return self._commit(replies)
 
-    def _finish(self) -> dict[int, dict]:
+    def _finish(self) -> dict:
         for conn in self._conns:
             conn.send(("collect",))
+        collected: dict = {}
         for worker_id in range(self._num_workers):
-            for states in self._recv(worker_id).values():
-                self._fold_back(states)
+            collected.update(self._recv(worker_id))
         for conn in self._conns:
             conn.send(("exit",))
         for proc in self._workers:
             proc.join(timeout=30)
-        return self._engine._states
+        return collected
 
     def _close(self) -> None:
         for proc in self._workers:

@@ -31,7 +31,7 @@ Fault tolerance
 ---------------
 This is the one transport that asks ``step`` for checkpoints: every step
 reply carries a pickled snapshot of each logical worker's post-superstep
-state (vids, states, program instance, columnar partition).
+state (vertex-id array, program instance, columnar partition).
 The master retains the latest committed checkpoint per logical worker plus
 the current superstep's inbound blobs; when a peer dies mid-superstep
 (connection failure or barrier timeout) its logical workers are *adopted*
@@ -51,7 +51,7 @@ import time
 from .backend import Backend
 from .shared_pool import default_mp_context
 from .wire import WireError, recv_obj, send_obj
-from .worker import WorkerHost, final_states, serve
+from .worker import WorkerHost, serve
 
 __all__ = ["RpcBackend", "serve_worker"]
 
@@ -353,14 +353,18 @@ class RpcBackend(Backend):
             self._mark_dead(peer_idx)
 
     # ------------------------------------------------------------------
-    def _finish(self) -> dict[int, dict]:
+    def _finish(self) -> dict:
         # Final states come from the committed checkpoints: the master
         # already holds every logical worker's post-superstep snapshot, so
         # collection needs no further round-trips and survives any peer
         # dying after its last barrier.
-        for checkpoint in self._checkpoints:
-            self._fold_back(final_states(pickle.loads(checkpoint)))
-        return self._engine._states
+        host = WorkerHost()
+        # A run of zero supersteps left pristine snapshots: partitions are
+        # then built here, which takes the graph.
+        host.graph = self._engine._graph
+        for wid, checkpoint in enumerate(self._checkpoints):
+            host.adopt(wid, checkpoint)
+        return host.collect()
 
     def _annotate_step(self, step) -> None:
         step.wire_bytes = self._wire

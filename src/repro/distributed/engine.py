@@ -27,12 +27,19 @@ transport that reaches it:
   retries a superstep when a worker dies.
 
 All three therefore run the *same* per-worker superstep code
-(:func:`repro.distributed.backend.execute_worker_superstep` and its
-columnar twin) and are
+(:func:`repro.distributed.backend.execute_worker_superstep_batch`) and are
 bit-identical for a given seed: vertex placement comes from the engine seed,
-and :meth:`VertexContext.random` draws are counter-based — a pure hash of
-``(seed, superstep, vertex, draw index)`` — so they do not depend on the
-order in which vertices happen to execute.
+and :meth:`BatchContext.random` draws are counter-based — a pure hash of
+``(seed, superstep, vertex, draw index)`` — so they do not depend on which
+worker holds a vertex or in what order workers execute.
+
+The engine runs exactly one kind of program, the columnar
+:class:`BatchVertexProgram`, and vertex state only ever exists as the
+program's per-worker partition objects (structs of arrays): vertices are
+the ids ``0..n-1``, ``create_partition`` builds a worker's columns from
+what the program itself holds, ``collect_states`` hands the final columns
+back.  (A per-vertex ``compute(ctx, vid, state, messages)`` reference
+lives in ``tests/oracles/`` and runs through this same API.)
 """
 
 from __future__ import annotations
@@ -46,8 +53,6 @@ from .cluster import ClusterSpec
 from .metrics import JobMetrics
 
 __all__ = [
-    "VertexContext",
-    "VertexProgram",
     "BatchContext",
     "BatchVertexProgram",
     "MasterProgram",
@@ -58,54 +63,32 @@ __all__ = [
 ]
 
 
-class VertexProgram(Protocol):
-    """User code run by every vertex each superstep.
+class BatchVertexProgram(Protocol):
+    """User code: one vectorized kernel per worker partition per superstep.
 
-    Programs must be picklable (the multiprocess backend ships one copy to
-    every worker); per-instance mutable state therefore becomes
-    *worker-local* state under multiprocess execution.  Programs that need
-    the input graph should implement ``bind_graph(graph)`` instead of
-    storing the graph in ``__init__`` — backends call it on each worker
-    after attaching the shared (zero-copy) graph arrays.
+    A batch program owns a *partition object* per logical worker —
+    typically a struct of numpy arrays over the worker's vertices — and
+    executes each superstep as vectorized kernels over the whole partition,
+    exchanging typed :class:`~repro.distributed.messages.MessageBatch`
+    columns.  Every backend runs it through
+    :func:`repro.distributed.backend.execute_worker_superstep_batch`.
+
+    Programs must be picklable (``mp``/``rpc`` ship one copy per logical
+    worker, and a checkpoint is the pickled ``(vids, program, partition)``),
+    so per-instance mutable state is *worker-local* state.  State goes in
+    as whatever the program holds (e.g. an initial assignment array) and
+    comes out as whatever ``collect_states`` returns — columns in, columns
+    out; the engine never sees a per-vertex Python object.
     """
-
-    def compute(self, ctx: "VertexContext", vertex_id: int, state: dict, messages: list) -> None:
-        """Process ``messages``, mutate ``state``, send via ``ctx``."""
-        ...  # pragma: no cover - protocol
 
     def phase_name(self, superstep: int) -> str:
         """Label for metrics grouping (e.g. SHP's four protocol phases)."""
         ...  # pragma: no cover - protocol
 
-
-class BatchVertexProgram(Protocol):
-    """Columnar twin of :class:`VertexProgram`: one kernel per partition.
-
-    Instead of a Python ``compute()`` per vertex over dict state, a batch
-    program owns a *partition object* per worker — typically a struct of
-    numpy arrays over the worker's vertices — and executes each superstep as
-    vectorized kernels over the whole partition, exchanging typed
-    :class:`~repro.distributed.messages.MessageBatch` columns instead of
-    per-message tuples.  Backends detect batch programs by the presence of
-    ``compute_partition`` and route them through
-    :func:`repro.distributed.backend.execute_worker_superstep_batch`.
-
-    Contract mirrors the per-vertex path: programs must be picklable, the
-    partition is worker-local (built inside the worker process under the
-    multiprocess backend), and ``collect_states`` must fold the final
-    columns back into the caller's per-vertex dicts *in place* so the
-    engine's state contract holds on every backend.  Batch mode requires
-    contiguous vertex ids (``0..n-1``) for array-based placement lookup.
-    """
-
-    def phase_name(self, superstep: int) -> str:
-        """Label for metrics grouping (same as :class:`VertexProgram`)."""
-        ...  # pragma: no cover - protocol
-
-    def create_partition(
-        self, worker_id: int, vids: list[int], states: dict[int, dict], graph
-    ) -> object:
-        """Build the worker-local struct-of-arrays state for ``vids``."""
+    def create_partition(self, worker_id: int, vids: np.ndarray, graph) -> object:
+        """Build the worker-local struct-of-arrays state for the ascending
+        vertex ids ``vids``; ``graph`` is the read-only graph the engine was
+        loaded with (zero-copy shared memory / a re-mapped store off-process)."""
         ...  # pragma: no cover - protocol
 
     def compute_partition(
@@ -114,8 +97,8 @@ class BatchVertexProgram(Protocol):
         """Run one superstep over the whole partition (vectorized)."""
         ...  # pragma: no cover - protocol
 
-    def collect_states(self, partition: object, states: dict[int, dict]) -> None:
-        """Write final column values back into the per-vertex dicts."""
+    def collect_states(self, partition: object) -> object:
+        """The partition's final state, as columns, for ``JobResult.states``."""
         ...  # pragma: no cover - protocol
 
     def partition_nbytes(self, partition: object) -> int:
@@ -147,6 +130,7 @@ def counter_random(seed: int, superstep: int, vid: int, draw: int) -> float:
     A pure function of ``(seed, superstep, vid, draw)``: the same vertex
     gets the same stream no matter which worker runs it or in what order —
     the property that makes simulated and multiprocess runs bit-identical.
+    The scalar reference for :func:`counter_random_array`.
     """
     x = (
         seed * _GOLDEN
@@ -168,8 +152,7 @@ def counter_random_array(
     """Vectorized :func:`counter_random` over an array of vertex ids.
 
     Bit-identical to the scalar version (uint64 wraparound equals the
-    explicit mod-2^64 masking), so columnar kernels draw exactly the coins
-    the per-vertex path would.
+    explicit mod-2^64 masking).
     """
     vids = np.asarray(vids)
     base = (
@@ -187,62 +170,14 @@ def counter_random_array(
 
 
 @dataclass
-class VertexContext:
-    """Per-superstep API handed to vertex programs.
-
-    Self-contained (no engine reference) so the identical context code runs
-    inside worker processes: sends buffer into ``_outbox``, aggregations
-    into ``_aggregates``; the backend drains both at the barrier.
-    """
-
-    superstep: int
-    worker_id: int
-    broadcasts: dict
-    seed: int = 0
-    _ops: int = 0
-    _vid: int = field(default=-1, repr=False)
-    _draws: int = field(default=0, repr=False)
-    _outbox: list = field(default_factory=list, repr=False)
-    _aggregates: dict = field(default_factory=dict, repr=False)
-
-    def send(self, dst: int, payload: object) -> None:
-        """Send ``payload`` to vertex ``dst`` (delivered next superstep)."""
-        self._outbox.append((dst, payload))
-        self._ops += 1
-
-    def aggregate(self, name: str, key: object, value: float = 1.0) -> None:
-        """Add ``value`` under ``key`` to the named global aggregator."""
-        bucket = self._aggregates.setdefault(name, {})
-        bucket[key] = bucket.get(key, 0.0) + value
-        self._ops += 1
-
-    def charge(self, ops: int) -> None:
-        """Account ``ops`` units of vertex compute work."""
-        self._ops += ops
-
-    def random(self) -> float:
-        """Deterministic uniform draw, keyed by (seed, superstep, vertex)."""
-        value = counter_random(self.seed, self.superstep, self._vid, self._draws)
-        self._draws += 1
-        return value
-
-    def _begin_vertex(self, vid: int) -> None:
-        self._vid = vid
-        self._draws = 0
-        self._ops += 1
-
-
-@dataclass
 class BatchContext:
     """Per-superstep API handed to :class:`BatchVertexProgram` kernels.
 
-    The columnar counterpart of :class:`VertexContext`: sends are whole
-    :class:`~repro.distributed.messages.MessageBatch` columns, aggregations
-    are bulk dict merges, and randomness is drawn per vertex-id array from
-    the same counter-based stream as the per-vertex path.  Op accounting is
-    explicit (``charge``) plus one op per sent message, mirroring
-    ``VertexContext.send``; programs that track parity with a per-vertex
-    twin charge the twin's per-vertex op counts themselves.
+    Sends are whole :class:`~repro.distributed.messages.MessageBatch`
+    columns, aggregations are bulk dict merges, and randomness is drawn per
+    vertex-id array from the counter-based stream.  Op accounting is
+    explicit (``charge``) plus one op per sent message (and one per local
+    vertex, added at the barrier).
     """
 
     superstep: int
@@ -296,7 +231,9 @@ class BatchContext:
 class JobResult:
     """Final vertex states plus execution metrics."""
 
-    states: dict[int, dict]
+    #: per logical worker (index = worker id), what the program's
+    #: ``collect_states`` returned for that worker's partition.
+    states: list
     metrics: JobMetrics
     supersteps_run: int
     halted_by_master: bool
@@ -310,7 +247,7 @@ class GiraphEngine:
     cluster:
         Worker count and machine model (:class:`ClusterSpec`).
     seed:
-        Controls random vertex placement and all :meth:`VertexContext.random`
+        Controls random vertex placement and all :meth:`BatchContext.random`
         draws; identical seeds reproduce identical runs on *every* backend.
     backend:
         ``"sim"`` (default), ``"mp"``, ``"rpc"``, or a :class:`Backend`
@@ -329,46 +266,37 @@ class GiraphEngine:
         self.seed = seed
         self.backend = resolve_backend(backend)
         self._rng = np.random.default_rng(seed)
-        self._states: dict[int, dict] = {}
         self._graph = None
-        self._worker_of: dict[int, int] = {}
-        #: dense vid -> worker lookup, available when vertex ids are the
-        #: contiguous range 0..n-1 (required by batch programs).
-        self._worker_of_array: np.ndarray | None = None
-        self._worker_vertices: list[list[int]] = [[] for _ in range(self.cluster.num_workers)]
+        #: dense vid -> logical worker lookup.
+        self._worker_of_array = np.empty(0, dtype=np.int64)
+        #: per logical worker, its vertex ids (ascending).
+        self._worker_vertices: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # Graph loading
     # ------------------------------------------------------------------
-    def load(self, states: dict[int, dict], graph=None) -> None:
-        """Install vertex states and place vertices randomly on workers.
+    def load(self, num_vertices: int, graph=None) -> None:
+        """Place vertices ``0..num_vertices-1`` randomly on workers.
 
         ``graph`` optionally attaches a read-only :class:`BipartiteGraph`
         shared with every worker (zero-copy under the multiprocess backend);
-        programs receive it via ``bind_graph``.
+        programs receive it in ``create_partition``.
         """
-        self._states = states
         self._graph = graph
-        ids = np.fromiter(states.keys(), dtype=np.int64)
-        placement = self._rng.integers(0, self.cluster.num_workers, size=ids.size)
-        self._worker_of = dict(zip(ids.tolist(), placement.tolist()))
-        self._worker_of_array = None
-        if ids.size and int(ids.min()) == 0 and int(ids.max()) == ids.size - 1:
-            dense = np.empty(ids.size, dtype=np.int64)
-            dense[ids] = placement
-            self._worker_of_array = dense
-        self._worker_vertices = [[] for _ in range(self.cluster.num_workers)]
-        for vid, worker in self._worker_of.items():
-            self._worker_vertices[worker].append(vid)
-        for bucket_list in self._worker_vertices:
-            bucket_list.sort()
+        placement = self._rng.integers(0, self.cluster.num_workers, size=num_vertices)
+        self._worker_of_array = placement
+        # A stable sort by worker keeps every worker's ids ascending.
+        counts = np.bincount(placement, minlength=self.cluster.num_workers)
+        self._worker_vertices = np.split(
+            np.argsort(placement, kind="stable"), np.cumsum(counts)[:-1]
+        )
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(
         self,
-        program: VertexProgram,
+        program: BatchVertexProgram,
         master: MasterProgram | None = None,
         max_supersteps: int = 100,
         combiner=None,
@@ -377,6 +305,6 @@ class GiraphEngine:
 
         Per superstep: the master runs first (seeing the previous step's
         aggregates, returning broadcasts or ``None`` to halt), then every
-        vertex's compute function, then message delivery with metering.
+        worker's partition kernel, then message delivery with metering.
         """
         return self.backend.run(self, program, master, max_supersteps, combiner)

@@ -1,57 +1,30 @@
-"""Message payloads: typed batch schemas, size estimation and combiners.
+"""Message payloads: typed batch schemas, columnar batches and combiners.
 
 Giraph serializes messages between machines; the byte counts below mirror a
 compact binary encoding so that the engine's communication metering matches
 the paper's complexity accounting (Section 3.3: superstep 2 sends at most
 ``fanout(q)`` entries per edge).
 
-Two levels of accounting coexist:
-
-* :func:`sizeof_payload` — structural estimate for arbitrary Python payloads
-  (8 bytes per scalar), used when a program declares no message schema.
-* :class:`MessageSchema` — a fixed-dtype wire format: every message is a
-  struct of named numpy fields plus an optional variable-length entry
-  section, and its size is *exactly* the dtype byte widths.  Programs that
-  declare schemas get dtype-exact metering in both the per-vertex (dict)
-  path and the columnar (:class:`MessageBatch`) path, which is what makes
-  the two execution modes report identical message/byte meters.
+Messages only ever travel as :class:`MessageBatch` columns typed by a
+:class:`MessageSchema` — a fixed-dtype wire format: every message is a
+struct of named numpy fields plus an optional variable-length entry
+section, and its size is *exactly* the dtype byte widths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..hypergraph.bipartite import ragged_positions
 
 __all__ = [
-    "sizeof_payload",
     "Combiner",
     "SumCombiner",
     "MessageSchema",
     "MessageBatch",
 ]
-
-
-def sizeof_payload(payload: object) -> int:
-    """Approximate serialized size of a message payload in bytes."""
-    if payload is None:
-        return 1
-    if isinstance(payload, (bool, int, float, np.integer, np.floating)):
-        return 8
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, (tuple, list)):
-        return 8 + sum(sizeof_payload(item) for item in payload)
-    if isinstance(payload, dict):
-        return 8 + sum(  # reprolint: disable=REP002 -- integer byte sizes: int sums are order-exact
-            sizeof_payload(key) + sizeof_payload(value) for key, value in payload.items()
-        )
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    return 32  # conservative default for unknown objects
 
 
 @dataclass(frozen=True)
@@ -63,17 +36,12 @@ class MessageSchema:
     a message carries ``n`` entries, each a struct of the entry fields.
 
     A message's wire size is exactly ``fixed_nbytes + n * entry_nbytes``:
-    sized by dtype, not by Python object structure.  ``var_len`` extracts
-    ``n`` from a dict-mode payload so the per-vertex path meters the same
-    number of bytes as a :class:`MessageBatch` carrying the same data.
+    sized by dtype, not by Python object structure.
     """
 
     name: str
     fields: tuple[tuple[str, str], ...]
     entry_fields: tuple[tuple[str, str], ...] = ()
-    #: dict-mode payload -> number of variable entries (module-level function
-    #: so schemas stay picklable for the multiprocess backend).
-    var_len: Callable | None = field(default=None, compare=False)
 
     @property
     def fixed_nbytes(self) -> int:
@@ -82,11 +50,6 @@ class MessageSchema:
     @property
     def entry_nbytes(self) -> int:
         return sum(np.dtype(dt).itemsize for _, dt in self.entry_fields)
-
-    def measure(self, payload: object) -> int:
-        """Wire size of one dict-mode payload under this schema."""
-        entries = self.var_len(payload) if self.var_len is not None else 0
-        return self.fixed_nbytes + self.entry_nbytes * int(entries)
 
 
 class MessageBatch:
@@ -235,51 +198,23 @@ class Combiner:
     from the same worker are combined before transmission, reducing remote
     traffic — one of the built-in Giraph optimizations the paper highlights.
 
-    Two capabilities, resolved per execution path by
-    :func:`repro.distributed.backend.resolve_combiner`:
-
-    * :meth:`combine` — the dict-path contract: reduce the payload list of
-      one destination vertex.  Every combiner must implement it.
-    * ``combine_batch(batch) -> list[MessageBatch]`` — the columnar
-      contract: reduce a whole typed batch per destination with vectorized
-      arithmetic *before* routing.  The base class deliberately does not
-      define it; backends detect batch capability via ``hasattr``, and a
-      combiner without it is rejected (with a clear error) for batch
-      vertex programs instead of silently running uncombined.
-
     Combining must be semantically transparent: for a given seed the final
     vertex states are bitwise identical with the combiner on or off (see
     ``docs/architecture.md``, "bitwise-parity invariants").
     """
 
-    def combine(self, payloads: list) -> list:
-        """Combine payloads for one destination; returns the reduced list."""
+    def combine_batch(self, batch: "MessageBatch") -> list["MessageBatch"]:
+        """Reduce one outbound batch per destination vertex, with vectorized
+        arithmetic, *before* routing; returns the batches to send instead."""
         raise NotImplementedError
-
-    def measure(self, payload: object, schema: MessageSchema | None) -> int:
-        """Wire size of one (possibly combined) dict-mode payload.
-
-        Combiners that emit payloads outside the phase schema (e.g. a
-        net-delta encoding) override this so the dict path meters combined
-        traffic at the same dtype-exact sizes the columnar path ships.
-        """
-        if schema is not None:
-            return schema.measure(payload)
-        return sizeof_payload(payload)
 
 
 class SumCombiner(Combiner):
-    """Combine numeric messages by summing them.
-
-    Batch-capable: ``combine_batch`` segment-sums every fixed column per
-    destination vertex.  Batches with a variable-length entry section have
-    no generic sum semantics and are rejected.
+    """Combine numeric messages by summing them: ``combine_batch``
+    segment-sums every fixed column per destination vertex.  Batches with a
+    variable-length entry section have no generic sum semantics and are
+    rejected.
     """
-
-    def combine(self, payloads: list) -> list:
-        if not payloads:
-            return payloads
-        return [sum(payloads)]
 
     def combine_batch(self, batch: "MessageBatch") -> list["MessageBatch"]:
         """Sum every column per destination (one output message per dst)."""
@@ -293,7 +228,10 @@ class SumCombiner(Combiner):
         uniq_dst, inverse = np.unique(batch.dst, return_inverse=True)
         cols = {}
         for name, col in batch.cols.items():
-            sums = np.zeros(uniq_dst.size, dtype=np.float64)
-            np.add.at(sums, inverse, col.astype(np.float64))
-            cols[name] = sums.astype(col.dtype)
+            # Integer columns accumulate in their own dtype: the float64
+            # scratch the float columns use would round sums past 2**53.
+            exact = np.issubdtype(col.dtype, np.integer)
+            sums = np.zeros(uniq_dst.size, dtype=col.dtype if exact else np.float64)
+            np.add.at(sums, inverse, col)
+            cols[name] = sums.astype(col.dtype, copy=False)
         return [MessageBatch(batch.schema, uniq_dst, cols)]

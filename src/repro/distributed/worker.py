@@ -14,10 +14,10 @@ worker, written once; the three backends are *transports* that reach it:
   ``step`` for checkpoints.
 
 Because every worker-side operation has exactly one call site here
-(:func:`~repro.distributed.backend.execute_worker_superstep` /
-``execute_worker_superstep_batch``, ``create_partition``, ``bind_graph``,
-``collect_states``, the once-per-hop pickle), cross-backend bitwise parity
-holds by construction rather than by keeping three loops in step.
+(:func:`~repro.distributed.backend.execute_worker_superstep_batch`,
+``create_partition``, ``collect_states``, the once-per-hop pickle),
+cross-backend bitwise parity holds by construction rather than by keeping
+three loops in step.
 
 Protocol (the master sends a request tuple, ``serve`` answers each with
 exactly one reply; ``exit`` is the only fire-and-forget kind — ``repro
@@ -29,7 +29,7 @@ request                                                     reply payload (``("o
 ``("init", shared, {wid: snapshot})``                       hosted logical worker ids
 ``("adopt", wid, snapshot)``                                ``wid``
 ``("step", superstep, broadcasts, {wid: hops}, checkpoint)``  ``{wid: (report, {dst: hop}, ckpt)}``
-``("collect",)``                                            ``{wid: final states}``
+``("collect",)``                                            ``{wid: collected states}``
 ``("exit",)``                                               *(none — the loop ends)*
 ==========================================================  =======================================
 
@@ -42,37 +42,28 @@ from __future__ import annotations
 import pickle
 import traceback
 
-from .backend import execute_worker_superstep, execute_worker_superstep_batch
+from .backend import execute_worker_superstep_batch
 
-__all__ = ["WorkerHost", "serve", "final_states"]
+__all__ = ["WorkerHost", "serve"]
 
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
-
-
-def final_states(snapshot: tuple) -> dict[int, dict]:
-    """Per-vertex state dicts of one logical worker, columns folded back."""
-    _, states, program, partition = snapshot
-    if partition is not None:
-        program.collect_states(partition, states)
-    return states
 
 
 class WorkerHost:
     """The state of every logical worker one peer hosts.
 
-    A logical worker is the tuple ``(vids, states, program, partition)`` —
-    which is also exactly what a checkpoint pickles, so a worker can be
-    re-homed onto any host by :meth:`adopt`.
+    A logical worker is the tuple ``(vids, program, partition)`` — its
+    ascending vertex-id array, its program instance and the program's
+    struct-of-arrays partition — which is also exactly what a checkpoint
+    pickles, so a worker can be re-homed onto any host by :meth:`adopt`.
     """
 
     def __init__(self):
         self.graph = None
         self.seed = 0
         self.num_workers = 0
-        self.batch = False
         self.combiner = None
-        #: vertex id -> logical worker: a dense array for batch programs
-        #: (contiguous ids), the engine's dict on the dict path.
+        #: dense vertex id -> logical worker array.
         self.worker_of = None
         self.workers: dict[int, tuple] = {}
 
@@ -81,7 +72,6 @@ class WorkerHost:
         self.graph = shared["graph"]
         self.seed = shared["seed"]
         self.num_workers = shared["num_workers"]
-        self.batch = shared["batch"]
         self.combiner = shared["combiner"]
         self.worker_of = shared["worker_of"]
         self.workers = {}
@@ -89,17 +79,14 @@ class WorkerHost:
 
     def adopt(self, wid: int, snapshot) -> int:
         """Host logical worker ``wid`` from a snapshot tuple or its pickle
-        (how checkpoints travel): pristine at init, post-superstep when the
-        master re-homes an orphan."""
+        (how checkpoints travel): pristine at init (no partition yet — it
+        is built here), post-superstep when the master re-homes an orphan."""
         if isinstance(snapshot, bytes):
             snapshot = pickle.loads(snapshot)
-        vids, states, program, partition = snapshot
-        if self.batch:
-            if partition is None:
-                partition = program.create_partition(wid, vids, states, self.graph)
-        elif self.graph is not None and hasattr(program, "bind_graph"):
-            program.bind_graph(self.graph)
-        self.workers[wid] = (vids, states, program, partition)
+        vids, program, partition = snapshot
+        if partition is None:
+            partition = program.create_partition(wid, vids, self.graph)
+        self.workers[wid] = (vids, program, partition)
         return wid
 
     def step(
@@ -108,29 +95,18 @@ class WorkerHost:
         """Run one superstep for the listed logical workers, ascending.
 
         ``inboxes[wid]`` is the list of hops delivered to ``wid`` — one per
-        source worker, each a list of ``MessageBatch`` (columnar) or of
-        ``(dst_vertex, payload)`` pairs (dict path).  Returns ``wid ->
+        source worker, each a list of ``MessageBatch``.  Returns ``wid ->
         (barrier report, outbound hops keyed by destination worker,
         post-superstep checkpoint or None)``.
         """
         out = {}
         for wid in sorted(inboxes):
-            vids, states, program, partition = self.workers[wid]
-            if self.batch:
-                inbox = [batch for hop in inboxes[wid] for batch in hop]
-                result = execute_worker_superstep_batch(
-                    wid, vids, partition, program, superstep, broadcasts, inbox,
-                    self.seed, self.worker_of, self.num_workers, self.combiner,
-                )
-            else:
-                mailboxes: dict[int, list] = {}
-                for hop in inboxes[wid]:
-                    for dst, payload in hop:
-                        mailboxes.setdefault(dst, []).append(payload)
-                result = execute_worker_superstep(
-                    wid, vids, states, program, superstep, broadcasts, mailboxes,
-                    self.seed, self.worker_of, self.num_workers, self.combiner,
-                )
+            vids, program, partition = self.workers[wid]
+            inbox = [batch for hop in inboxes[wid] for batch in hop]
+            result = execute_worker_superstep_batch(
+                wid, vids, partition, program, superstep, broadcasts, inbox,
+                self.seed, self.worker_of, self.num_workers, self.combiner,
+            )
             hops, result.batches = result.batches, {}
             ckpt = (
                 pickle.dumps(self.workers[wid], protocol=_PICKLE_PROTO)
@@ -140,9 +116,12 @@ class WorkerHost:
             out[wid] = (result, hops, ckpt)
         return out
 
-    def collect(self) -> dict[int, dict]:
-        """Final per-vertex states of every hosted logical worker."""
-        return {wid: final_states(self.workers[wid]) for wid in sorted(self.workers)}
+    def collect(self) -> dict:
+        """``collect_states`` of every hosted logical worker's partition."""
+        return {
+            wid: program.collect_states(partition)
+            for wid, (_, program, partition) in sorted(self.workers.items())
+        }
 
 
 def serve(channel, host: WorkerHost) -> None:
@@ -156,9 +135,9 @@ def serve(channel, host: WorkerHost) -> None:
 
     def step(superstep, broadcasts, inboxes, checkpoint):
         # The once-per-hop codec: each (source, destination) hop is pickled
-        # exactly once, here in the sending worker — columnar batches
-        # compacted to the entry rows they reference, so columns travel as
-        # a few large buffers — forwarded by the master as an opaque blob,
+        # exactly once, here in the sending worker — batches compacted to
+        # the entry rows they reference, so columns travel as a few large
+        # buffers — forwarded by the master as an opaque blob,
         # and decoded once, here in the receiving worker.
         live = {
             wid: [pickle.loads(blob) for blob in blobs]
@@ -167,10 +146,7 @@ def serve(channel, host: WorkerHost) -> None:
         out = {}
         for wid, (result, hops, ckpt) in host.step(superstep, broadcasts, live, checkpoint).items():
             blobs = {
-                dst: pickle.dumps(
-                    [b.compact() for b in hop] if host.batch else hop,
-                    protocol=_PICKLE_PROTO,
-                )
+                dst: pickle.dumps([b.compact() for b in hop], protocol=_PICKLE_PROTO)
                 for dst, hop in hops.items()
             }
             out[wid] = (result, blobs, ckpt)

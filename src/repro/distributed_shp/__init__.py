@@ -2,7 +2,7 @@
 
 from .columnar import SHPColumnarProgram
 from .combiners import ShpDeltaCombiner
-from .job import DistributedSHP, DistributedSHPResult, vertex_mode_names
+from .job import DistributedSHP, DistributedSHPResult
 from .schemas import DELTA_SCHEMA, NDATA_SCHEMA, NET_DELTA_SCHEMA
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "DistributedSHPResult",
     "SHPColumnarProgram",
     "ShpDeltaCombiner",
-    "vertex_mode_names",
     "DELTA_SCHEMA",
     "NDATA_SCHEMA",
     "NET_DELTA_SCHEMA",

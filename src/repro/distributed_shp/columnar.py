@@ -1,33 +1,36 @@
 """Columnar (struct-of-arrays) execution of the 4-superstep SHP protocol.
 
-:class:`SHPColumnarProgram` is the :class:`~repro.distributed.BatchVertexProgram`
-twin of the per-vertex ``_SHPVertexProgram``: each worker holds its partition
-as numpy columns — ``bucket`` / ``target`` / ``gain`` / ``bin`` for data
-vertices, CSR-backed sparse neighbor data for query vertices — and executes
-every protocol phase as vectorized kernels over the whole partition instead
-of a Python ``compute()`` per vertex.  Messages travel as typed
+:class:`SHPColumnarProgram` is the job's one
+:class:`~repro.distributed.BatchVertexProgram`: each worker holds its
+partition as numpy columns — ``bucket`` / ``target`` / ``gain`` / ``bin``
+for data vertices, CSR-backed sparse neighbor data for query vertices — and
+executes every protocol phase as vectorized kernels over the whole
+partition.  Messages travel as typed
 :class:`~repro.distributed.MessageBatch` columns (schemas in
-:mod:`repro.distributed_shp.schemas`).
+:mod:`repro.distributed_shp.schemas`).  State goes in as the initial
+assignment array the program holds (query weights come from the graph) and
+comes out of :meth:`SHPColumnarProgram.collect_states` as ``(data vertex
+ids, buckets)`` columns.
 
-The program is **bitwise-identical** to the dict path for a given seed, on
-every backend.  Three properties make that hold:
+The program is **bitwise-identical** for a given seed on every backend —
+and to the per-vertex reference in ``tests/oracles/`` (``compute()`` per
+vertex over dict state).  Three properties make the latter hold:
 
 * randomness is counter-based (`counter_random_array` reproduces the scalar
   splitmix hash exactly), so S4 coin flips agree;
-* gain terms come from tables built by the *same* scalar closures the dict
-  path calls (``_scalar_gain_fns``), and every floating-point accumulation
-  runs in the dict path's canonical order — ascending query id per data
-  vertex, which is exactly how the dict path iterates its (sorted) caches —
-  via ``np.bincount``'s sequential left-to-right adds;
+* gain terms come from tables built by the *same* scalar closures the
+  reference calls (``_scalar_gain_fns``), and every floating-point
+  accumulation runs in one canonical order — ascending query id per data
+  vertex — via ``np.bincount``'s sequential left-to-right adds;
 * the aggregated histograms are integer-valued, so master decisions match.
 
-Worker-local representation notes: the dict path caches one copy of a
-query's neighbor data per adjacent data vertex; the columnar partition
-stores each cached query row once per worker (all copies are identical) and
-joins data vertices against it through the adjacency CSR, which is both the
-memory win and the vectorization enabler.  Message metering still counts
-every logical (per-edge) message at its full schema size, so the meters are
-unchanged.
+Worker-local representation notes: a per-vertex execution would cache one
+copy of a query's neighbor data per adjacent data vertex; the columnar
+partition stores each cached query row once per worker (all copies are
+identical) and joins data vertices against it through the adjacency CSR,
+which is both the memory win and the vectorization enabler.  Message
+metering still counts every logical (per-edge) message at its full schema
+size.
 """
 
 from __future__ import annotations
@@ -41,6 +44,28 @@ from ..hypergraph.bipartite import csr_row_positions, ragged_positions
 from .schemas import DELTA_SCHEMA, NDATA_SCHEMA, NET_DELTA_SCHEMA
 
 __all__ = ["SHPColumnarProgram"]
+
+_PHASES = ("S1-collect", "S2-neighbor-data", "S3-propose", "S4-move")
+
+
+def _scalar_gain_fns(objective_name: str, p: float, splits_ahead: float):
+    """Scalar removal-gain / insertion-cost closures (tabulated by
+    :meth:`SHPColumnarProgram._tables`, called per edge by the reference)."""
+    if objective_name == "cliquenet":
+        return (lambda n: -(n - 1.0)), (lambda n: -float(n)), 0.0
+    effective_p = 1.0 if objective_name == "fanout" else p
+    q = 1.0 - effective_p / splits_ahead
+    if q <= 0.0:
+        return (
+            (lambda n: 1.0 if n == 1 else 0.0),
+            (lambda n: 1.0 if n == 0 else 0.0),
+            1.0,
+        )
+    return (
+        (lambda n: effective_p * q ** (n - 1)),
+        (lambda n: effective_p * q**n),
+        effective_p,
+    )
 
 #: Mode-"k" S3 keeps the dense ``nloc × level_k`` candidate grid up to this
 #: many buckets; beyond it the sparse pair-compact aggregation
@@ -61,7 +86,7 @@ class _Partition:
         self.gain = np.empty(0, dtype=np.float64)
         self.bin = np.empty(0, dtype=np.int64)
         self.has_delta = np.empty(0, dtype=bool)
-        self.delta_old = np.empty(0, dtype=np.int64)  # -1 encodes None
+        self.delta_old = np.empty(0, dtype=np.int64)  # -1: first announcement
         # Local data -> adjacent query (engine ids, ascending per row).
         self.d_adj_indptr = np.zeros(1, dtype=np.int64)
         self.d_adj_q = np.empty(0, dtype=np.int64)
@@ -77,14 +102,14 @@ class _Partition:
         self.nd_bucket = np.empty(0, dtype=np.int64)
         self.nd_count = np.empty(0, dtype=np.int64)
         # Worker-shared cache of the latest neighbor data each adjacent
-        # query broadcast (the columnar stand-in for per-vertex ``qdata``).
+        # query broadcast (one row per query, not one per adjacent vertex).
         self.cache_qids = np.empty(0, dtype=np.int64)
         self.cache_weight = np.empty(0, dtype=np.float64)
         self.cache_indptr = np.zeros(1, dtype=np.int64)
         self.cache_bucket = np.empty(0, dtype=np.int64)
         self.cache_count = np.empty(0, dtype=np.int64)
-        # Level-descent alternation state (mirrors the dict program's
-        # per-(worker, bucket) parity dict).
+        # Level-descent alternation state: per bucket, which child the
+        # next descending vertex of this worker takes.
         self.parity: dict[int, int] = {}
         # Tabulated gain functions, keyed by the splits_ahead broadcast.
         self.max_count = 1
@@ -104,109 +129,69 @@ class _Partition:
 class SHPColumnarProgram:
     """Vectorized batch program for distributed SHP (modes ``"2"``/``"k"``)."""
 
-    def __init__(self, num_data: int, config: SHPConfig, binning: GainBinning, mode: str):
+    def __init__(
+        self,
+        num_data: int,
+        config: SHPConfig,
+        binning: GainBinning,
+        mode: str,
+        initial: np.ndarray,
+    ):
         self.num_data = num_data
         self.config = config
         self.binning = binning
         self.mode = mode
+        #: starting bucket of every data vertex (what partitions are built from).
+        self.initial = initial
 
     def phase_name(self, superstep: int) -> str:
-        from .job import _PHASES
-
         return _PHASES[superstep % 4]
 
     # ------------------------------------------------------------------
     # Partition lifecycle
     # ------------------------------------------------------------------
-    def create_partition(self, worker_id: int, vids, states: dict, graph) -> _Partition:
+    def create_partition(self, worker_id: int, vids: np.ndarray, graph) -> _Partition:
         if graph is None:
             raise ValueError("columnar SHP requires the engine to be loaded with a graph")
         part = _Partition()
-        vids_arr = np.asarray(vids, dtype=np.int64)
-        is_data = vids_arr < self.num_data
-        dvids = vids_arr[is_data]
-        qvids = vids_arr[~is_data]
+        is_data = vids < self.num_data
+        dvids = vids[is_data]
+        qvids = vids[~is_data]
         part.dvids = dvids
         part.qvids = qvids
         part.max_count = (
             int(graph.query_degrees.max()) if graph.num_queries else 1
         ) or 1
 
+        # Every data vertex starts by announcing its initial bucket.
         n = dvids.size
-        part.bucket = np.fromiter(
-            (states[int(v)]["bucket"] for v in dvids), dtype=np.int64, count=n
-        )
+        part.bucket = self.initial[dvids].astype(np.int64)
         part.target = np.full(n, -1, dtype=np.int64)
         part.gain = np.zeros(n, dtype=np.float64)
         part.bin = np.zeros(n, dtype=np.int64)
-        part.has_delta = np.zeros(n, dtype=bool)
+        part.has_delta = np.ones(n, dtype=bool)
         part.delta_old = np.full(n, -1, dtype=np.int64)
-        for i, v in enumerate(dvids.tolist()):
-            delta = states[v].get("delta")
-            if delta is not None:
-                part.has_delta[i] = True
-                part.delta_old[i] = -1 if delta[0] is None else int(delta[0])
 
         positions, lengths = csr_row_positions(graph.d_indptr, dvids)
         part.d_adj_indptr = np.concatenate(([0], np.cumsum(lengths)))
         adj_q = graph.d_indices[positions].astype(np.int64) + self.num_data
         # Canonical ascending-query order per row: the order every
-        # floating-point accumulation (and the dict path's sorted cache
-        # iteration) uses.
+        # floating-point accumulation uses.
         row_of = np.repeat(np.arange(n, dtype=np.int64), lengths)
         order = np.lexsort((adj_q, row_of))
         part.d_adj_q = adj_q[order]
 
-        nq = qvids.size
-        part.q_weight = np.fromiter(
-            (states[int(v)].get("weight", 1.0) for v in qvids),
-            dtype=np.float64,
-            count=nq,
-        )
-        q_positions, q_lengths = csr_row_positions(graph.q_indptr, qvids - self.num_data)
+        queries = qvids - self.num_data
+        part.q_weight = graph.query_weights_or_unit()[queries]
+        q_positions, q_lengths = csr_row_positions(graph.q_indptr, queries)
         part.q_adj_indptr = np.concatenate(([0], np.cumsum(q_lengths)))
         part.q_adj_d = graph.q_indices[q_positions].astype(np.int64)
-
-        # Warm neighbor data (empty on a fresh run).
-        nd_rows = []
-        for j, v in enumerate(qvids.tolist()):
-            for b, c in sorted(states[v].get("nd", {}).items()):
-                nd_rows.append((j, b, c))
-        if nd_rows:
-            rows = np.array(nd_rows, dtype=np.int64)
-            part.nd_indptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(rows[:, 0], minlength=nq)))
-            )
-            part.nd_bucket = rows[:, 1].copy()
-            part.nd_count = rows[:, 2].copy()
-        else:
-            part.nd_indptr = np.zeros(nq + 1, dtype=np.int64)
+        part.nd_indptr = np.zeros(qvids.size + 1, dtype=np.int64)
         return part
 
-    def collect_states(self, part: _Partition, states: dict) -> None:
-        for i, v in enumerate(part.dvids.tolist()):
-            st = states[v]
-            st["kind"] = 0
-            st["vid"] = v
-            st["bucket"] = int(part.bucket[i])
-            st["target"] = int(part.target[i]) if part.target[i] >= 0 else None
-            st["gain"] = float(part.gain[i])
-            st["bin"] = int(part.bin[i])
-            if part.has_delta[i]:
-                old = None if part.delta_old[i] < 0 else int(part.delta_old[i])
-                st["delta"] = (old, int(part.bucket[i]))
-            else:
-                st.pop("delta", None)
-        for j, v in enumerate(part.qvids.tolist()):
-            st = states[v]
-            st["kind"] = 1
-            st["vid"] = v
-            st["weight"] = float(part.q_weight[j])
-            lo, hi = int(part.nd_indptr[j]), int(part.nd_indptr[j + 1])
-            st["nd"] = {
-                int(b): int(c)
-                for b, c in zip(part.nd_bucket[lo:hi], part.nd_count[lo:hi])
-            }
+    def collect_states(self, part: _Partition) -> tuple[np.ndarray, np.ndarray]:
+        """``(data vertex ids, their final buckets)`` of one partition."""
+        return part.dvids, part.bucket
 
     def partition_nbytes(self, part: _Partition) -> int:
         return part.nbytes()
@@ -240,8 +225,8 @@ class SHPColumnarProgram:
             old = np.repeat(part.delta_old[senders], lengths).astype(np.int32)
             new = np.repeat(part.bucket[senders], lengths).astype(np.int32)
             ctx.send_batch(MessageBatch(DELTA_SCHEMA, dst, {"old": old, "new": new}))
-        # Mirror the dict path's ops: one send per edge (counted by
-        # send_batch) plus charge(degree) per sender.
+        # Ops: one send per edge (counted by send_batch) plus the degree
+        # of every sender — what a per-vertex execution would charge.
         ctx.charge(float(lengths.sum()))
         ctx.add_active(int(np.count_nonzero(lengths)))
         part.has_delta[senders] = False
@@ -249,9 +234,10 @@ class SHPColumnarProgram:
     def _advance(self, part: _Partition, superstep: int) -> None:
         """Descend one bisection level, alternating children per bucket.
 
-        Replicates the dict program's worker-local parity: vertices are
-        visited in ascending vid order, each (worker, bucket) key keeps a
-        persistent 0/1 counter, first touch defaults to ``superstep % 2``.
+        Worker-local parity, as if vertices were visited in ascending vid
+        order: each (worker, bucket) key keeps a persistent 0/1 counter,
+        first touch defaults to ``superstep % 2`` — the split starts
+        balanced to within ±(workers/2) instead of binomial drift.
         """
         n = part.dvids.size
         if n:
@@ -281,7 +267,7 @@ class SHPColumnarProgram:
             part.bucket = 2 * part.bucket + child
             part.delta_old = np.full(n, -1, dtype=np.int64)
             part.has_delta = np.ones(n, dtype=bool)
-        # New level: cached neighbor data is stale (dict path clears qdata).
+        # New level: cached neighbor data is stale.
         part.cache_qids = np.empty(0, dtype=np.int64)
         part.cache_weight = np.empty(0, dtype=np.float64)
         part.cache_indptr = np.zeros(1, dtype=np.int64)
@@ -326,8 +312,8 @@ class SHPColumnarProgram:
 
         # Rebuild the neighbor-data CSR: existing entries (dropped wholesale
         # on reset) plus +1/-1 delta entries, summed per (query, bucket).
-        # Sum-combining is equivalent to the dict path's sequential
-        # increment/decrement because counts never go transiently negative
+        # Sum-combining is equivalent to a sequential increment/decrement
+        # per delta because counts never go transiently negative
         # for a bucket that survives (each data vertex contributes one
         # delta per cycle and was already counted before moving out).
         rows_parts = []
@@ -447,8 +433,8 @@ class SHPColumnarProgram:
         count_here[ent_edge[match]] = ent_c[match]
 
         # bincount accumulates sequentially in input order — (data vertex,
-        # ascending query id) — matching the dict path's sorted iteration,
-        # so the float sums are bitwise identical.
+        # ascending query id), the canonical order — so the float sums are
+        # bitwise reproducible (and equal to a sorted per-vertex fold).
         rsum = np.bincount(f_d, weights=w_e * rem_t[count_here], minlength=nloc)
         weight_sum = np.bincount(f_d, weights=w_e, minlength=nloc)
 
@@ -476,9 +462,9 @@ class SHPColumnarProgram:
             # sibling column ``bucket ^ 1`` of the vertex's own group.
             # Aggregating *only* sibling entries keeps memory at O(occupied
             # pairs) — the dense ``nloc × level_k`` grid never exists —
-            # and is bitwise-equal to both the dense column and the dict
-            # path's ``adjust.get(sibling)``: the filtered subsequence
-            # preserves the (data vertex, ascending query) add order.
+            # and is bitwise-equal to the dense column: the filtered
+            # subsequence preserves the (data vertex, ascending query) add
+            # order.
             sibling = part.bucket ^ 1
             sib = other & (ent_b == (bucket_e ^ 1)[ent_edge])
             rows_sib = f_d[ent_edge[sib]]
@@ -529,8 +515,7 @@ class SHPColumnarProgram:
         ctx.aggregate_items(
             "sizes", {b: float(c) for b, c in enumerate(sizes.tolist()) if c}
         )
-        # Dict-path ops: charge(total cached nd entries) + 2 aggregate
-        # calls per data vertex.
+        # Ops: total cached nd entries + 2 aggregate calls per data vertex.
         ctx.charge(float(row_len.sum()) + 2.0 * nloc)
         ctx.add_active(nloc)
 
@@ -646,8 +631,6 @@ class SHPColumnarProgram:
     def _tables(self, part: _Partition, splits: float):
         """Gain tables built from the *scalar* closures (bitwise-shared)."""
         if part._table_splits != splits:
-            from .job import _scalar_gain_fns
-
             rem, ins, ins0 = _scalar_gain_fns(self.config.objective, self.config.p, splits)
             top = part.max_count
             part._rem_table = np.array(

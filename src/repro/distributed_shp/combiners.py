@@ -13,8 +13,8 @@ of every mover, so the order of arrival never matters and the per-bucket
 worker whose movers cancel out entirely still sends one zero-entry
 (0-byte) message, because receiving *something* is what marks the query
 dirty — with the combiner on or off, for any seed, on every backend, the
-final assignment is bitwise identical (the parity grid in
-``tests/test_vertex_mode_parity.py`` pins this).
+final assignment is bitwise identical (``tests/test_golden_grid.py`` and
+the oracle differential next to it pin this).
 
 Wire win: a raw delta costs 8 bytes, a net entry costs 8 bytes, so
 combining is applied per destination only when it yields strictly fewer
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distributed.messages import Combiner, MessageBatch, MessageSchema
+from ..distributed.messages import Combiner, MessageBatch
 from .schemas import DELTA_SCHEMA, NET_DELTA_SCHEMA
 
 __all__ = ["ShpDeltaCombiner"]
@@ -36,41 +36,14 @@ __all__ = ["ShpDeltaCombiner"]
 class ShpDeltaCombiner(Combiner):
     """Collapse S1 bucket deltas into per-bucket net adjustments.
 
-    Dict path: :meth:`combine` folds one destination's raw ``("d", old,
-    new)`` payloads into a single ``("dc", ((bucket, net), ...))`` payload
-    (buckets ascending, zero nets dropped) whenever that is strictly
-    smaller.  Columnar path: :meth:`combine_batch` performs the same
-    reduction over whole :class:`~repro.distributed.MessageBatch` columns
-    with a lexsort/reduceat segment sum.  Non-delta traffic (the S2
-    neighbor-data broadcasts) passes through untouched.
+    :meth:`combine_batch` folds one destination's raw ``(old, new)`` deltas
+    into a single net-delta message (buckets ascending, zero nets dropped)
+    whenever that is strictly smaller, over whole
+    :class:`~repro.distributed.MessageBatch` columns with a
+    lexsort/reduceat segment sum.  Non-delta traffic (the S2 neighbor-data
+    broadcasts) passes through untouched.
     """
 
-    # ------------------------------------------------------------------
-    # Dict path
-    # ------------------------------------------------------------------
-    def combine(self, payloads: list) -> list:
-        if not payloads or payloads[0][0] != "d":
-            return payloads
-        net: dict[int, int] = {}
-        for _, old, new in payloads:
-            if old is not None:
-                net[old] = net.get(old, 0) - 1
-            net[new] = net.get(new, 0) + 1
-        entries = tuple(
-            (int(b), int(c)) for b, c in sorted(net.items()) if c != 0
-        )
-        if len(entries) >= len(payloads):
-            return payloads  # combining would not shrink the wire
-        return [("dc", entries)]
-
-    def measure(self, payload: object, schema: MessageSchema | None) -> int:
-        if isinstance(payload, tuple) and payload and payload[0] == "dc":
-            return NET_DELTA_SCHEMA.measure(payload)
-        return super().measure(payload, schema)
-
-    # ------------------------------------------------------------------
-    # Columnar path
-    # ------------------------------------------------------------------
     def combine_batch(self, batch: MessageBatch) -> list[MessageBatch]:
         if batch.schema.name != DELTA_SCHEMA.name or len(batch) <= 1:
             return [batch]
@@ -104,7 +77,7 @@ class ShpDeltaCombiner(Combiner):
         gq, gb, gn = rq[starts][keep], rb[starts][keep], sums[keep]
 
         # Combine a destination only when strictly fewer net entries than
-        # raw messages — the same E < m rule the dict path applies.
+        # raw messages (E < m): combined traffic is never larger.
         entries_per = np.bincount(gq, minlength=uniq_dst.size)
         do_combine = entries_per < m_per
 
@@ -124,8 +97,7 @@ class ShpDeltaCombiner(Combiner):
                     {},
                     entry_start=np.concatenate(([0], np.cumsum(lens)[:-1])),
                     entry_len=lens,
-                    # Already grouped ascending (dst, bucket) by the
-                    # lexsort — matching the dict path's sorted() order.
+                    # Already grouped ascending (dst, bucket) by the lexsort.
                     entries={
                         "bucket": gb[in_combined].astype(np.int32),
                         "net": gn[in_combined].astype(np.int32),

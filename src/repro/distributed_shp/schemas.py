@@ -1,14 +1,9 @@
 """Typed wire schemas for the 4-superstep SHP protocol.
 
-Both execution modes of the distributed job speak these schemas:
-
-* the per-vertex (dict) path sends Python tuples but *meters* them at the
-  schema's dtype-exact sizes;
-* the columnar path sends :class:`~repro.distributed.MessageBatch` columns
-  built directly from the schemas.
-
-One shared definition is what makes the two modes report identical
-message/byte meters for the same run.
+The job's kernels build :class:`~repro.distributed.MessageBatch` columns
+directly from these schemas, and the engine meters every message at the
+schema's dtype-exact size — one definition for what travels and what is
+counted.
 """
 
 from __future__ import annotations
@@ -18,18 +13,8 @@ from ..distributed.messages import MessageSchema
 __all__ = ["DELTA_SCHEMA", "NDATA_SCHEMA", "NET_DELTA_SCHEMA"]
 
 
-def _ndata_entries(payload: object) -> int:
-    """Entry count of a dict-mode S2 payload ``("q", vid, weight, nd)``."""
-    return len(payload[3])
-
-
-def _net_entries(payload: object) -> int:
-    """Entry count of a dict-mode combined payload ``("dc", entries)``."""
-    return len(payload[1])
-
-
 #: S1 collect — a data vertex tells its queries it moved ``old -> new``
-#: (``old`` is -1 / None on the first announcement of a level).
+#: (``old`` is -1 on the first announcement of a level).
 DELTA_SCHEMA = MessageSchema(
     "shp-delta",
     fields=(("old", "<i4"), ("new", "<i4")),
@@ -42,7 +27,6 @@ NDATA_SCHEMA = MessageSchema(
     "shp-ndata",
     fields=(("query", "<i8"), ("weight", "<f8")),
     entry_fields=(("bucket", "<i4"), ("count", "<i4")),
-    var_len=_ndata_entries,
 )
 
 #: Combined S1 collect — what :class:`~repro.distributed_shp.combiners.
@@ -55,5 +39,4 @@ NET_DELTA_SCHEMA = MessageSchema(
     "shp-net-delta",
     fields=(),
     entry_fields=(("bucket", "<i4"), ("net", "<i4")),
-    var_len=_net_entries,
 )

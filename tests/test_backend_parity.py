@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.per_vertex import run_per_vertex
 from repro import SHPConfig
 from repro.core import balanced_random_assignment
 from repro.distributed import (
@@ -47,24 +48,12 @@ class RingProgram:
 
 
 class TestEngineParity:
-    def test_states_mutated_in_place_on_every_backend(self):
-        """The dicts passed to load() hold the final values after run() —
-        part of the backend contract, so sim-written code survives mp."""
-        for backend in ("sim", "mp"):
-            states = {v: {} for v in range(12)}
-            engine = GiraphEngine(ClusterSpec(num_workers=2), seed=3, backend=backend)
-            engine.load(states)
-            result = engine.run(RingProgram(12), max_supersteps=3)
-            for v in range(12):
-                assert states[v] is result.states[v], backend
-                assert states[v]["sum"] == result.states[v]["sum"], backend
-                assert "coin" in states[v], backend
-
     def test_states_and_metrics_match(self):
         def run(backend):
             engine = GiraphEngine(ClusterSpec(num_workers=3), seed=9, backend=backend)
-            engine.load({v: {} for v in range(24)})
-            return engine.run(RingProgram(24), max_supersteps=4)
+            return run_per_vertex(
+                engine, RingProgram(24), {v: {} for v in range(24)}, max_supersteps=4
+            )
 
         sim = run("sim")
         mp_ = run("mp")
@@ -167,9 +156,8 @@ class TestBackendResolution:
                 raise ValueError("vertex exploded")
 
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=0, backend="mp")
-        engine.load({v: {} for v in range(4)})
         with pytest.raises(ValueError, match="vertex exploded"):
-            engine.run(Exploder(), max_supersteps=1)
+            run_per_vertex(engine, Exploder(), {v: {} for v in range(4)}, max_supersteps=1)
 
     def test_unpicklable_worker_error_still_reported(self):
         class PicklePoison(Exception):
@@ -185,7 +173,6 @@ class TestBackendResolution:
                 raise PicklePoison(vid, "custom failure")
 
         engine = GiraphEngine(ClusterSpec(num_workers=1), seed=0, backend="mp")
-        engine.load({0: {}})
         # The original type cannot cross the pipe; the cause must anyway.
         with pytest.raises(RuntimeError, match="PicklePoison.*custom failure"):
-            engine.run(Exploder(), max_supersteps=1)
+            run_per_vertex(engine, Exploder(), {0: {}}, max_supersteps=1)

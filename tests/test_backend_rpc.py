@@ -2,8 +2,8 @@
 
 The acceptance contract for ``backend = "rpc"``: a job over >= 2
 auto-spawned localhost workers produces bitwise-identical assignments to
-the in-process backends per seed (both vertex modes, combiners on and
-off), meters real bytes-on-wire and barrier round-trips, and survives a
+the in-process backends per seed (the columnar job and its per-vertex
+test oracle, combiners on and off), meters real bytes-on-wire and barrier round-trips, and survives a
 worker killed mid-superstep by re-homing its logical workers onto
 survivors and retrying the superstep.
 """
@@ -15,6 +15,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles.shp_dict import run_dict_shp
 from repro import SHPConfig
 from repro.distributed import ClusterSpec, RpcBackend, serve_worker
 from repro.distributed_shp import DistributedSHP
@@ -34,13 +35,13 @@ def _config() -> SHPConfig:
 
 
 def _run(graph, backend, vertex_mode="columnar", combiner=False):
+    cluster = ClusterSpec(num_workers=3)
+    if vertex_mode == "dict":  # the per-vertex oracle, through the adapter
+        return run_dict_shp(
+            _config(), graph, cluster=cluster, mode="2", backend=backend, combiner=combiner
+        )
     job = DistributedSHP(
-        _config(),
-        cluster=ClusterSpec(num_workers=3),
-        mode="2",
-        backend=backend,
-        vertex_mode=vertex_mode,
-        combiner=combiner,
+        _config(), cluster=cluster, mode="2", backend=backend, combiner=combiner
     )
     return job.run(graph)
 
@@ -118,8 +119,7 @@ def test_all_peers_dead_raises(graph):
     """Losing the only peer is unrecoverable and must raise, not hang."""
     backend = RpcBackend(step_timeout=60.0, chaos_kill=(2, 0))
     solo = DistributedSHP(
-        _config(), cluster=ClusterSpec(num_workers=1), mode="2",
-        backend=backend, vertex_mode="columnar",
+        _config(), cluster=ClusterSpec(num_workers=1), mode="2", backend=backend,
     )
     with pytest.raises(RuntimeError, match="workers are gone"):
         solo.run(graph)
@@ -164,8 +164,7 @@ def test_jobspec_runner_selects_rpc(tmp_path):
         seed=7,
         graph=GraphSpec(source="darwini", users=300, avg_degree=5),
         algorithm=AlgorithmSpec(name="shp-2", k=4),
-        execution=ExecutionSpec(backend="rpc", workers=2,
-                                vertex_mode="columnar", combiner=True,
+        execution=ExecutionSpec(backend="rpc", workers=2, combiner=True,
                                 step_timeout=60.0),
         output=OutputSpec(artifacts=str(tmp_path / "run")),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributed_shp.job import _scalar_gain_fns
+from repro.distributed_shp.columnar import _scalar_gain_fns
 from repro.objectives import (
     CliqueNetObjective,
     FanoutObjective,

@@ -80,10 +80,6 @@ class TestProtocolCorrectness:
         with pytest.raises(ValueError):
             DistributedSHP(SHPConfig(k=4), mode="3")
 
-    def test_bad_vertex_mode_rejected(self):
-        with pytest.raises(ValueError, match="vertex_mode"):
-            DistributedSHP(SHPConfig(k=4), vertex_mode="rowwise")
-
 
 class TestInitialValidation:
     """DistributedSHP.run validates `initial` against the *starting* bucket

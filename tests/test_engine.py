@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.per_vertex import run_per_vertex, sizeof_payload
 from repro.distributed import (
     ClusterSpec,
     CostModel,
@@ -14,8 +15,10 @@ from repro.distributed import (
     SumCombiner,
     counter_random,
     counter_random_array,
-    sizeof_payload,
 )
+
+# The engine runs columnar batch programs only; the per-vertex programs
+# below reach it through the test-side adapter (``oracles.per_vertex``).
 
 
 class EchoProgram:
@@ -52,8 +55,9 @@ class TestMessaging:
     def test_messages_delivered_next_superstep(self):
         adjacency = {0: [1], 1: [2], 2: [0]}
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-        engine.load({v: {} for v in range(3)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=2)
+        result = run_per_vertex(
+            engine, EchoProgram(adjacency), {v: {} for v in range(3)}, max_supersteps=2
+        )
         assert result.states[1]["received"] == [0]
         assert result.states[2]["received"] == [1]
         assert result.states[0]["received"] == [2]
@@ -61,8 +65,9 @@ class TestMessaging:
     def test_local_vs_remote_metering(self):
         adjacency = {i: [(i + 1) % 8] for i in range(8)}
         engine = GiraphEngine(ClusterSpec(num_workers=4), seed=3)
-        engine.load({v: {} for v in range(8)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=1)
+        result = run_per_vertex(
+            engine, EchoProgram(adjacency), {v: {} for v in range(8)}, max_supersteps=1
+        )
         step = result.metrics.supersteps[0]
         assert step.messages_local + step.messages_remote == 8
         assert step.messages_remote > 0  # 4 workers: some edges cross
@@ -70,8 +75,9 @@ class TestMessaging:
     def test_single_worker_all_local(self):
         adjacency = {i: [(i + 1) % 5] for i in range(5)}
         engine = GiraphEngine(ClusterSpec(num_workers=1), seed=3)
-        engine.load({v: {} for v in range(5)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=1)
+        result = run_per_vertex(
+            engine, EchoProgram(adjacency), {v: {} for v in range(5)}, max_supersteps=1
+        )
         step = result.metrics.supersteps[0]
         assert step.messages_remote == 0
         assert step.messages_local == 5
@@ -81,8 +87,9 @@ class TestMessaging:
 
         def run_once():
             engine = GiraphEngine(ClusterSpec(num_workers=3), seed=5)
-            engine.load({v: {} for v in range(10)})
-            result = engine.run(EchoProgram(adjacency), max_supersteps=2)
+            result = run_per_vertex(
+                engine, EchoProgram(adjacency), {v: {} for v in range(10)}, max_supersteps=2
+            )
             return [tuple(result.states[v]["received"]) for v in range(10)]
 
         assert run_once() == run_once()
@@ -91,9 +98,10 @@ class TestMessaging:
 class TestMaster:
     def test_master_halts_engine(self):
         engine = GiraphEngine(ClusterSpec(num_workers=1), seed=0)
-        engine.load({0: {}})
         master = CountingMaster(stop_at=3)
-        result = engine.run(EchoProgram({}), master=master, max_supersteps=100)
+        result = run_per_vertex(
+            engine, EchoProgram({}), {0: {}}, master=master, max_supersteps=100
+        )
         assert result.halted_by_master
         assert result.supersteps_run == 3
 
@@ -116,9 +124,11 @@ class TestMaster:
                 return {}
 
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=0)
-        engine.load({v: {} for v in range(4)})
         recorder = Recorder()
-        engine.run(AggProgram(), master=recorder, max_supersteps=10)
+        run_per_vertex(
+            engine, AggProgram(), {v: {} for v in range(4)},
+            master=recorder, max_supersteps=10,
+        )
         # Aggregates from superstep 0 are visible at superstep 1's master call.
         assert recorder.seen[1] == {"sum": 6.0}
 
@@ -137,50 +147,90 @@ class TestMaster:
                 return {"value": superstep * 10}
 
         engine = GiraphEngine(ClusterSpec(num_workers=1), seed=0)
-        engine.load({0: {}})
-        result = engine.run(BroadcastReader(), master=Broadcaster(), max_supersteps=10)
+        result = run_per_vertex(
+            engine, BroadcastReader(), {0: {}}, master=Broadcaster(), max_supersteps=10
+        )
         assert result.states[0]["seen"] == [0, 10]
+
+
+VALUE_SCHEMA = MessageSchema("value", (("v", "<f8"),))
+
+
+class FanInProgram:
+    """Batch program: every vertex but 0 sends 1.0 to vertex 0 at superstep
+    0; vertex 0's worker totals what arrives at superstep 1."""
+
+    def phase_name(self, superstep):
+        return "fanin"
+
+    def create_partition(self, worker_id, vids, graph):
+        return {"vids": vids, "total": 0.0}
+
+    def compute_partition(self, ctx, partition, inbox):
+        if ctx.superstep == 0:
+            senders = partition["vids"][partition["vids"] != 0]
+            ctx.send_batch(
+                MessageBatch(
+                    VALUE_SCHEMA, np.zeros(senders.size, dtype=np.int64),
+                    {"v": np.ones(senders.size)},
+                )
+            )
+        else:
+            partition["total"] += sum(float(b.cols["v"].sum()) for b in inbox)
+
+    def collect_states(self, partition):
+        return partition["total"]
+
+    def partition_nbytes(self, partition):
+        return partition["vids"].nbytes
 
 
 class TestCombiner:
     def test_sum_combiner_reduces_messages(self):
-        class FanIn:
-            def phase_name(self, superstep):
-                return "fanin"
-
-            def compute(self, ctx, vid, state, messages):
-                if ctx.superstep == 0 and vid != 0:
-                    ctx.send(0, 1.0)
-                elif messages:
-                    state["total"] = sum(messages)
-
         def run(combiner):
             engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-            engine.load({v: {} for v in range(9)})
-            result = engine.run(FanIn(), max_supersteps=2, combiner=combiner)
-            return result
+            engine.load(9)
+            return engine.run(FanInProgram(), max_supersteps=2, combiner=combiner)
 
         plain = run(None)
         combined = run(SumCombiner())
-        assert plain.states[0]["total"] == combined.states[0]["total"] == 8.0
+        assert sum(plain.states) == sum(combined.states) == 8.0
         assert (
             combined.metrics.supersteps[0].total_messages
             < plain.metrics.supersteps[0].total_messages
         )
 
+    def test_sum_combiner_keeps_integer_sums_exact(self):
+        """Two 2**53 + 1 values to one destination: a float64 scratch would
+        round the sum (regression: combine_batch cast every column)."""
+        schema = MessageSchema("count", (("n", "<i8"), ("x", "<f8")))
+        big = 2**53 + 1
+        batch = MessageBatch(
+            schema,
+            np.array([4, 4, 7]),
+            {"n": np.array([big, big, 5], dtype="<i8"), "x": np.array([0.5, 0.25, 2.0])},
+        )
+        (combined,) = SumCombiner().combine_batch(batch)
+        assert combined.dst.tolist() == [4, 7]
+        assert combined.cols["n"].dtype == np.dtype("<i8")
+        assert combined.cols["n"].tolist() == [2 * big, 5]
+        assert combined.cols["x"].tolist() == [0.75, 2.0]
+
 
 class TestAccounting:
     def test_memory_tracked(self):
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-        engine.load({v: {"blob": np.zeros(100)} for v in range(4)})
-        result = engine.run(EchoProgram({}), max_supersteps=1)
+        result = run_per_vertex(
+            engine, EchoProgram({}), {v: {"blob": np.zeros(100)} for v in range(4)}, max_supersteps=1
+        )
         assert result.metrics.peak_worker_memory() >= 800  # at least one blob
 
     def test_modeled_time_positive(self):
         adjacency = {i: [(i + 1) % 6] for i in range(6)}
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-        engine.load({v: {} for v in range(6)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=2)
+        result = run_per_vertex(
+            engine, EchoProgram(adjacency), {v: {} for v in range(6)}, max_supersteps=2
+        )
         assert result.metrics.modeled_seconds(CostModel()) > 0
         assert result.metrics.modeled_total_machine_seconds(CostModel()) == (
             pytest.approx(2 * result.metrics.modeled_seconds(CostModel()))
@@ -188,8 +238,7 @@ class TestAccounting:
 
     def test_phase_grouping(self):
         engine = GiraphEngine(ClusterSpec(num_workers=1), seed=1)
-        engine.load({0: {}})
-        result = engine.run(EchoProgram({}), max_supersteps=3)
+        result = run_per_vertex(engine, EchoProgram({}), {0: {}}, max_supersteps=3)
         assert set(result.metrics.by_phase()) == {"step0", "step1", "step2"}
 
 
@@ -201,8 +250,9 @@ class TestActiveVertices:
     def test_superstep0_senders_are_active(self):
         adjacency = {i: [(i + 1) % 6] for i in range(6)}
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-        engine.load({v: {} for v in range(6)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=2)
+        result = run_per_vertex(
+            engine, EchoProgram(adjacency), {v: {} for v in range(6)}, max_supersteps=2
+        )
         assert result.metrics.supersteps[0].active_vertices == 6
         assert result.metrics.supersteps[1].active_vertices == 6  # receivers
 
@@ -215,8 +265,9 @@ class TestActiveVertices:
                 ctx.aggregate("seen", "count", 1.0)
 
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=0)
-        engine.load({v: {} for v in range(5)})
-        result = engine.run(AggOnly(), max_supersteps=1)
+        result = run_per_vertex(
+            engine, AggOnly(), {v: {} for v in range(5)}, max_supersteps=1
+        )
         assert result.metrics.supersteps[0].active_vertices == 5
 
     def test_idle_vertices_are_inactive(self):
@@ -228,8 +279,9 @@ class TestActiveVertices:
                 pass
 
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=0)
-        engine.load({v: {} for v in range(5)})
-        result = engine.run(Idle(), max_supersteps=1)
+        result = run_per_vertex(
+            engine, Idle(), {v: {} for v in range(5)}, max_supersteps=1
+        )
         assert result.metrics.supersteps[0].active_vertices == 0
 
 
@@ -281,7 +333,6 @@ class TestMessageBatch:
         assert lengths.tolist() == [3, 2]
 
     def test_schema_measure_matches_batch(self):
-        payload = ("q", 4, 1.0, {0: 1, 2: 3})
         from repro.distributed_shp import NDATA_SCHEMA
 
         batch = MessageBatch(
@@ -295,7 +346,8 @@ class TestMessageBatch:
                 "count": np.array([1, 3], dtype=np.int32),
             },
         )
-        assert NDATA_SCHEMA.measure(payload) == batch.nbytes == 16 + 2 * 8
+        expected = NDATA_SCHEMA.fixed_nbytes + 2 * NDATA_SCHEMA.entry_nbytes
+        assert expected == batch.nbytes == 16 + 2 * 8
 
     def test_split_routes_rows_and_shares_pool(self):
         batch = MessageBatch(
@@ -325,33 +377,23 @@ class TestMessageBatch:
             )
 
     def test_combiner_resolution_one_code_path(self):
-        """resolve_combiner gates both vertex modes: batch programs accept
-        batch-capable combiners and reject dict-only ones with a clear
-        error; non-Combiner objects are a TypeError everywhere."""
+        """resolve_combiner is the one gate: Combiner instances (and None)
+        pass through, a Combiner that never implemented ``combine_batch``
+        fails loudly when used, anything else is a TypeError."""
         from repro.distributed.backend import resolve_combiner
         from repro.distributed.messages import Combiner
-        from repro.distributed_shp import SHPColumnarProgram, ShpDeltaCombiner
+        from repro.distributed_shp import ShpDeltaCombiner
 
-        batch_program = SHPColumnarProgram.__new__(SHPColumnarProgram)
-
-        # Batch-capable combiners pass through for batch programs.
         for ok in (SumCombiner(), ShpDeltaCombiner()):
-            assert resolve_combiner(batch_program, ok) is ok
-        assert resolve_combiner(batch_program, None) is None
-
-        # A dict-only custom combiner is the genuinely unsupported case.
-        class DictOnly(Combiner):
-            def combine(self, payloads):
-                return payloads
-
-        with pytest.raises(ValueError, match="combine_batch"):
-            resolve_combiner(batch_program, DictOnly())
-        # ...but is fine for dict-path programs.
-        dict_program = EchoProgram(adjacency={})
-        assert isinstance(resolve_combiner(dict_program, DictOnly()), DictOnly)
+            assert resolve_combiner(ok) is ok
+        assert resolve_combiner(None) is None
 
         with pytest.raises(TypeError, match="Combiner"):
-            resolve_combiner(dict_program, object())
+            resolve_combiner(object())
+
+        batch = MessageBatch(PAIR_SCHEMA, np.array([1]), {"a": np.zeros(1), "b": np.zeros(1)})
+        with pytest.raises(NotImplementedError):
+            Combiner().combine_batch(batch)
 
     def test_compact_deduplicates_shared_rows(self):
         pool = np.arange(10, dtype=np.int32)

@@ -10,6 +10,12 @@ graph.  The values were captured at the commit *before* the worker
 runtimes were merged into one ``WorkerHost`` (PR 12) and must never move
 without a deliberate, explained re-capture.
 
+Since the per-vertex program left ``src/`` (PR 13) the six ``dict`` cells
+run the test oracle (``tests/oracles/``) through the per-vertex adapter
+and pin the assignment hash and the superstep count; the byte meters are a
+property of the typed wire schemas only the columnar program speaks, so
+the six columnar cells pin those (same constants as before).
+
 The graph and seed are chosen so that every cycle moves at least one
 vertex (asserted below): the goldens do not depend on how the master
 treats a zero-move cycle.
@@ -22,6 +28,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from oracles.shp_dict import run_dict_shp
 from repro import SHPConfig
 from repro.distributed import ClusterSpec, RpcBackend
 from repro.distributed_shp import DistributedSHP
@@ -43,26 +50,24 @@ def _run(graph, backend, vertex_mode, combiner):
         k=4, seed=13, iterations_per_bisection=3, max_iterations=3,
         swap_mode="bernoulli",
     )
+    cluster = ClusterSpec(num_workers=3)
+    if vertex_mode == "dict":
+        return run_dict_shp(
+            config, graph, cluster=cluster, mode="2", backend=backend, combiner=combiner
+        )
     return DistributedSHP(
-        config,
-        cluster=ClusterSpec(num_workers=3),
-        mode="2",
-        backend=backend,
-        vertex_mode=vertex_mode,
-        combiner=combiner,
+        config, cluster=cluster, mode="2", backend=backend, combiner=combiner
     ).run(graph)
 
 
-def _check(run, combiner):
+def _check(run, combiner, vertex_mode="columnar"):
     digest = hashlib.sha256(
         np.ascontiguousarray(run.assignment, dtype="<i4").tobytes()
     ).hexdigest()
-    observed = (
-        digest,
-        run.supersteps,
-        (run.metrics.total_messages, run.metrics.total_remote_bytes),
-    )
-    assert observed == (ASSIGNMENT_SHA256, SUPERSTEPS_RUN, METERS[combiner])
+    assert (digest, run.supersteps) == (ASSIGNMENT_SHA256, SUPERSTEPS_RUN)
+    assert run.metrics.total_messages == METERS[combiner][0]
+    if vertex_mode == "columnar":
+        assert run.metrics.total_remote_bytes == METERS[combiner][1]
     assert run.moved_history and min(run.moved_history) > 0
 
 
@@ -72,7 +77,7 @@ def _check(run, combiner):
 def test_cell_matches_golden(graph, backend, vertex_mode, combiner):
     if backend == "rpc":
         backend = RpcBackend(step_timeout=60.0)
-    _check(_run(graph, backend, vertex_mode, combiner), combiner)
+    _check(_run(graph, backend, vertex_mode, combiner), combiner, vertex_mode)
 
 
 def test_rpc_failover_cell_matches_golden(graph):

@@ -50,7 +50,7 @@ class TestRoundTrip:
             algorithm=AlgorithmSpec(
                 name="shp-k", k=8, objective="cliquenet", options={"move_damping": 0.5}
             ),
-            execution=ExecutionSpec(backend="sim", workers=3, vertex_mode="dict"),
+            execution=ExecutionSpec(backend="sim", workers=3, combiner=True),
             serving=ServingSpec(servers=4, rounds=2),
             output=OutputSpec(assignment="a.npz", artifacts="runs/x"),
         )
@@ -125,6 +125,15 @@ class TestValidationErrors:
     def test_bad_enums_name_dotted_path(self, data, dotted_path):
         with pytest.raises(SpecError, match=dotted_path.replace(".", r"\.")):
             JobSpec.from_dict(data)
+
+    def test_vertex_mode_is_a_compatibility_key(self):
+        """`execution.vertex_mode` is still accepted (old specs write it) but
+        selects nothing; asking for the retired per-vertex mode says where
+        that reference went."""
+        spec = JobSpec.from_dict({"execution": {"backend": "sim", "vertex_mode": "columnar"}})
+        assert spec.execution.vertex_mode == "columnar"
+        with pytest.raises(SpecError, match=r"execution\.vertex_mode.*tests/oracles"):
+            JobSpec.from_dict({"execution": {"vertex_mode": "dict"}})
 
     @pytest.mark.parametrize(
         "data, dotted_path",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.shp_dict import run_dict_shp
 from repro import SHPConfig, shp_2
 from repro.api.spec import ExecutionSpec, SpecError
 from repro.core import parallel_refine
@@ -293,15 +294,16 @@ class TestSparseS3:
     def test_dict_columnar_parity(self, mode, k):
         # k=16 drives mode-"k" S3 past DENSE_S3_MAX_LEVEL_K into the
         # sparse selection; mode "2" exercises the sibling-restricted
-        # aggregation.  Both must stay bitwise-equal to the dict path.
+        # aggregation.  Both must stay bitwise-equal to the per-vertex
+        # oracle (tests/oracles/).
         graph = community_bipartite(
             160, 240, 1500, num_communities=8, mixing=0.2, seed=5
         )
         cfg = SHPConfig(
             k=k, seed=11, iterations_per_bisection=6, max_iterations=8
         )
-        cols = DistributedSHP(cfg, mode=mode, vertex_mode="columnar").run(graph)
-        dicts = DistributedSHP(cfg, mode=mode, vertex_mode="dict").run(graph)
+        cols = DistributedSHP(cfg, mode=mode).run(graph)
+        dicts = run_dict_shp(cfg, graph, mode=mode)
         assert np.array_equal(cols.assignment, dicts.assignment)
 
 
@@ -311,8 +313,8 @@ class TestTransientMetering:
             120, 180, 1100, num_communities=6, mixing=0.2, seed=2
         )
         cfg = SHPConfig(k=4, seed=3, iterations_per_bisection=4, max_iterations=6)
-        cols = DistributedSHP(cfg, mode="2", vertex_mode="columnar").run(graph)
-        dicts = DistributedSHP(cfg, mode="2", vertex_mode="dict").run(graph)
+        cols = DistributedSHP(cfg, mode="2").run(graph)
+        dicts = run_dict_shp(cfg, graph, mode="2")
         assert cols.metrics.peak_transient_bytes() > 0
         assert dicts.metrics.peak_transient_bytes() == 0
 

@@ -209,7 +209,6 @@ def _parser_with(choices):
     p.add_argument("--algorithm", choices=choices)
     p.add_argument("--objective", choices=["pfanout"])
     p.add_argument("--backend", choices=["local", "sim"])
-    p.add_argument("--vertex-mode", choices=["columnar", "dict"])
     c = sub.add_parser("compare")
     c.add_argument("--algorithms", nargs="*", choices=choices)
     c.add_argument("--objective", choices=["pfanout"])
@@ -235,8 +234,6 @@ def test_rep005_clean_when_cli_matches_registries():
     problems = audit_registry_cli_sync(
         registries=_registries(["shp-2"]),
         parser=_parser_with(["shp-2"]),
-        vertex_modes=("columnar", "dict"),
-        engine_vertex_modes=("columnar", "dict"),
     )
     assert problems == []
 
@@ -245,21 +242,9 @@ def test_rep005_flags_choice_drift():
     problems = audit_registry_cli_sync(
         registries=_registries(["shp-2", "shp-k"]),
         parser=_parser_with(["shp-2"]),  # stale: missing shp-k
-        vertex_modes=("columnar", "dict"),
-        engine_vertex_modes=("columnar", "dict"),
     )
     assert any("--algorithm" == anchor for anchor, _ in problems)
     assert any("do not match the registry" in msg for _, msg in problems)
-
-
-def test_rep005_flags_vertex_mode_disagreement():
-    problems = audit_registry_cli_sync(
-        registries=_registries(["shp-2"]),
-        parser=_parser_with(["shp-2"]),
-        vertex_modes=("columnar", "dict"),
-        engine_vertex_modes=("columnar",),
-    )
-    assert any("vertex-mode catalogues disagree" in msg for _, msg in problems)
 
 
 def test_rep005_flags_broken_lazy_loader():
@@ -267,8 +252,6 @@ def test_rep005_flags_broken_lazy_loader():
     problems = audit_registry_cli_sync(
         registries=[("partitioners", broken), *_registries([])[1:]],
         parser=_parser_with([]),
-        vertex_modes=("columnar", "dict"),
-        engine_vertex_modes=("columnar", "dict"),
     )
     assert any("failed to load" in msg for _, msg in problems)
 

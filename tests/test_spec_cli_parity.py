@@ -55,8 +55,8 @@ PARITY_GRID = [
     ("mondriaan-like", 4, 4, [], {}, {}),
     ("shp-2", 4, 6, ["--backend", "sim", "--workers", "3"], {},
      {"backend": "sim", "workers": 3}),
-    ("shp-k", 4, 8, ["--backend", "sim", "--workers", "2", "--vertex-mode", "dict"],
-     {}, {"backend": "sim", "workers": 2, "vertex_mode": "dict"}),
+    ("shp-k", 4, 8, ["--backend", "sim", "--workers", "2", "--combiner"],
+     {}, {"backend": "sim", "workers": 2, "combiner": True}),
 ]
 
 

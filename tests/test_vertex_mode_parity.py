@@ -1,23 +1,29 @@
-"""Cross-backend × vertex-mode parity for distributed SHP.
+"""Oracle differential for distributed SHP: per-vertex twin vs columnar.
 
-The columnar fast path is only a fast path if it is *invisible*: for a
-given seed, every cell of {sim, mp} × {dict, columnar} × {mode "2", mode
-"k"} × {unweighted, query-weighted} must produce bitwise-identical
-assignments and identical message/byte meters.  The dict/sim cell is the
-reference; every other cell is compared against it.
+``SHPColumnarProgram`` is the only program ``src/`` runs.  Its reference —
+the per-vertex ``_SHPVertexProgram`` the job started out as — lives in
+``tests/oracles/`` and reaches the engine through the per-vertex adapter.
+For a given seed the two must agree bit for bit on the assignment and
+exactly on ``moved_history``, superstep count, message counts, ops and
+activity, for mode ``"2"`` and ``"k"``, combiner on and off, unweighted and
+query-weighted (:func:`test_columnar_matches_oracle`, both on ``sim``).
 
-A second grid pins combiners the same way across all three backends:
-{sim, mp, rpc} × {dict, columnar} × {combiner on, off} — assignments
-bitwise-equal everywhere (combining is semantically transparent), logical
-meters equal across backends *per combiner setting*, and combiner-on
-remote traffic strictly below combiner-off.
+The two grids below keep every cell they always had — a ``"dict"`` cell now
+runs the oracle on that backend, a ``"columnar"`` cell the production job —
+and compare each with the oracle's ``sim`` run.  Byte meters are a property
+of the typed wire schemas, which only the columnar program speaks (the
+adapter meters a flat 8 bytes per message), so bytes are compared with the
+``sim`` run of the same kind.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from oracles.shp_dict import run_dict_shp
 from repro import SHPConfig
 from repro.distributed import ClusterSpec
 from repro.distributed_shp import DistributedSHP
@@ -38,10 +44,10 @@ def _weighted(graph: BipartiteGraph, seed: int = 11) -> BipartiteGraph:
     )
 
 
-@pytest.fixture(scope="module")
-def graphs():
+@functools.lru_cache(maxsize=None)
+def _graph(weighting: str) -> BipartiteGraph:
     base = community_bipartite(140, 190, 1300, num_communities=8, mixing=0.2, seed=4)
-    return {"unweighted": base, "query-weighted": _weighted(base)}
+    return base if weighting == "unweighted" else _weighted(base)
 
 
 def _config() -> SHPConfig:
@@ -51,24 +57,58 @@ def _config() -> SHPConfig:
     )
 
 
-def _run(graph, mode, backend, vertex_mode):
+def _run(vertex_mode, backend, mode, weighting, combiner):
+    cluster = ClusterSpec(num_workers=3)
+    if vertex_mode == "dict":
+        return run_dict_shp(
+            _config(), _graph(weighting), cluster=cluster, mode=mode,
+            backend=backend, combiner=combiner,
+        )
     job = DistributedSHP(
-        _config(),
-        cluster=ClusterSpec(num_workers=3),
-        mode=mode,
-        backend=backend,
-        vertex_mode=vertex_mode,
+        _config(), cluster=cluster, mode=mode, backend=backend, combiner=combiner
     )
-    return job.run(graph)
+    return job.run(_graph(weighting))
 
 
-@pytest.fixture(scope="module")
-def references(graphs):
-    return {
-        (mode, weighting): _run(graphs[weighting], mode, "sim", "dict")
-        for mode in ("2", "k")
-        for weighting in ("unweighted", "query-weighted")
-    }
+@functools.lru_cache(maxsize=None)
+def _sim(vertex_mode, mode, weighting, combiner):
+    """The ``sim`` run of one kind, computed once per module."""
+    return _run(vertex_mode, "sim", mode, weighting, combiner)
+
+
+def _assert_matches_oracle(run, oracle):
+    assert np.array_equal(run.assignment, oracle.assignment)
+    assert run.supersteps == oracle.supersteps
+    assert run.cycles == oracle.cycles
+    assert run.moved_history == oracle.moved_history
+    assert run.metrics.total_messages == oracle.metrics.total_messages
+    for step, ref in zip(run.metrics.supersteps, oracle.metrics.supersteps):
+        assert step.phase == ref.phase
+        assert step.messages_local == ref.messages_local
+        assert step.messages_remote == ref.messages_remote
+        assert step.active_vertices == ref.active_vertices
+        assert np.array_equal(step.messages_per_worker, ref.messages_per_worker)
+        assert np.array_equal(step.ops_per_worker, ref.ops_per_worker)
+
+
+def _assert_same_bytes(run, same_kind_sim):
+    for step, ref in zip(run.metrics.supersteps, same_kind_sim.metrics.supersteps):
+        assert step.bytes_local == ref.bytes_local
+        assert step.bytes_remote == ref.bytes_remote
+        assert np.array_equal(
+            step.remote_bytes_per_worker, ref.remote_bytes_per_worker
+        )
+
+
+@pytest.mark.parametrize("weighting", ["unweighted", "query-weighted"])
+@pytest.mark.parametrize("combiner", [False, True])
+@pytest.mark.parametrize("mode", ["2", "k"])
+def test_columnar_matches_oracle(mode, combiner, weighting):
+    """The differential itself: production program vs oracle, both on sim."""
+    _assert_matches_oracle(
+        _sim("columnar", mode, weighting, combiner),
+        _sim("dict", mode, weighting, combiner),
+    )
 
 
 @pytest.mark.parametrize("backend", ["sim", "mp"])
@@ -76,81 +116,30 @@ def references(graphs):
 @pytest.mark.parametrize("mode", ["2", "k"])
 @pytest.mark.parametrize("weighting", ["unweighted", "query-weighted"])
 class TestVertexModeParity:
-    def test_cell_matches_reference(
-        self, graphs, references, backend, vertex_mode, mode, weighting
-    ):
+    def test_cell_matches_reference(self, backend, vertex_mode, mode, weighting):
         if (backend, vertex_mode) == ("sim", "dict"):
             pytest.skip("reference cell")
-        reference = references[(mode, weighting)]
-        run = _run(graphs[weighting], mode, backend, vertex_mode)
-
-        assert np.array_equal(run.assignment, reference.assignment)
-        assert run.supersteps == reference.supersteps
-        assert run.cycles == reference.cycles
-        assert run.moved_history == reference.moved_history
-
-        for step, ref in zip(run.metrics.supersteps, reference.metrics.supersteps):
-            assert step.phase == ref.phase
-            assert step.messages_local == ref.messages_local
-            assert step.messages_remote == ref.messages_remote
-            assert step.bytes_local == ref.bytes_local
-            assert step.bytes_remote == ref.bytes_remote
-            assert step.active_vertices == ref.active_vertices
-            assert np.array_equal(step.messages_per_worker, ref.messages_per_worker)
-            assert np.array_equal(
-                step.remote_bytes_per_worker, ref.remote_bytes_per_worker
-            )
-            assert np.array_equal(step.ops_per_worker, ref.ops_per_worker)
-
-
-def _run_combiner(graph, backend, vertex_mode, combiner):
-    job = DistributedSHP(
-        _config(),
-        cluster=ClusterSpec(num_workers=3),
-        mode="2",
-        backend=backend,
-        vertex_mode=vertex_mode,
-        combiner=combiner,
-    )
-    return job.run(graph)
-
-
-@pytest.fixture(scope="module")
-def combiner_references(graphs):
-    """sim/dict runs, one per combiner setting."""
-    graph = graphs["unweighted"]
-    return {c: _run_combiner(graph, "sim", "dict", c) for c in (False, True)}
+        run = _run(vertex_mode, backend, mode, weighting, False)
+        _assert_matches_oracle(run, _sim("dict", mode, weighting, False))
+        _assert_same_bytes(run, _sim(vertex_mode, mode, weighting, False))
 
 
 @pytest.mark.parametrize("backend", ["sim", "mp", "rpc"])
 @pytest.mark.parametrize("vertex_mode", ["dict", "columnar"])
 @pytest.mark.parametrize("combiner", [False, True])
 class TestCombinerBackendParity:
-    def test_cell_matches_reference(
-        self, graphs, combiner_references, backend, vertex_mode, combiner
-    ):
+    def test_cell_matches_reference(self, backend, vertex_mode, combiner):
         if (backend, vertex_mode) == ("sim", "dict"):
             pytest.skip("reference cell")
-        reference = combiner_references[combiner]
-        run = _run_combiner(graphs["unweighted"], backend, vertex_mode, combiner)
-
-        assert np.array_equal(run.assignment, reference.assignment)
-        assert run.supersteps == reference.supersteps
-        assert run.moved_history == reference.moved_history
-        for step, ref in zip(run.metrics.supersteps, reference.metrics.supersteps):
-            assert step.phase == ref.phase
-            assert step.messages_remote == ref.messages_remote
-            assert step.bytes_remote == ref.bytes_remote
-            assert step.active_vertices == ref.active_vertices
-            assert np.array_equal(
-                step.remote_bytes_per_worker, ref.remote_bytes_per_worker
-            )
+        run = _run(vertex_mode, backend, "2", "unweighted", combiner)
+        _assert_matches_oracle(run, _sim("dict", "2", "unweighted", combiner))
+        _assert_same_bytes(run, _sim(vertex_mode, "2", "unweighted", combiner))
 
 
-def test_combiner_is_transparent_and_saves_bytes(combiner_references):
+def test_combiner_is_transparent_and_saves_bytes():
     """Same assignment with and without combining, strictly fewer bytes."""
-    off = combiner_references[False]
-    on = combiner_references[True]
+    off = _sim("columnar", "2", "unweighted", False)
+    on = _sim("columnar", "2", "unweighted", True)
     assert np.array_equal(on.assignment, off.assignment)
     assert on.supersteps == off.supersteps
     assert on.metrics.total_messages < off.metrics.total_messages
