@@ -1,12 +1,12 @@
-"""Serving-layer throughput: batched vs loop traffic replay.
+"""Serving-layer throughput: batched traffic replay.
 
 The serving simulator's affordability rests on the batched replay planner:
 one flat gather + one sort + one vectorized lognormal pass for the whole
-trace, against the reference path's per-query Python loop.  This bench
-replays an identical Zipf trace (100k queries at full scale) through both
-paths on a Darwini-like friendship workload and reports replayed
-queries/sec, pinning the counters as bitwise-identical and the batch path
-at >= 20x the loop throughput (the ISSUE 2 acceptance bar).
+trace.  This bench replays a Zipf trace (100k queries at full scale) on a
+Darwini-like friendship workload and reports replayed queries/sec,
+asserting only that a repeated replay is bitwise-reproducible: its
+counters are pinned to a per-query oracle by ``tests/test_serving.py``, and
+with no slower path left there is no speedup floor.
 """
 
 from __future__ import annotations
@@ -33,42 +33,24 @@ def _throughput():
     assignment = shp_2(graph, NUM_SERVERS, seed=33).assignment
     model = LatencyModel(base_ms=1.0, sigma=1.0, size_ms_per_record=0.02)
 
-    timings = {}
-    results = {}
-    for method in ("loop", "batch"):
-        start = time.perf_counter()
-        results[method] = replay_traffic(
-            graph, assignment, NUM_SERVERS, trace, model, seed=34, method=method
-        )
-        timings[method] = time.perf_counter() - start
-
-    rows = [
-        {
-            "path": method,
-            "queries": num_queries,
-            "sec": round(timings[method], 3),
-            "queries/sec": int(num_queries / timings[method]),
-        }
-        for method in ("loop", "batch")
-    ]
-    speedup = timings["loop"] / timings["batch"]
-    return rows, speedup, results
+    start = time.perf_counter()
+    first = replay_traffic(graph, assignment, NUM_SERVERS, trace, model, seed=34)
+    elapsed = time.perf_counter() - start
+    again = replay_traffic(graph, assignment, NUM_SERVERS, trace, model, seed=34)
+    row = {
+        "queries": num_queries,
+        "sec": round(elapsed, 3),
+        "queries/sec": int(num_queries / elapsed),
+        "mean fanout": round(first.mean_fanout(), 3),
+    }
+    return row, first, again
 
 
 def test_serving_throughput(benchmark):
-    rows, speedup, results = benchmark.pedantic(_throughput, rounds=1, iterations=1)
-    text = format_table(
-        rows,
-        title=f"traffic replay throughput, batch = {speedup:.0f}x loop",
-    )
-    record("serving_throughput", text, data={"rows": rows, "speedup": speedup})
+    row, first, again = benchmark.pedantic(_throughput, rounds=1, iterations=1)
+    text = format_table([row], title="traffic replay throughput (batched planner)")
+    record("serving_throughput", text, data={"rows": [row]})
 
-    # Both paths must agree exactly on every counter the figures are built from.
-    loop, batch = results["loop"], results["batch"]
-    assert np.array_equal(loop.fanouts, batch.fanouts)
-    assert np.array_equal(loop.records, batch.records)
-    assert loop.requests_total == batch.requests_total
-    assert loop.records_total == batch.records_total
-    # Full scale: >= 20x (acceptance bar).  Smoke shrinks the trace 20x, so
-    # fixed overheads weigh more; still require a decisive win.
-    assert speedup >= (5.0 if smoke_mode() else 20.0)
+    assert first.requests_total == again.requests_total
+    assert np.array_equal(first.fanouts, again.fanouts)
+    assert np.array_equal(first.latencies, again.latencies)

@@ -1,28 +1,23 @@
-"""SHP-2 level execution: fused vs per-group loop.
+"""SHP-2 level execution: timing/fanout table and parallel refinement.
 
 The level-fused engine refines every bisection of a recursion level in one
 vectorized pass (composite (group, side) labels, cached gains, one grouped
-matcher invocation) instead of materializing one ``induced_subgraph`` and
-one refinement loop per group.  This bench partitions an identical
-Darwini-style workload (|D| = 2·10⁵ at full scale) with both
-``level_mode`` settings and reports wall-clock speedup and final-fanout
-parity at two iteration budgets:
+matcher invocation).  This bench partitions a Darwini-style workload
+(|D| = 2·10⁵ at full scale) and reports wall-clock and final fanout at two
+iteration budgets:
 
 * ``shallow`` — the paper's SHP-2 default of 20 iterations per bisection;
-  every iteration still moves a sizable fraction of vertices, so both
-  paths do comparable algorithmic work and the fused win comes from the
-  eliminated per-group subgraph copies and Python/scipy overheads.
+  every iteration still moves a sizable fraction of vertices.
 * ``converge`` — a 60-iteration budget (SHP-k's default), approximating
-  run-to-convergence.  The per-group loop recomputes full gains every
-  iteration, while the fused engine's dirty-neighborhood gain cache makes
-  late, low-movement iterations nearly free — this is where the ISSUE 3
-  acceptance bar (≥ 3× at k ≥ 64) is pinned.
+  run-to-convergence; the dirty-neighborhood gain cache makes late,
+  low-movement iterations nearly free.
 
-Fanout parity (≤ 1% difference) is asserted on every row; the RNG streams
-differ per mode (one per level vs one per group), so assignments agree
-statistically, not bitwise — see tests/test_level_fuse.py.
+Only the ε balance bound is asserted on these rows: agreement with the
+literal per-group recursion is a test-suite contract
+(``tests/test_level_fuse.py`` against ``tests/oracles/shp2_loop.py``), and
+with no slower path left there is no speedup floor.
 
-A second bench pits the serial fused path against shared-memory parallel
+A second bench pits the serial path against shared-memory parallel
 refinement (``refine_workers``, see repro.core.parallel_refine): here the
 contract is the strict one — assignments must be **bitwise identical** (the
 deterministic ascending-block merge), asserted at every scale including
@@ -42,11 +37,8 @@ from repro.bench import format_table, record
 from repro.hypergraph import darwini_bipartite
 from repro.objectives import average_fanout, imbalance
 
-#: (budget label, iterations per bisection, asserted minimum speedup at full
-#: scale for k >= SPEEDUP_K_FLOOR).
-BUDGETS = (("shallow", 20, 1.4), ("converge", 60, 3.0))
-SPEEDUP_K_FLOOR = 64
-FANOUT_TOLERANCE = 0.01
+#: (budget label, iterations per bisection).
+BUDGETS = (("shallow", 20), ("converge", 60))
 EPSILON = 0.05
 #: Asserted minimum parallel-over-serial speedup at 4 workers, full scale.
 PARALLEL_WORKERS = 4
@@ -59,35 +51,23 @@ def _run_levels():
     ks = (8,) if smoke_mode() else (16, 64, 128)
     graph = darwini_bipartite(num_users, avg_degree=12, clustering=0.4, seed=41)
     rows = []
-    for label, iterations, _ in BUDGETS:
+    for label, iterations in BUDGETS:
         for k in ks:
-            timings = {}
-            fanouts = {}
-            for mode in ("loop", "fused"):
-                start = time.perf_counter()
-                result = shp_2(
-                    graph, k, seed=42, epsilon=EPSILON, level_mode=mode,
-                    iterations_per_bisection=iterations,
-                )
-                timings[mode] = time.perf_counter() - start
-                fanouts[mode] = average_fanout(graph, result.assignment, k)
-                assert imbalance(result.assignment, k) <= EPSILON + 1e-9
-            speedup = timings["loop"] / timings["fused"]
-            delta = abs(fanouts["fused"] - fanouts["loop"]) / fanouts["loop"]
+            start = time.perf_counter()
+            result = shp_2(
+                graph, k, seed=42, epsilon=EPSILON,
+                iterations_per_bisection=iterations,
+            )
+            elapsed = time.perf_counter() - start
+            assert imbalance(result.assignment, k) <= EPSILON + 1e-9
             rows.append(
                 {
                     "budget": label,
                     "iters": iterations,
                     "k": k,
                     "|D|": graph.num_data,
-                    "loop sec": round(timings["loop"], 2),
-                    "fused sec": round(timings["fused"], 2),
-                    "speedup": round(speedup, 2),
-                    "loop fanout": round(fanouts["loop"], 4),
-                    "fused fanout": round(fanouts["fused"], 4),
-                    "delta %": round(100 * delta, 2),
-                    "_speedup": speedup,
-                    "_delta": delta,
+                    "sec": round(elapsed, 2),
+                    "fanout": round(average_fanout(graph, result.assignment, k), 4),
                 }
             )
     return rows
@@ -104,7 +84,7 @@ def _run_parallel():
         for workers in (1, PARALLEL_WORKERS):
             start = time.perf_counter()
             result = shp_2(
-                graph, k, seed=42, epsilon=EPSILON, level_mode="fused",
+                graph, k, seed=42, epsilon=EPSILON,
                 iterations_per_bisection=PARALLEL_ITERATIONS,
                 refine_workers=workers,
             )
@@ -139,7 +119,7 @@ def test_shp2_parallel_refinement(benchmark):
         "shp2_parallel_refine",
         format_table(
             display,
-            title="SHP-2 fused refinement: serial vs shared-memory parallel",
+            title="SHP-2 refinement: serial vs shared-memory parallel",
         ),
         data={"rows": display},
     )
@@ -169,7 +149,7 @@ def test_sanitizer_instrumentation_compiled_out():
     assert sanitizers.current() is None, "REPRO_SAN leaked into the bench env"
     before = sanitizers.probe_counts()
     off = shp_2(
-        graph, 8, seed=42, epsilon=EPSILON, level_mode="fused",
+        graph, 8, seed=42, epsilon=EPSILON,
         iterations_per_bisection=20, refine_workers=2,
     )
     assert sanitizers.probe_counts() == before, (
@@ -178,7 +158,7 @@ def test_sanitizer_instrumentation_compiled_out():
     )
     with sanitizers.sanitized(strict=True):
         on = shp_2(
-            graph, 8, seed=42, epsilon=EPSILON, level_mode="fused",
+            graph, 8, seed=42, epsilon=EPSILON,
             iterations_per_bisection=20, refine_workers=2,
         )
     advanced = sanitizers.probe_counts()["gain_dispatch"]
@@ -192,22 +172,8 @@ def test_sanitizer_instrumentation_compiled_out():
 
 def test_shp2_level_fusion(benchmark):
     rows = benchmark.pedantic(_run_levels, rounds=1, iterations=1)
-    display = [{k: v for k, v in row.items() if not k.startswith("_")} for row in rows]
     record(
         "shp2_levels",
-        format_table(display, title="SHP-2 level fusion: fused vs per-group loop"),
-        data={"rows": display},
+        format_table(rows, title="SHP-2 level fusion: time and fanout per budget"),
+        data={"rows": rows},
     )
-
-    # Quality parity holds at every scale and budget.
-    for row in rows:
-        assert row["_delta"] <= (0.25 if smoke_mode() else FANOUT_TOLERANCE)
-    if smoke_mode():
-        return  # tiny graphs: timings are all fixed overhead, not meaningful
-    for (label, _, floor) in BUDGETS:
-        for row in rows:
-            if row["budget"] == label and row["k"] >= SPEEDUP_K_FLOOR:
-                assert row["_speedup"] >= floor, (
-                    f"{label} budget at k={row['k']}: "
-                    f"{row['_speedup']:.2f}x < {floor}x"
-                )

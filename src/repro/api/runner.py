@@ -37,7 +37,7 @@ from ..core.persistence import save_assignment
 from ..hypergraph import BipartiteGraph, darwini_bipartite, load_dataset, load_graph
 from ..objectives import PartitionQuality, evaluate_partition
 from .registry import PARTITIONERS
-from .spec import JobSpec, SpecError
+from .spec import AlgorithmSpec, JobSpec, SpecError
 
 __all__ = [
     "run",
@@ -159,15 +159,32 @@ def _run_local(spec: JobSpec, graph: BipartiteGraph) -> Any:
         kwargs["p"] = alg.p
         if alg.objective != "pfanout":
             kwargs["objective"] = alg.objective
-    if "level_mode" in accepts:
-        kwargs["level_mode"] = alg.level_mode
     if "refine_workers" in accepts and spec.execution.refine_workers > 1:
         # Parallel level-fused refinement: an execution knob (it changes
         # where gains are computed, never the bits), so it rides on the
         # execution spec rather than algorithm options.
         kwargs["refine_workers"] = spec.execution.refine_workers
-    kwargs.update(alg.options)
+    kwargs.update(_shp_options(alg) if "p" in accepts else alg.options)
     return partitioner(graph, **kwargs)
+
+
+def _shp_options(alg: AlgorithmSpec) -> dict:
+    """``algorithm.options`` of an SHP-family entry, every key checked.
+
+    The options become :class:`~repro.core.config.SHPConfig` keyword
+    arguments; an unknown one is a spec error naming its dotted path, not
+    a ``TypeError`` from the dataclass constructor.
+    """
+    from ..core.config import SHPConfig
+
+    known = [f.name for f in dataclasses.fields(SHPConfig)]
+    for key in alg.options:
+        if key not in known:
+            raise SpecError(
+                f"algorithm.options.{key}: unknown SHP option for "
+                f"{alg.name!r}; known: {', '.join(known)}"
+            )
+    return alg.options
 
 
 def _run_engine(
@@ -194,7 +211,7 @@ def _run_engine(
         "seed": spec.seed,
         "swap_mode": "bernoulli",
     }
-    config_kwargs.update(alg.options)
+    config_kwargs.update(_shp_options(alg))
     config = SHPConfig(**config_kwargs)
     backend = execution.backend
     if backend == "rpc":

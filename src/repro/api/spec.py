@@ -62,7 +62,6 @@ __all__ = [
 
 GRAPH_SOURCES = ("file", "dataset", "darwini")
 JOB_KINDS = ("partition", "serving", "stream-refine")
-LEVEL_MODES = ("fused", "loop")
 #: Accepted for compatibility with specs that still write the key; it has
 #: one legal value and selects nothing (the engine runs one kind of program).
 VERTEX_MODES = ("columnar",)
@@ -182,10 +181,10 @@ class GraphSpec:
 class AlgorithmSpec:
     """Which partitioner to run and its quality knobs.
 
-    ``name`` is any :data:`~repro.api.registry.PARTITIONERS` entry.  ``p``,
-    ``objective``, and ``level_mode`` apply only to algorithms whose
-    registry metadata accepts them (the runner routes knobs by metadata, so
-    e.g. ``random`` ignores ``level_mode`` instead of crashing).
+    ``name`` is any :data:`~repro.api.registry.PARTITIONERS` entry.  ``p``
+    and ``objective`` apply only to algorithms whose registry metadata
+    accepts them (the runner routes knobs by metadata, so e.g. ``random``
+    ignores ``objective`` instead of crashing).
     ``options`` is a free-form table of extra keyword arguments forwarded
     verbatim to the partitioner / :class:`~repro.core.config.SHPConfig`
     (``matcher``, ``move_damping``, ``max_iterations``, ...).
@@ -196,7 +195,6 @@ class AlgorithmSpec:
     epsilon: float = 0.05
     p: float = 0.5
     objective: str = "pfanout"
-    level_mode: str = "fused"
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -206,7 +204,6 @@ class AlgorithmSpec:
         _check_type(self.epsilon, (int, float), f"{p}.epsilon")
         _check_type(self.p, (int, float), f"{p}.p")
         _check_registry(self.objective, OBJECTIVES, f"{p}.objective")
-        _check_choice(self.level_mode, LEVEL_MODES, f"{p}.level_mode")
         _check_type(self.options, Mapping, f"{p}.options")
         # k = 1 is degenerate but legal for the trivial baselines
         # (random/hash); SHP's own k >= 2 floor is enforced by SHPConfig.

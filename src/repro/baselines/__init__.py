@@ -76,9 +76,7 @@ def _shp_k(graph: BipartiteGraph, k: int, epsilon: float = 0.05, seed: int = 0, 
 
 
 @PARTITIONERS.register(
-    "shp-2",
-    accepts=("p", "objective", "level_mode", "refine_workers"),
-    engine_mode="2",
+    "shp-2", accepts=("p", "objective", "refine_workers"), engine_mode="2"
 )
 def _shp_2(graph: BipartiteGraph, k: int, epsilon: float = 0.05, seed: int = 0, **kw):
     return shp_2(graph, k, epsilon=epsilon, seed=seed, **kw)

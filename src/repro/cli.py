@@ -119,7 +119,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             p=args.p,
             objective=args.objective,
-            level_mode=args.level_mode,
         ),
         execution=ExecutionSpec(
             backend=args.backend,
@@ -201,7 +200,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     """Run several partitioners through the shared runner and rank by fanout.
 
-    Every algorithm knob (-p, --objective, --level-mode) is routed through
+    Every algorithm knob (-p, --objective) is routed through
     the same JobSpec path as ``partition``, so SHP variants honor them here
     too instead of silently running with defaults.
     """
@@ -215,7 +214,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             p=args.p,
             objective=args.objective,
-            level_mode=args.level_mode,
         ),
     ))
     # Load (and prune) once; run(graph=...) skips the per-spec file reload.
@@ -344,12 +342,6 @@ def _add_algorithm_knobs(parser: argparse.ArgumentParser) -> None:
         "--objective", default="pfanout", choices=OBJECTIVES.names(),
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--level-mode", default="fused", choices=["fused", "loop"],
-        help="SHP-2 recursion-level execution: 'fused' refines every "
-        "bisection of a level in one vectorized pass (default), 'loop' "
-        "runs the reference per-group subgraph path",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--refine-workers", type=int, default=1,
-        help="shared-memory gain workers for the local shp-2 fused "
-        "refinement (--backend local --level-mode fused); assignments "
-        "stay bitwise-identical to serial per seed (default: 1)",
+        help="shared-memory gain workers for the local shp-2 refinement "
+        "(--backend local); assignments stay bitwise-identical to serial "
+        "per seed (default: 1)",
     )
     p.add_argument(
         "--combiner", action="store_true",

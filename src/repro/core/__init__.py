@@ -1,7 +1,7 @@
 """SHP core: the paper's contribution (Algorithm 1 + Section 3.4 + Section 5)."""
 
 from .config import SHPConfig
-from .gains import best_moves, data_query_matrix, move_gains_dense, sibling_move_gains
+from .gains import best_moves, data_query_matrix, move_gains_dense
 from .histograms import GainBinning
 from .level_fuse import LevelGroup, refine_level_fused
 from .incremental import (
@@ -53,7 +53,6 @@ __all__ = [
     "best_moves",
     "move_gains_dense",
     "data_query_matrix",
-    "sibling_move_gains",
     "LevelGroup",
     "refine_level_fused",
     "random_assignment",

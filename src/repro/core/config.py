@@ -56,18 +56,6 @@ class SHPConfig:
     epsilon_schedule:
         Scale ε by (completed splits / total splits) during recursion so
         early levels stay near-perfectly balanced (Section 3.4).
-    level_mode:
-        How SHP-2 executes one recursion level:
-        ``"fused"`` (default) — refine every bucket-pair subproblem of the
-        level simultaneously on the full graph via composite (group, side)
-        virtual-bucket labels: one grouped counts pass, one sibling-gain
-        kernel, one matcher invocation — the in-process analogue of the
-        paper's single Giraph job per level (Sections 3.3–3.4);
-        ``"loop"`` — the reference path: one ``induced_subgraph`` copy and
-        one refinement loop per group, sequentially.  Both modes draw
-        identical initial sides per seed; matcher randomness then diverges,
-        so final assignments agree statistically (equal balance, fanout
-        parity) rather than bitwise.
     move_damping:
         Multiply all move probabilities by this factor (≤ 1).  The paper's
         scheme can oscillate on perfectly symmetric instances (every vertex
@@ -84,11 +72,11 @@ class SHPConfig:
         recording (``"full"`` adds average fanout per iteration; used by the
         Figure 7 benchmark).
     refine_workers:
-        Worker processes for the fused refiner's block-parallel gain
-        kernel (:mod:`repro.core.parallel_refine`).  ``1`` (default) stays
+        Worker processes for SHP-2's block-parallel gain kernel
+        (:mod:`repro.core.parallel_refine`).  ``1`` (default) stays
         in-process; higher values split gain computation across cores over
         shared memory while keeping assignments bitwise-identical per
-        seed — a pure elapsed-time knob.  Ignored by ``level_mode="loop"``.
+        seed — a pure elapsed-time knob.
     """
 
     k: int = 2
@@ -103,7 +91,6 @@ class SHPConfig:
     allow_negative_gains: bool = True
     use_final_pfanout: bool = True
     epsilon_schedule: bool = True
-    level_mode: str = "fused"
     move_damping: float = 1.0
     num_bins: int = 40
     min_gain: float = 1e-7
@@ -127,8 +114,6 @@ class SHPConfig:
         object.__setattr__(self, "matcher", MATCHERS.canonical(self.matcher))
         if self.swap_mode not in ("strict", "bernoulli"):
             raise ValueError("swap_mode must be 'strict' or 'bernoulli'")
-        if self.level_mode not in ("fused", "loop"):
-            raise ValueError("level_mode must be 'fused' or 'loop'")
         if not 0.0 < self.move_damping <= 1.0:
             raise ValueError("move_damping must be in (0, 1]")
         if self.track_metrics not in ("none", "objective", "full"):

@@ -2,10 +2,11 @@
 
 The paper's production variant runs *all* bucket-pair subproblems of a
 recursion level concurrently in a single Giraph job (Sections 3.3-3.4).
-The reference in-process path mirrors the recursion literally instead: one
-``induced_subgraph`` copy plus one refinement loop per group, which at
-``k = 128`` means 127 sequential subproblem setups, each scanning the full
-edge array to carve out its subgraph.
+Mirroring the recursion literally instead — one ``induced_subgraph`` copy
+plus one refinement loop per group — means 127 sequential subproblem
+setups at ``k = 128``, each scanning the full edge array to carve out its
+subgraph; that path lives on only as the test oracle
+(``tests/oracles/shp2_loop.py``).
 
 This module is the in-process analogue of the paper's level-synchronous
 plan.  Each vertex's state is a composite virtual-bucket label
@@ -19,14 +20,14 @@ counts pass, one gain kernel, and one matcher invocation per iteration:
   n_cur``, applying a move is one ``±1`` scatter, and memory is bounded by
   ``O(|E|)`` regardless of ``|Q| · G``.  All hot loops run in a
   group-sorted *rank space*, so each group touches only its own slot
-  range, keeping the working set cache-friendly the same way the
-  per-group path's small subgraph counts are.  The general dense layout
-  is available as :func:`~repro.objectives.evaluate.grouped_bucket_counts`.
+  range, keeping the working set cache-friendly the same way a per-group
+  subgraph's small counts matrix would be.  The general dense layout is
+  ``bucket_counts(graph, labels, 2G)``.
 * **gains** — every vertex may only move to the sibling column of its own
   pair, so the |D| × 2G gain matrix collapses to a scalar per vertex,
   computed from tabulated objective values
-  (:func:`~repro.core.gains.gain_tables`); the reference implementation of
-  this kernel is :func:`~repro.core.gains.sibling_move_gains`.  Gains are
+  (:func:`~repro.core.gains.gain_tables`); the readable dense-layout
+  reference of this kernel is ``tests/oracles/level_kernels.py``.  Gains are
   cached across iterations and recomputed only for vertices that share a
   query *and group* with a mover — a vertex's gain depends solely on its
   queries' counts in its own column pair.
@@ -44,13 +45,13 @@ tracking is maintained by exact per-slot *deltas* at each iteration's
 touched (query, group) slots, so tracking costs ``O(moved neighborhood)``
 per iteration instead of ``O(|Q| · L)``.
 
-Both modes draw identical initial sides per seed (the driver initializes
-before dispatching); the matcher RNG stream then diverges — one stream per
-level here versus one per group there — so assignments agree statistically
-(equal balance, fanout parity pinned by tests and the
-``bench_shp2_levels`` benchmark) rather than bitwise, except on levels
-with a single refinable group (k ≤ 3), where the streams coincide and the
-parity is exact.
+Against the per-group oracle, which draws identical initial sides per seed
+(the driver initializes before refining), the matcher RNG stream diverges —
+one stream per level here versus one per group there — so assignments
+agree statistically (equal balance, fanout parity pinned by
+``tests/test_level_fuse.py``) rather than bitwise, except on levels with a
+single refinable group (k ≤ 3), where the streams coincide and the parity
+is exact.
 """
 
 from __future__ import annotations
@@ -193,8 +194,7 @@ def refine_level_fused(
     Mutates each :class:`LevelGroup` in ``groups``, filling ``final_side``.
     Returns ``(per-iteration stats, converged)`` where ``converged`` means
     every refinable group's moved fraction dropped below the threshold
-    within the iteration budget — the same criterion the per-group loop
-    applies individually.
+    within the iteration budget.
 
     When ``pool`` is given (``refine_workers > 1``), the gain kernel runs
     block-parallel in the pool's worker processes over a shared-memory
@@ -206,8 +206,8 @@ def refine_level_fused(
     history: list[IterationStats] = []
     for group in groups:
         group.final_side = np.asarray(group.side, dtype=np.int32)
-    # Groups too small to refine keep their initial sides (the per-group
-    # path skips them the same way); they never enter the rank space.
+    # Groups too small to refine keep their initial sides; they never
+    # enter the rank space.
     refinable = [g for g in groups if g.data_ids.size > 2]
     if not refinable or graph.num_queries == 0:
         return history, True
@@ -327,14 +327,18 @@ def refine_level_fused(
     def pair_gains(ranks):
         """Sibling-move gain for the listed ranks (group-major gathers).
 
-        Layout-specialized twin of :func:`~repro.core.gains.sibling_move_gains`
-        (which the unit tests pin against the dense kernel): identical table
-        values and per-rank summation order, so the two agree exactly.  The
-        full-set fast path skips the position gather; subsets delegate to
-        the shared :func:`~repro.core.parallel_refine.block_pair_gains`
-        kernel the pool workers run, and per-rank values are bitwise-equal
-        on both paths (each rank's segment has identical contents either
-        way — pinned by ``test_parallel_refine``).
+        Layout-specialized twin of the dense-layout reference kernel in
+        ``tests/oracles/level_kernels.py``: identical table values per kept
+        edge.  ``test_fused_gains_match_reference`` pins the two — bitwise
+        for the unweighted current-level objective, to rounding (≤ 1e-12)
+        otherwise, because the reference also sums the pruned single-pin
+        edges, whose net contribution is a rounding-level non-zero rather
+        than an exact 0.0.  The full-set fast path skips the position
+        gather; subsets delegate to the shared
+        :func:`~repro.core.parallel_refine.block_pair_gains` kernel the
+        pool workers run, and per-rank values are bitwise-equal on both
+        paths (each rank's segment has identical contents either way —
+        pinned by ``test_parallel_refine``).
         """
         if ranks.size != n_ranks:
             return block_pair_gains(
@@ -497,9 +501,9 @@ def refine_level_fused(
             )
         )
 
-        # Per-group convergence, matching the per-group loop's early exit:
-        # a bisection whose own moved fraction drops below the threshold
-        # stops proposing (its vertices freeze at their current side).
+        # Per-group convergence: a bisection whose own moved fraction drops
+        # below the threshold stops proposing (its vertices freeze at their
+        # current side).
         moved_per_group = np.bincount(rank_group[moved_ranks], minlength=num_groups)
         settled = active & (moved_per_group / group_sizes < config.convergence_fraction)
         if settled.any():

@@ -1,4 +1,8 @@
-"""The local-refinement loop shared by SHP-k and SHP-2 (Algorithm 1).
+"""The local-refinement loop of SHP-k (Algorithm 1).
+
+SHP-2 runs the same iteration for every bisection of a level at once in
+:mod:`repro.core.level_fuse`, reusing the builders and the weighted-cap
+post-check defined here.
 
 One iteration:
 

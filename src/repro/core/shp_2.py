@@ -17,12 +17,9 @@ Section 3.4 refinements implemented here:
   ``s`` buckets splits into ``ceil(s/2)`` and ``floor(s/2)`` children with
   proportionally sized targets.
 
-Execution of one level is pluggable (``SHPConfig.level_mode``): the
-default ``"fused"`` mode refines every bucket-pair subproblem of the level
-simultaneously on the full graph (:mod:`repro.core.level_fuse` — the
-in-process analogue of the paper running a whole level as one Giraph job),
-while ``"loop"`` keeps the reference per-group path: one
-``induced_subgraph`` copy and one refinement loop per group.
+Every bisection of a recursion level is refined simultaneously on the
+full graph (:mod:`repro.core.level_fuse` — the in-process analogue of the
+paper running a whole level as one Giraph job).
 """
 
 from __future__ import annotations
@@ -35,8 +32,8 @@ import numpy as np
 from ..hypergraph.bipartite import BipartiteGraph
 from .config import SHPConfig
 from .level_fuse import LevelGroup, refine_level_fused
-from .partition import balanced_random_assignment, child_capacities, validate_assignment
-from .refinement import build_objective, refine
+from .parallel_refine import ParallelGainPool
+from .partition import balanced_random_assignment, validate_assignment
 from .result import IterationStats, PartitionResult
 
 __all__ = ["SHP2Partitioner", "shp_2"]
@@ -74,11 +71,6 @@ class SHP2Partitioner:
         if initial is not None:
             validate_assignment(initial, graph.num_data, k)
             initial = np.asarray(initial, dtype=np.int32)
-        data_weights = None if graph.data_weights is None else graph.weights_or_unit()
-        total_weight = (
-            float(graph.num_data) if data_weights is None else float(data_weights.sum())
-        )
-
         assignment = np.zeros(graph.num_data, dtype=np.int32)
         groups = [_Group(np.arange(graph.num_data, dtype=np.int64), 0, k)]
         levels: list[list[IterationStats]] = []
@@ -91,80 +83,59 @@ class SHP2Partitioner:
         # bitwise-identical to the serial path, so this is purely an
         # elapsed-time knob (see repro.core.parallel_refine).
         pool = None
-        if config.level_mode == "fused" and config.refine_workers > 1:
-            from .parallel_refine import ParallelGainPool
-
+        if config.refine_workers > 1:
             pool = ParallelGainPool(config.refine_workers)
         try:
-            return self._partition_levels(
-                graph, config, rng, k, initial, data_weights, total_weight,
-                assignment, groups, levels, all_converged, splits_done,
-                start, pool,
-            )
+            while any(g.span > 1 for g in groups):
+                # ε schedule: current splits after this level / final splits.
+                splits_after = sum(min(2, g.span) for g in groups)
+                if config.epsilon_schedule:
+                    eps_eff = config.epsilon * min(1.0, splits_after / k)
+                else:
+                    eps_eff = config.epsilon
+
+                # Phase 1 — initial sides, one group at a time in group order.
+                work: list[tuple[_Group, LevelGroup]] = []
+                for group in groups:
+                    if group.span == 1:
+                        continue
+                    left_span = (group.span + 1) // 2
+                    right_span = group.span - left_span
+                    side = self._initial_side(
+                        group, left_span, right_span, rng, initial
+                    )
+                    work.append(
+                        (group, LevelGroup(group.data_ids, side, left_span, right_span))
+                    )
+
+                # Phase 2 — refine the whole level.
+                level_stats, converged = self._refine_level(
+                    graph, [lg for _, lg in work], eps_eff, rng, pool
+                )
+                all_converged = all_converged and converged
+
+                # Phase 3 — split refined groups; settle span-1 groups.
+                next_groups: list[_Group] = []
+                for group in groups:
+                    if group.span == 1:
+                        assignment[group.data_ids] = group.offset
+                for group, level_group in work:
+                    side = level_group.final_side
+                    left_span = level_group.left_span
+                    left_ids = group.data_ids[side == 0]
+                    right_ids = group.data_ids[side == 1]
+                    next_groups.append(_Group(left_ids, group.offset, left_span))
+                    next_groups.append(
+                        _Group(
+                            right_ids, group.offset + left_span, level_group.right_span
+                        )
+                    )
+                groups = next_groups
+                splits_done = splits_after
+                levels.append(level_stats)
         finally:
             if pool is not None:
                 pool.close()
-
-    def _partition_levels(
-        self, graph, config, rng, k, initial, data_weights, total_weight,
-        assignment, groups, levels, all_converged, splits_done, start, pool,
-    ) -> PartitionResult:
-        while any(g.span > 1 for g in groups):
-            # ε schedule: current splits after this level / final splits.
-            splits_after = sum(min(2, g.span) if g.span > 1 else 1 for g in groups)
-            if config.epsilon_schedule:
-                eps_eff = config.epsilon * min(1.0, splits_after / k)
-            else:
-                eps_eff = config.epsilon
-
-            # Phase 1 — initial sides, one group at a time in group order.
-            # Both level modes consume identical RNG draws here, so a seed
-            # pins identical level-entry states regardless of level_mode.
-            work: list[tuple[_Group, LevelGroup]] = []
-            for group in groups:
-                if group.span == 1:
-                    continue
-                left_span = (group.span + 1) // 2
-                right_span = group.span - left_span
-                side = self._initial_side(group, left_span, right_span, rng, initial)
-                work.append(
-                    (group, LevelGroup(group.data_ids, side, left_span, right_span))
-                )
-
-            # Phase 2 — refine the whole level.
-            if config.level_mode == "fused":
-                level_stats, converged = refine_level_fused(
-                    graph, config, [lg for _, lg in work], eps_eff, rng, pool=pool
-                )
-                all_converged = all_converged and converged
-            else:
-                level_stats = []
-                for _, level_group in work:
-                    stats, converged = self._refine_group(
-                        graph, level_group, eps_eff, rng,
-                        total_weight=total_weight, data_weights=data_weights,
-                    )
-                    level_stats.extend(stats)
-                    all_converged = all_converged and converged
-
-            # Phase 3 — split refined groups; settle span-1 groups.
-            next_groups: list[_Group] = []
-            for group in groups:
-                if group.span == 1:
-                    assignment[group.data_ids] = group.offset
-            for group, level_group in work:
-                side = level_group.final_side
-                left_span = level_group.left_span
-                right_span = level_group.right_span
-                left_ids = group.data_ids[side == 0]
-                right_ids = group.data_ids[side == 1]
-                next_groups.append(_Group(left_ids, group.offset, left_span))
-                next_groups.append(
-                    _Group(right_ids, group.offset + left_span, right_span)
-                )
-            groups = [g for g in next_groups if g.span >= 1]
-            splits_done = splits_after
-            levels.append(level_stats)
 
         for group in groups:
             assignment[group.data_ids] = group.offset
@@ -178,11 +149,25 @@ class SHP2Partitioner:
             elapsed_sec=time.perf_counter() - start,
             history=history,
             levels=levels,
-            extra={
-                "num_levels": len(levels),
-                "splits_done": splits_done,
-                "level_mode": config.level_mode,
-            },
+            extra={"num_levels": len(levels), "splits_done": splits_done},
+        )
+
+    def _refine_level(
+        self,
+        graph: BipartiteGraph,
+        level_groups: list[LevelGroup],
+        eps_eff: float,
+        rng: np.random.Generator,
+        pool: ParallelGainPool | None,
+    ) -> tuple[list[IterationStats], bool]:
+        """Refine one recursion level in place; ``(stats, converged)``.
+
+        Fills every group's ``final_side``.  A method so the test oracle
+        (``tests/oracles/shp2_loop.py``) can run the literal per-group
+        recursion under the same driver.
+        """
+        return refine_level_fused(
+            graph, self.config, level_groups, eps_eff, rng, pool=pool
         )
 
     # ------------------------------------------------------------------
@@ -211,59 +196,6 @@ class SHP2Partitioner:
                 )
             return side
         return balanced_random_assignment(n_group, 2, rng, proportions=proportions)
-
-    # ------------------------------------------------------------------
-    def _refine_group(
-        self,
-        graph: BipartiteGraph,
-        level_group: LevelGroup,
-        eps_eff: float,
-        rng: np.random.Generator,
-        total_weight: float,
-        data_weights: np.ndarray | None,
-    ) -> tuple[list[IterationStats], bool]:
-        """Reference per-group path: refine one bisection on its subgraph.
-
-        Fills ``level_group.final_side``; returns ``(stats, converged)``.
-        """
-        config = self.config
-        ids = level_group.data_ids
-        side = np.asarray(level_group.side, dtype=np.int32)
-        level_group.final_side = side
-        if ids.size <= 2:
-            return [], True
-
-        subgraph, _ = graph.induced_subgraph(ids)
-        spans = np.array(
-            [level_group.left_span, level_group.right_span], dtype=np.float64
-        )
-        splits = spans if config.use_final_pfanout else None
-        objective = build_objective(config, splits_ahead=splits)
-        if data_weights is None:
-            group_total: float = float(ids.size)
-            granularity = None
-        else:
-            w_group = data_weights[ids]
-            group_total = float(w_group.sum())
-            granularity = float(w_group.max())
-        caps = child_capacities(
-            spans, eps_eff, total_weight / config.k, group_total,
-            granularity=granularity,
-        )
-        if data_weights is None:
-            caps = caps.astype(np.int64)
-        outcome = refine(
-            subgraph,
-            side,
-            2,
-            objective,
-            config,
-            caps,
-            rng,
-            config.iterations_per_bisection,
-        )
-        level_group.final_side = outcome.assignment
-        return outcome.history, outcome.converged
 
 
 def shp_2(graph: BipartiteGraph, k: int, **kwargs) -> PartitionResult:

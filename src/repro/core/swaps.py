@@ -496,7 +496,7 @@ class HistogramMatcher:
         keys.  Cell ordering matches :meth:`decide` (source-major, then
         bin), so on a level holding a single bucket pair the RNG stream and
         therefore the selection are bitwise identical — the property the
-        k ≤ 3 fused-vs-loop parity tests pin.
+        k ≤ 3 fused-vs-oracle parity tests pin.
         """
         n = src.size
         move = np.zeros(n, dtype=bool)

@@ -23,7 +23,6 @@ from .engine import (
     GiraphEngine,
     JobResult,
     MasterProgram,
-    counter_random,
     counter_random_array,
 )
 from .messages import Combiner, MessageBatch, MessageSchema, SumCombiner
@@ -65,7 +64,6 @@ __all__ = [
     "BatchContext",
     "BatchVertexProgram",
     "MasterProgram",
-    "counter_random",
     "counter_random_array",
     "Combiner",
     "SumCombiner",

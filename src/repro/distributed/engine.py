@@ -58,7 +58,6 @@ __all__ = [
     "MasterProgram",
     "GiraphEngine",
     "JobResult",
-    "counter_random",
     "counter_random_array",
 ]
 
@@ -124,35 +123,16 @@ _MIX2 = 0x94D049BB133111EB
 _INV_2_64 = 1.0 / float(1 << 64)
 
 
-def counter_random(seed: int, superstep: int, vid: int, draw: int) -> float:
-    """Uniform draw in [0, 1) from a splitmix64-style hash of the key.
-
-    A pure function of ``(seed, superstep, vid, draw)``: the same vertex
-    gets the same stream no matter which worker runs it or in what order —
-    the property that makes simulated and multiprocess runs bit-identical.
-    The scalar reference for :func:`counter_random_array`.
-    """
-    x = (
-        seed * _GOLDEN
-        + (superstep + 1) * _MIX1
-        + (vid + 1) * _MIX2
-        + (draw + 1) * 0xD6E8FEB86659FD93
-    ) & _MASK64
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK64
-    x ^= x >> 31
-    return x * _INV_2_64
-
-
 def counter_random_array(
     seed: int, superstep: int, vids: np.ndarray, draw: int = 0
 ) -> np.ndarray:
-    """Vectorized :func:`counter_random` over an array of vertex ids.
+    """Uniform draws in [0, 1) from a splitmix64-style hash of the key.
 
-    Bit-identical to the scalar version (uint64 wraparound equals the
-    explicit mod-2^64 masking).
+    A pure function of ``(seed, superstep, vid, draw)`` per element: the
+    same vertex gets the same stream no matter which worker runs it or in
+    what order — the property that makes the backends bit-identical.
+    (uint64 wraparound is the mod-2^64 arithmetic of the scalar reference
+    in ``tests/oracles/per_vertex.py``, which ``test_engine`` pins this to.)
     """
     vids = np.asarray(vids)
     base = (

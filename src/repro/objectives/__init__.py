@@ -13,11 +13,9 @@ from .evaluate import (
     bucket_counts,
     compact_cell_sums,
     evaluate_partition,
-    grouped_bucket_counts,
     hyperedge_cut,
     imbalance,
     soed,
-    update_bucket_counts,
     weighted_edge_cut,
 )
 from .pfanout import FanoutObjective, PFanoutObjective, ScaledPFanout
@@ -30,9 +28,7 @@ __all__ = [
     "CliqueNetObjective",
     "get_objective",
     "bucket_counts",
-    "grouped_bucket_counts",
     "compact_cell_sums",
-    "update_bucket_counts",
     "objective_value",
     "average_fanout",
     "average_pfanout",

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hypergraph.bipartite import BipartiteGraph, GraphValidationError, csr_row_positions
+from ..hypergraph.bipartite import BipartiteGraph, GraphValidationError
 
 __all__ = [
     "bucket_counts",
-    "grouped_bucket_counts",
     "compact_cell_sums",
-    "update_bucket_counts",
     "objective_value",
     "average_fanout",
     "average_pfanout",
@@ -43,24 +41,6 @@ def bucket_counts(graph: BipartiteGraph, assignment: np.ndarray, k: int) -> np.n
     key = graph.q_of_edge * np.int64(k) + assignment[graph.q_indices].astype(np.int64)
     flat = np.bincount(key, minlength=graph.num_queries * k)
     return flat.reshape(graph.num_queries, k).astype(np.int32)
-
-
-def grouped_bucket_counts(
-    graph: BipartiteGraph, labels: np.ndarray, num_labels: int
-) -> np.ndarray:
-    """|Q| × L neighbor counts over an arbitrary *virtual-bucket* labeling.
-
-    The reference layout for level-fused SHP-2: encoding each vertex's state
-    as a composite ``2 · group + side`` label makes a single call produce
-    the ``n_i(q)`` statistics for every bucket-pair subproblem of a
-    recursion level at once — the grouped analogue of superstep 1.  Labels
-    must lie in ``[0, num_labels)``; the result column of label ``ℓ`` counts
-    each query's neighbors currently carrying ``ℓ``.  The production engine
-    (:mod:`repro.core.level_fuse`) uses an equivalent pair-compact
-    specialization of this matrix whose memory is bounded by the occupied
-    (query, group) slots; the parity tests pin the two against each other.
-    """
-    return bucket_counts(graph, labels, num_labels)
 
 
 def compact_cell_sums(
@@ -91,56 +71,6 @@ def compact_cell_sums(
     compact = np.cumsum(first) - 1
     sums = np.bincount(compact, weights=weights[order])
     return sorted_cells[first].astype(np.int64), sums
-
-
-def update_bucket_counts(
-    counts: np.ndarray,
-    graph: BipartiteGraph,
-    moved_ids: np.ndarray,
-    old_labels: np.ndarray,
-    new_labels: np.ndarray,
-    edge_indptr: np.ndarray | None = None,
-    edge_queries: np.ndarray | None = None,
-    return_queries: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """In-place incremental maintenance of a (grouped) counts matrix.
-
-    After moving ``moved_ids[i]`` from ``old_labels[i]`` to ``new_labels[i]``,
-    every incident query's count shifts one unit between the two columns.
-    Scattering only the moved vertices' edges costs ``O(Σ deg(moved))``
-    instead of the full ``O(|E|)`` rebuild.  This is the reference count
-    maintenance for the :func:`grouped_bucket_counts` layout; the fused
-    engine applies the same rule to its pair-compact specialization.
-
-    ``edge_indptr``/``edge_queries`` optionally substitute a pruned data→query
-    CSR (see :func:`~repro.core.gains.sibling_move_gains`): entries of pruned
-    queries then go stale in a way no reader observes — a pruned query has a
-    single pin in the pair, both of whose columns are only read through
-    pruned edges, and its per-query column *sum* (what level tracking reads)
-    is side-invariant.
-
-    With ``return_queries=True`` additionally returns the sorted unique
-    query ids whose counts changed — the dirty set a caller can use to
-    invalidate cached gains.
-    """
-    moved_ids = np.asarray(moved_ids, dtype=np.int64)
-    empty_q = np.empty(0, dtype=np.int64)
-    if moved_ids.size == 0:
-        return (counts, empty_q) if return_queries else counts
-    if edge_indptr is None:
-        edge_indptr = graph.d_indptr
-        edge_queries = graph.d_indices
-    positions, degrees = csr_row_positions(edge_indptr, moved_ids)
-    if positions.size == 0:
-        return (counts, empty_q) if return_queries else counts
-    q_edge = edge_queries[positions]
-    np.subtract.at(counts, (q_edge, np.repeat(old_labels, degrees)), 1)
-    np.add.at(counts, (q_edge, np.repeat(new_labels, degrees)), 1)
-    if return_queries:
-        touched = np.zeros(graph.num_queries, dtype=bool)
-        touched[q_edge] = True
-        return counts, np.flatnonzero(touched)
-    return counts
 
 
 def _weighted_row_mean(per_query: np.ndarray, graph: BipartiteGraph) -> float:

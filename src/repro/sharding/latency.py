@@ -38,14 +38,6 @@ class LatencyModel:
         tail = rng.lognormal(mean=mu, sigma=self.sigma, size=records.shape)
         return self.base_ms * tail + self.size_ms_per_record * records
 
-    def multiget(
-        self, rng: np.random.Generator, records_per_server: np.ndarray
-    ) -> float:
-        """Latency of one multi-get: the slowest of its parallel requests."""
-        if records_per_server.size == 0:
-            return 0.0
-        return float(self.draw(rng, records_per_server).max())
-
     def multiget_batch(
         self,
         rng: np.random.Generator,
@@ -57,8 +49,7 @@ class LatencyModel:
         ``records_per_request`` concatenates every query's per-server record
         counts; ``request_starts[i]`` is the offset of query ``i``'s first
         request (segments contiguous and non-empty).  Returns one latency
-        per query — the max over its parallel per-request draws — matching
-        :meth:`multiget` in distribution while drawing all requests at once.
+        per query: the slowest of its parallel per-request draws.
         """
         if request_starts.size == 0:
             return np.zeros(0, dtype=np.float64)

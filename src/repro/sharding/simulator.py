@@ -7,23 +7,18 @@ latency.  Aggregations by fanout produce the percentile-vs-fanout curves;
 summary statistics give the random-vs-SHP sharding comparison ("2x lower
 average latency", §4.2.1).
 
-Two execution paths share one contract:
-
-* ``method="batch"`` (default) — the vectorized planner: gather every
-  sampled query's neighbor list into one flat (query, server) array, group
-  it with a single sort + segmented reduction
-  (:meth:`ShardedKVStore.plan_multiget_batch`), and draw all per-request
-  latencies in one lognormal pass (:meth:`LatencyModel.multiget_batch`).
-* ``method="loop"`` — the reference implementation, one query at a time.
-
-Both produce bitwise-identical fanout / request / record counters (pinned
-by ``tests/test_serving.py``); only the latency *draws* differ (same
-distribution, different RNG consumption order).
+The replay is one vectorized pass over the whole trace: gather every
+sampled query's neighbor list into one flat (query, server) array, group it
+with a single sort + segmented reduction
+(:meth:`ShardedKVStore.plan_multiget_batch`), and draw all per-request
+latencies in one lognormal pass (:meth:`LatencyModel.multiget_batch`).
+``tests/test_serving.py`` pins its fanout / request / record counters
+bitwise to a per-query oracle (``tests/oracles/replay_loop.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,16 +26,7 @@ from ..hypergraph.bipartite import BipartiteGraph
 from .latency import LatencyModel
 from .store import ShardedKVStore
 
-__all__ = ["QuerySample", "ReplayResult", "replay_traffic", "latency_by_fanout"]
-
-
-@dataclass(frozen=True)
-class QuerySample:
-    """One multi-get observation (row view into a :class:`ReplayResult`)."""
-
-    fanout: int
-    latency_ms: float
-    num_records: int
+__all__ = ["ReplayResult", "replay_traffic", "latency_by_fanout"]
 
 
 class ReplayResult:
@@ -48,53 +34,25 @@ class ReplayResult:
 
     Struct-of-arrays: ``fanouts`` / ``latencies`` / ``records`` are parallel
     arrays with one entry per replayed (non-empty) query, in trace order.
-    The ``samples`` property materializes the legacy row-oriented view.
     """
 
     def __init__(
         self,
-        fanouts: np.ndarray | None = None,
-        latencies: np.ndarray | None = None,
-        records: np.ndarray | None = None,
+        fanouts: np.ndarray | Sequence[int] = (),
+        latencies: np.ndarray | Sequence[float] = (),
+        records: np.ndarray | Sequence[int] = (),
         requests_total: int = 0,
         records_total: int = 0,
     ):
-        self.fanouts = (
-            np.asarray(fanouts, dtype=np.int64)
-            if fanouts is not None
-            else np.empty(0, dtype=np.int64)
-        )
-        self.latencies = (
-            np.asarray(latencies, dtype=np.float64)
-            if latencies is not None
-            else np.empty(0, dtype=np.float64)
-        )
-        self.records = (
-            np.asarray(records, dtype=np.int64)
-            if records is not None
-            else np.empty(0, dtype=np.int64)
-        )
+        self.fanouts = np.asarray(fanouts, dtype=np.int64)
+        self.latencies = np.asarray(latencies, dtype=np.float64)
+        self.records = np.asarray(records, dtype=np.int64)
         self.requests_total = requests_total
         self.records_total = records_total
 
     @property
     def num_samples(self) -> int:
         return int(self.fanouts.size)
-
-    @property
-    def samples(self) -> tuple[QuerySample, ...]:
-        # A tuple, not a list: the arrays are the source of truth, so
-        # mutating this materialized view (e.g. .append) must fail loudly.
-        return tuple(
-            QuerySample(fanout=int(f), latency_ms=float(lat), num_records=int(r))
-            for f, lat, r in zip(self.fanouts, self.latencies, self.records)
-        )
-
-    @samples.setter
-    def samples(self, values: list[QuerySample]) -> None:
-        self.fanouts = np.array([s.fanout for s in values], dtype=np.int64)
-        self.latencies = np.array([s.latency_ms for s in values], dtype=np.float64)
-        self.records = np.array([s.num_records for s in values], dtype=np.int64)
 
     def mean_fanout(self) -> float:
         return float(self.fanouts.mean()) if self.fanouts.size else 0.0
@@ -127,36 +85,32 @@ def replay_traffic(
     query_ids: np.ndarray,
     latency_model: LatencyModel | None = None,
     seed: int = 0,
-    method: str = "batch",
 ) -> ReplayResult:
     """Replay ``query_ids`` as multi-gets against the sharded store.
 
-    ``method="batch"`` runs the vectorized planner (default);
-    ``method="loop"`` runs the per-query reference path.  Counters and
-    per-sample fanout/record arrays are identical between the two.
+    Raises ``ValueError`` naming the offending value when a query id is
+    outside ``[0, num_queries)`` (a negative id would otherwise wrap around
+    and replay a different query) or ``assignment`` does not have one entry
+    per data record.
     """
+    queries = np.asarray(query_ids, dtype=np.int64)
+    if len(assignment) != graph.num_data:
+        raise ValueError(
+            f"assignment has {len(assignment)} entries, expected "
+            f"num_data = {graph.num_data}"
+        )
+    bad = queries[(queries < 0) | (queries >= graph.num_queries)]
+    if bad.size:
+        raise ValueError(
+            f"query id {int(bad[0])} is outside [0, {graph.num_queries})"
+        )
     model = latency_model or LatencyModel()
     rng = np.random.default_rng(seed)
     store = ShardedKVStore(num_servers=num_servers, assignment=assignment)
-    queries = np.asarray(query_ids, dtype=np.int64)
-    if method == "batch":
-        return _replay_batch(graph, store, queries, model, rng)
-    if method == "loop":
-        return _replay_loop(graph, store, queries, model, rng)
-    raise ValueError("method must be 'batch' or 'loop'")
-
-
-def _replay_batch(
-    graph: BipartiteGraph,
-    store: ShardedKVStore,
-    query_ids: np.ndarray,
-    model: LatencyModel,
-    rng: np.random.Generator,
-) -> ReplayResult:
-    """One flat gather + one sort + one lognormal pass for the whole trace."""
-    degrees = graph.q_indptr[query_ids + 1] - graph.q_indptr[query_ids]
-    keep = degrees > 0  # empty queries produce no requests (loop path skips them)
-    queries = query_ids[keep]
+    # One flat gather + one sort + one lognormal pass for the whole trace.
+    degrees = graph.q_indptr[queries + 1] - graph.q_indptr[queries]
+    keep = degrees > 0  # empty queries produce no requests
+    queries = queries[keep]
     degrees = degrees[keep].astype(np.int64)
     num_queries = int(queries.size)
     if num_queries == 0:
@@ -182,34 +136,6 @@ def _replay_batch(
         fanouts=fanouts,
         latencies=latencies,
         records=degrees,
-        requests_total=int(store.requests_per_server.sum()),
-        records_total=int(store.records_per_server.sum()),
-    )
-
-
-def _replay_loop(
-    graph: BipartiteGraph,
-    store: ShardedKVStore,
-    query_ids: np.ndarray,
-    model: LatencyModel,
-    rng: np.random.Generator,
-) -> ReplayResult:
-    """Reference path: one query at a time (kept for parity testing)."""
-    fanouts: list[int] = []
-    latencies: list[float] = []
-    records: list[int] = []
-    for q in query_ids.tolist():
-        keys = graph.query_neighbors(q)
-        if keys.size == 0:
-            continue
-        _, counts = store.plan_multiget(keys)
-        fanouts.append(int(counts.size))
-        latencies.append(model.multiget(rng, counts))
-        records.append(int(keys.size))
-    return ReplayResult(
-        fanouts=np.array(fanouts, dtype=np.int64),
-        latencies=np.array(latencies, dtype=np.float64),
-        records=np.array(records, dtype=np.int64),
         requests_total=int(store.requests_per_server.sum()),
         records_total=int(store.records_per_server.sum()),
     )

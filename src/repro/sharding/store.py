@@ -45,18 +45,6 @@ class ShardedKVStore:
     def server_of(self, keys: np.ndarray) -> np.ndarray:
         return self.assignment[np.asarray(keys, dtype=np.int64)]
 
-    def plan_multiget(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Group a multi-get: returns (servers_hit, records_per_server).
-
-        Also advances the per-server load counters (one request per server
-        hit, plus the record counts), modeling the storage tier's work.
-        """
-        servers = self.server_of(keys)
-        hit, counts = np.unique(servers, return_counts=True)
-        self.requests_per_server[hit] += 1
-        self.records_per_server[hit] += counts
-        return hit, counts
-
     def plan_multiget_batch(
         self, keys: np.ndarray, query_of_key: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -66,8 +54,9 @@ class ShardedKVStore:
         each entry to its query slot.  One sort + segmented reduction yields
         the per-(slot, server) requests: returns ``(req_query, req_server,
         req_records)`` arrays, one entry per request, grouped by query slot
-        with servers ascending inside a slot.  Advances the per-server load
-        counters exactly as the equivalent :meth:`plan_multiget` loop would.
+        with servers ascending inside a slot.  Also advances the per-server
+        load counters (one request per (slot, server) hit, plus the record
+        counts), modeling the storage tier's work.
         """
         servers = self.server_of(keys)
         query_of_key = np.asarray(query_of_key, dtype=np.int64)

@@ -5,7 +5,8 @@ The engine executes one kind of program — a columnar
 wraps any ``compute(ctx, vid, state, messages)`` program into one: the
 partition is a ``{vid: state dict}``, messages travel in a
 :class:`~repro.distributed.MessageBatch` with one object column, and
-``ctx.random()`` is the scalar :func:`~repro.distributed.counter_random`.
+``ctx.random()`` is the scalar :func:`counter_random` below — the reference
+:func:`repro.distributed.counter_random_array` must reproduce bit for bit.
 Message *counts*, ops and activity are metered exactly as a per-vertex
 engine would; message *bytes* are a flat 8 per message (the object
 pointer) — byte meters are pinned by the columnar programs only.
@@ -18,9 +19,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.distributed import Combiner, MessageBatch, MessageSchema, counter_random
+from repro.distributed import Combiner, MessageBatch, MessageSchema
 
 OBJECT_SCHEMA = MessageSchema("per-vertex-object", fields=(("payload", "O"),))
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_INV_2_64 = 1.0 / float(1 << 64)
+
+
+def counter_random(seed: int, superstep: int, vid: int, draw: int) -> float:
+    """Uniform draw in [0, 1) from a splitmix64-style hash of the key.
+
+    A pure function of ``(seed, superstep, vid, draw)``: the same vertex
+    gets the same stream no matter which worker runs it or in what order.
+    The scalar reference for ``counter_random_array`` (moved out of
+    ``repro.distributed.engine`` in PR 14 with its own copy of the
+    constants, so a typo in either side shows up as a mismatch).
+    """
+    x = (
+        seed * _GOLDEN
+        + (superstep + 1) * _MIX1
+        + (vid + 1) * _MIX2
+        + (draw + 1) * 0xD6E8FEB86659FD93
+    ) & _MASK64
+    x ^= x >> 30
+    x = (x * _MIX1) & _MASK64
+    x ^= x >> 27
+    x = (x * _MIX2) & _MASK64
+    x ^= x >> 31
+    return x * _INV_2_64
 
 
 def sizeof_payload(payload: object) -> int:

@@ -37,19 +37,6 @@ class TestPartitionCommand:
         assert rc == 0
         assert algorithm in capsys.readouterr().out
 
-    @pytest.mark.parametrize("level_mode", ["fused", "loop"])
-    def test_level_mode_flag(self, graph_file, tmp_path, level_mode):
-        path, graph = graph_file
-        out = tmp_path / f"assign-{level_mode}.txt"
-        rc = main([
-            "partition", str(path), "-k", "8", "--seed", "1",
-            "--level-mode", level_mode, "-o", str(out),
-        ])
-        assert rc == 0
-        assignment = np.loadtxt(out, dtype=np.int64)
-        assert assignment.size == graph.num_data
-        assert np.unique(assignment).size == 8
-
     def test_objective_flag(self, graph_file, capsys):
         path, _ = graph_file
         rc = main(["partition", str(path), "-k", "4", "--objective", "cliquenet"])
@@ -203,6 +190,17 @@ class TestRunCommand:
         path, _ = graph_file
         spec_path = self._write_spec(tmp_path, path, algorithm={"name": "nope", "k": 4})
         with pytest.raises(SystemExit, match="unknown partitioner"):
+            main(["run", str(spec_path)])
+
+    def test_run_unknown_shp_option_exits(self, graph_file, tmp_path):
+        # Where a spec that moved the removed `level_mode` into options
+        # lands: a one-line error naming the key, not a TypeError traceback.
+        path, _ = graph_file
+        spec_path = self._write_spec(
+            tmp_path, path,
+            algorithm={"name": "shp-2", "k": 4, "options": {"level_mode": "loop"}},
+        )
+        with pytest.raises(SystemExit, match=r"algorithm\.options\.level_mode: unknown"):
             main(["run", str(spec_path)])
 
     def test_run_missing_file_exits(self, tmp_path):

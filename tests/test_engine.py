@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles.per_vertex import run_per_vertex, sizeof_payload
+from oracles.per_vertex import counter_random, run_per_vertex, sizeof_payload
 from repro.distributed import (
     ClusterSpec,
     CostModel,
@@ -13,7 +13,6 @@ from repro.distributed import (
     MessageBatch,
     MessageSchema,
     SumCombiner,
-    counter_random,
     counter_random_array,
 )
 

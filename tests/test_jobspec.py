@@ -70,14 +70,13 @@ class TestRoundTrip:
         epsilon=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
         p=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
         objective=st.sampled_from(OBJECTIVES.names()),
-        level_mode=st.sampled_from(["fused", "loop"]),
         backend=st.sampled_from(["local", *BACKENDS.names()]),
         workers=st.integers(min_value=1, max_value=8),
         source=st.sampled_from(["dataset", "darwini"]),
     )
     def test_round_trip_property(
-        self, kind, seed, name, k, epsilon, p, objective, level_mode,
-        backend, workers, source,
+        self, kind, seed, name, k, epsilon, p, objective, backend, workers,
+        source,
     ):
         """from_dict(to_dict(s)) == s over the whole enum/range grid."""
         spec = JobSpec(
@@ -85,8 +84,7 @@ class TestRoundTrip:
             seed=seed,
             graph=GraphSpec(source=source, dataset="email-Enron", scale=0.01),
             algorithm=AlgorithmSpec(
-                name=name, k=k, epsilon=epsilon, p=p,
-                objective=objective, level_mode=level_mode,
+                name=name, k=k, epsilon=epsilon, p=p, objective=objective,
             ),
             execution=ExecutionSpec(backend=backend, workers=workers),
         )
@@ -116,6 +114,8 @@ class TestValidationErrors:
             ({"graph": {"source": "url", "path": "x"}}, "graph.source"),
             ({"algorithm": {"name": "nope"}}, "algorithm.name"),
             ({"algorithm": {"objective": "nope"}}, "algorithm.objective"),
+            # A retired key, not an enum any more: strict validation still
+            # names it (see test_level_mode_is_an_unknown_key).
             ({"algorithm": {"level_mode": "nope"}}, "algorithm.level_mode"),
             ({"execution": {"backend": "smoke-signal"}}, "execution.backend"),
             ({"execution": {"vertex_mode": "nope"}}, "execution.vertex_mode"),
@@ -134,6 +134,30 @@ class TestValidationErrors:
         assert spec.execution.vertex_mode == "columnar"
         with pytest.raises(SpecError, match=r"execution\.vertex_mode.*tests/oracles"):
             JobSpec.from_dict({"execution": {"vertex_mode": "dict"}})
+
+    def test_level_mode_is_an_unknown_key(self):
+        """`algorithm.level_mode` left with the loop mode (PR 14); unlike
+        `vertex_mode` it is not kept as a compatibility key."""
+        with pytest.raises(SpecError, match=r"unknown key 'algorithm\.level_mode'"):
+            JobSpec.from_dict({"algorithm": {"level_mode": "fused"}})
+
+    @pytest.mark.parametrize("backend", ["local", "sim"])
+    def test_unknown_shp_option_names_dotted_path(self, backend):
+        """An `algorithm.options` key SHPConfig does not have is a SpecError
+        at run time on both the local and the engine path (it used to be a
+        TypeError from the dataclass constructor)."""
+        from repro.api import run
+        from repro.hypergraph import community_bipartite
+
+        spec = JobSpec(
+            algorithm=AlgorithmSpec(name="shp-2", k=4, options={"bogus": 1}),
+            execution=ExecutionSpec(backend=backend, workers=2),
+        )
+        graph = community_bipartite(120, 160, 1100, num_communities=6, seed=9)
+        with pytest.raises(
+            SpecError, match=r"algorithm\.options\.bogus: unknown SHP option.*known:.*seed"
+        ):
+            run(spec, graph=graph)
 
     @pytest.mark.parametrize(
         "data, dotted_path",

@@ -71,11 +71,8 @@ class TestParallelParityGrid:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_bitwise_parity(self, workers, k, weighted):
         graph = random_bipartite(self.SEED + k, weighted=weighted)
-        serial = shp_2(graph, k, seed=self.SEED, level_mode="fused")
-        parallel = shp_2(
-            graph, k, seed=self.SEED, level_mode="fused",
-            refine_workers=workers,
-        )
+        serial = shp_2(graph, k, seed=self.SEED)
+        parallel = shp_2(graph, k, seed=self.SEED, refine_workers=workers)
         assert np.array_equal(serial.assignment, parallel.assignment)
         assert trajectory(serial) == trajectory(parallel)
         assert serial.converged == parallel.converged

@@ -202,12 +202,14 @@ class TestWeightedBalance:
 
     @pytest.mark.parametrize("level_mode", ["loop", "fused"])
     def test_shp_2_honors_weighted_epsilon(self, weighted_graph, level_mode):
+        from oracles.shp2_loop import shp_2_loop
         from repro import shp_2
         from repro.objectives import imbalance
 
         graph, weights = weighted_graph
         k, eps = 8, 0.05
-        result = shp_2(graph, k, seed=1, epsilon=eps, level_mode=level_mode)
+        run = {"loop": shp_2_loop, "fused": shp_2}[level_mode]
+        result = run(graph, k, seed=1, epsilon=eps)
         slack = weights.max() / (weights.sum() / k)
         assert imbalance(result.assignment, k, weights) <= eps + slack
 

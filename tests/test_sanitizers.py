@@ -241,12 +241,10 @@ class TestSanitizedParity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_bitwise_parity_under_sanitizer(self, workers):
         graph = random_bipartite(11)
-        serial = shp_2(graph, 4, seed=3, level_mode="fused")
+        serial = shp_2(graph, 4, seed=3)
         before = sanitizers.probe_counts()["gain_dispatch"]
         with sanitized(strict=True):
-            parallel = shp_2(
-                graph, 4, seed=3, level_mode="fused", refine_workers=workers
-            )
+            parallel = shp_2(graph, 4, seed=3, refine_workers=workers)
             assert sanitizers.collected_findings() == []
         # The sanitizer actually watched the run...
         assert sanitizers.probe_counts()["gain_dispatch"] > before

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.replay_loop import replay_traffic_loop
 from repro import SHPConfig
 from repro.cli import main
 from repro.core import budgeted_incremental_update, incremental_update
 from repro.hypergraph import BipartiteGraph, darwini_bipartite
-from repro.sharding import QuerySample, ReplayResult, replay_traffic
+from repro.sharding import ReplayResult, replay_traffic
 from repro.workloads import (
     ServingConfig,
     ServingSimulator,
@@ -28,8 +29,8 @@ class TestBatchLoopParity:
         graph = darwini_graph
         assignment = (np.arange(graph.num_data) % 12).astype(np.int64)
         trace = sample_queries(graph, 4000, skew=0.8, seed=5)
-        batch = replay_traffic(graph, assignment, 12, trace, seed=7, method="batch")
-        loop = replay_traffic(graph, assignment, 12, trace, seed=7, method="loop")
+        batch = replay_traffic(graph, assignment, 12, trace, seed=7)
+        loop = replay_traffic_loop(graph, assignment, 12, trace, seed=7)
         assert np.array_equal(batch.fanouts, loop.fanouts)
         assert np.array_equal(batch.records, loop.records)
         assert batch.requests_total == loop.requests_total
@@ -39,8 +40,8 @@ class TestBatchLoopParity:
         graph = darwini_graph
         assignment = (np.arange(graph.num_data) % 8).astype(np.int64)
         trace = sample_queries(graph, 5000, seed=6)
-        batch = replay_traffic(graph, assignment, 8, trace, seed=9, method="batch")
-        loop = replay_traffic(graph, assignment, 8, trace, seed=9, method="loop")
+        batch = replay_traffic(graph, assignment, 8, trace, seed=9)
+        loop = replay_traffic_loop(graph, assignment, 8, trace, seed=9)
         assert np.isclose(batch.mean_latency(), loop.mean_latency(), rtol=0.05)
 
     def test_empty_queries_skipped_in_both_paths(self):
@@ -48,26 +49,37 @@ class TestBatchLoopParity:
         graph = BipartiteGraph.from_hyperedges([[0, 1, 2], [], [2, 3]], num_data=4)
         assignment = np.array([0, 0, 1, 1])
         trace = np.array([0, 1, 2, 1])
-        for method in ("batch", "loop"):
-            result = replay_traffic(graph, assignment, 2, trace, seed=1, method=method)
+        for replay in (replay_traffic, replay_traffic_loop):
+            result = replay(graph, assignment, 2, trace, seed=1)
             assert result.num_samples == 2
             assert result.fanouts.tolist() == [2, 1]
             assert result.records.tolist() == [3, 2]
 
     def test_empty_trace(self, darwini_graph):
         assignment = np.zeros(darwini_graph.num_data, dtype=np.int64)
-        for method in ("batch", "loop"):
-            result = replay_traffic(
-                darwini_graph, assignment, 4, np.empty(0, dtype=np.int64),
-                seed=0, method=method,
+        for replay in (replay_traffic, replay_traffic_loop):
+            result = replay(
+                darwini_graph, assignment, 4, np.empty(0, dtype=np.int64), seed=0
             )
             assert result.num_samples == 0
             assert result.requests_total == 0
 
-    def test_unknown_method_rejected(self, darwini_graph):
+    @pytest.mark.parametrize(
+        "query_ids, named",
+        [([3, -2], "-2"), ([-1], "-1"), ([0, 10**6], "1000000")],
+    )
+    def test_out_of_range_query_id_rejected(self, darwini_graph, query_ids, named):
+        # Regression: -2 wrapped through q_indptr and replayed the *last*
+        # query, -1 was silently dropped, a too-large id was a bare
+        # IndexError from inside the gather.
         assignment = np.zeros(darwini_graph.num_data, dtype=np.int64)
-        with pytest.raises(ValueError):
-            replay_traffic(darwini_graph, assignment, 4, np.array([0]), method="async")
+        with pytest.raises(ValueError, match=f"query id {named} "):
+            replay_traffic(darwini_graph, assignment, 4, np.array(query_ids))
+
+    def test_short_assignment_rejected(self, darwini_graph):
+        assignment = np.zeros(darwini_graph.num_data - 1, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"{darwini_graph.num_data - 1} entries"):
+            replay_traffic(darwini_graph, assignment, 4, np.array([0]))
 
 
 class TestReplayResult:
@@ -79,14 +91,6 @@ class TestReplayResult:
         assert result.fanouts.dtype == np.int64
         assert result.mean_fanout() == 2.5
         assert result.latency_percentile(50) == 1.5
-
-    def test_samples_view_round_trip(self):
-        result = ReplayResult()
-        result.samples = [QuerySample(3, 1.5, 5), QuerySample(2, 0.5, 4)]
-        assert result.fanouts.tolist() == [3, 2]
-        view = result.samples
-        assert view[1] == QuerySample(2, 0.5, 4)
-        assert result.num_samples == 2
 
     def test_empty_result_defaults(self):
         result = ReplayResult()

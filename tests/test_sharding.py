@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.replay_loop import plan_multiget
 from repro.sharding import (
     LatencyModel,
     ReplayResult,
@@ -40,7 +41,8 @@ class TestLatencyModel:
     def test_multiget_is_max_like(self):
         model = LatencyModel(sigma=0.0)  # deterministic: latency = base
         rng = np.random.default_rng(3)
-        assert np.isclose(model.multiget(rng, np.ones(5)), 1.0)
+        latencies = model.multiget_batch(rng, np.ones(5), np.array([0, 2]))
+        assert np.allclose(latencies, [1.0, 1.0])
 
     def test_percentile_curve_monotone_in_p(self):
         model = LatencyModel(sigma=0.8)
@@ -58,14 +60,16 @@ class TestLatencyModel:
 class TestStore:
     def test_plan_multiget_groups(self):
         store = ShardedKVStore(4, np.array([0, 0, 1, 2, 3, 3]))
-        hit, counts = store.plan_multiget(np.array([0, 1, 2, 5]))
+        _, hit, counts = store.plan_multiget_batch(
+            np.array([0, 1, 2, 5]), np.zeros(4, dtype=np.int64)
+        )
         assert hit.tolist() == [0, 1, 3]
         assert counts.tolist() == [2, 1, 1]
 
     def test_counters_accumulate(self):
         store = ShardedKVStore(2, np.array([0, 1]))
-        store.plan_multiget(np.array([0, 1]))
-        store.plan_multiget(np.array([0]))
+        store.plan_multiget_batch(np.array([0, 1]), np.array([0, 0]))
+        store.plan_multiget_batch(np.array([0]), np.array([0]))
         assert store.requests_per_server.tolist() == [2, 1]
         assert store.records_per_server.tolist() == [2, 1]
         store.reset_counters()
@@ -90,7 +94,7 @@ class TestStore:
         keys = np.concatenate(key_lists)
         query_of_key = np.repeat(np.arange(30), [k.size for k in key_lists])
         req_query, req_server, req_records = batched.plan_multiget_batch(keys, query_of_key)
-        fanouts = [sequential.plan_multiget(k)[1].size for k in key_lists]
+        fanouts = [plan_multiget(sequential, k)[1].size for k in key_lists]
         assert batched.requests_per_server.tolist() == sequential.requests_per_server.tolist()
         assert batched.records_per_server.tolist() == sequential.records_per_server.tolist()
         assert np.bincount(req_query, minlength=30).tolist() == fanouts
@@ -106,9 +110,9 @@ class TestReplay:
         assignment = (np.arange(medium_graph.num_data) % 8).astype(np.int64)
         trace = np.arange(min(100, medium_graph.num_queries))
         result = replay_traffic(medium_graph, assignment, 8, trace, seed=1)
-        for sample, q in zip(result.samples, trace.tolist()):
+        for fanout, q in zip(result.fanouts.tolist(), trace.tolist()):
             keys = medium_graph.query_neighbors(q)
-            assert sample.fanout == np.unique(assignment[keys]).size
+            assert fanout == np.unique(assignment[keys]).size
 
     def test_better_sharding_lowers_latency(self, medium_graph):
         from repro import shp_2
@@ -137,10 +141,7 @@ class TestReplay:
             assert percentiles[50.0] <= percentiles[99.0]
 
     def test_min_samples_filter(self):
-        result = ReplayResult()
-        from repro.sharding import QuerySample
-
-        result.samples = [QuerySample(3, 1.0, 5)] * 5
+        result = ReplayResult(fanouts=[3] * 5, latencies=[1.0] * 5, records=[5] * 5)
         assert latency_by_fanout(result, min_samples=10) == {}
         assert 3 in latency_by_fanout(result, min_samples=5)
 

@@ -45,7 +45,7 @@ def _cli_assignment(tmp_path, argv_tail):
 PARITY_GRID = [
     # (algorithm, k, seed, extra CLI flags, extra AlgorithmSpec fields, execution)
     ("shp-2", 4, 1, [], {}, {}),
-    ("shp-2", 8, 3, ["--level-mode", "loop"], {"level_mode": "loop"}, {}),
+    ("shp-2", 8, 3, ["--refine-workers", "2"], {}, {"refine_workers": 2}),
     ("shp-2", 4, 5, ["--objective", "cliquenet", "-p", "0.8"],
      {"objective": "cliquenet", "p": 0.8}, {}),
     ("shp-k", 4, 2, [], {}, {}),
@@ -104,19 +104,18 @@ def test_spec_file_vs_flags_bitwise(graph_file, tmp_path):
 
 
 def test_compare_honors_algorithm_knobs(graph_file, tmp_path, capsys):
-    """`compare` routes -p/--objective/--level-mode through the same JobSpec
+    """`compare` routes -p/--objective through the same JobSpec
     path as `partition` (it used to silently drop them)."""
     rc = main([
         "compare", str(graph_file), "-k", "4", "--seed", "5",
-        "--objective", "cliquenet", "-p", "0.8", "--level-mode", "loop",
-        "--algorithms", "shp-2",
+        "--objective", "cliquenet", "-p", "0.8", "--algorithms", "shp-2",
     ])
     assert rc == 0
     compare_out = capsys.readouterr().out
     cli = _cli_assignment(
         tmp_path,
         [str(graph_file), "-k", "4", "--seed", "5", "--objective", "cliquenet",
-         "-p", "0.8", "--level-mode", "loop"],
+         "-p", "0.8"],
     )
     from repro.bench.tables import _cell
     from repro.hypergraph import load_graph
