@@ -12,14 +12,17 @@ corrupt gains silently, in a schedule-dependent way no parity grid
 reliably catches.
 
 This check runs a small dataflow over **worker-scope** functions — any
-function that attaches a shared segment (``SharedArrayPack.attach``)
-plus everything it calls in the same module:
+function that attaches a shared segment (``SharedArrayPack.attach``),
+the request handlers nested in it, and everything they call in the same
+module:
 
 * the dicts returned by ``.arrays(writeable=True)`` are the mutable
-  shared views; they are alias-tracked through locals and attribute
-  stores (like REP001 tracks ``numpy.random`` aliases);
-* names are **dispatch-derived** when they come from the control pipe
-  (``conn.recv()``) or are computed from other derived names — e.g.
+  shared views; they are alias-tracked through locals, closure variables
+  and attribute stores (like REP001 tracks ``numpy.random`` aliases);
+* names are **dispatch-derived** when they are parameters of a
+  worker-scope function — what the master handed this worker: a
+  request's arguments as ``serve`` unpacks them into the handler, or the
+  process arguments — or are computed from other derived names, e.g.
   ``ranks = views["work_buf"][lo:hi]``;
 * flagged: whole-array writes (``arr[:] = ...``, ``arr[...] = ...``,
   rebinding a views entry), writes indexed by anything not
@@ -54,6 +57,17 @@ def _is_writeable_arrays_call(node: ast.AST) -> bool:
     )
 
 
+def _own_nodes(fn: ast.AST):
+    """``ast.walk`` over ``fn`` minus the bodies of functions nested in it
+    (each is scanned as a worker-scope function of its own)."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _contains_attach(fn: ast.AST) -> bool:
     return any(
         isinstance(node, ast.Call)
@@ -63,11 +77,16 @@ def _contains_attach(fn: ast.AST) -> bool:
     )
 
 
-def _called_names(fn: ast.AST) -> set[str]:
+def _reached_names(fn: ast.AST) -> set[str]:
+    """Functions ``fn`` calls by name, plus the ones nested in it."""
     return {
         node.func.id
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    } | {
+        node.name
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn
     }
 
 
@@ -75,22 +94,22 @@ class _WorkerScan:
     """Dataflow over one worker-scope function (statements in source order)."""
 
     def __init__(self, check: "SharedWriteDisjointness", ctx: FileContext,
-                 fn: ast.FunctionDef | ast.AsyncFunctionDef, is_entry: bool):
+                 fn: ast.FunctionDef | ast.AsyncFunctionDef, views_names: set[str]):
         self.check = check
         self.ctx = ctx
         self.fn = fn
-        #: names (plain or dotted, e.g. "self.views") holding a
-        #: writeable shared-views dict.
-        self.tracked: set[str] = set()
-        #: every name that *ever* held the views dict / an array alias —
-        #: the read scan runs after the statement walk, so a trailing
-        #: ``views = None`` (the drop idiom) must not untrack reads.
-        self._tracked_ever: set[str] = set()
-        self._alias_ever: dict[str, str] = {}
+        #: names (plain or dotted, e.g. "self.views") that hold a
+        #: writeable shared-views dict anywhere in worker scope: handlers
+        #: reach the views a sibling bound through a closure variable, and
+        #: a later ``views = None`` (the drop idiom) must not untrack them.
+        self.tracked: set[str] = set(views_names)
         #: local name -> shared-array key it aliases (``a = views["x"]``).
         self.arr_alias: dict[str, str] = {}
-        #: names derived from the dispatched bounds.
-        self.derived: set[str] = set()
+        #: names derived from the dispatched bounds: the parameters (a
+        #: request's arguments, or the process arguments) to begin with.
+        self.derived: set[str] = {
+            arg.arg for arg in list(fn.args.args) + list(fn.args.kwonlyargs)
+        }
         #: shared-array keys this function writes.
         self.written: set[str] = set()
         #: deferred read events: (node, key, index_is_derived)
@@ -98,24 +117,13 @@ class _WorkerScan:
         self.findings: list[Finding] = []
         #: bases of store-target subscripts, skipped by the read scan.
         self._store_bases: set[int] = set()
-        if not is_entry:
-            # A helper reached from a worker entry receives its bounds
-            # (and views) as arguments, already derived at the call site.
-            for arg in list(fn.args.args) + list(fn.args.kwonlyargs):
-                self.derived.add(arg.arg)
 
     # -- expression classification ------------------------------------
     def _derived_expr(self, node: ast.AST) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and sub.id in self.derived:
-                return True
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "recv"
-            ):
-                return True
-        return False
+        return any(
+            isinstance(sub, ast.Name) and sub.id in self.derived
+            for sub in ast.walk(node)
+        )
 
     def _views_entry(self, node: ast.AST) -> str | None:
         """Key if ``node`` is ``<tracked>["key"]`` with a constant key."""
@@ -149,10 +157,7 @@ class _WorkerScan:
         self._walk(self.fn.body)
         # Expression-level read scan after the statement walk: by then the
         # aliases/derived sets reflect the whole function (single forward
-        # pass; good enough for the worker loops this rule targets).
-        self.tracked |= self._tracked_ever
-        for name, key in self._alias_ever.items():
-            self.arr_alias.setdefault(name, key)
+        # pass; good enough for the handlers this rule targets).
         self._scan_reads(self.fn)
 
     def _walk(self, stmts: list[ast.stmt]) -> None:
@@ -199,23 +204,16 @@ class _WorkerScan:
                     if sub is not None:
                         (self.derived.add if derived else self.derived.discard)(sub)
             return
-        # Rebinding kills previous facts about the name.
-        self.tracked.discard(name)
-        self.arr_alias.pop(name, None)
+        # Rebinding kills derivation; views and array aliases stay tracked
+        # (conservative: a name that ever held shared memory is shared).
         self.derived.discard(name)
-        if _is_writeable_arrays_call(value):
-            self.tracked.add(name)
-            self._tracked_ever.add(name)
-            return
         src = dotted_name(value)
-        if src is not None and src in self.tracked:
+        if _is_writeable_arrays_call(value) or (src is not None and src in self.tracked):
             self.tracked.add(name)
-            self._tracked_ever.add(name)
             return
         key = self._views_entry(value)
         if key is not None:
             self.arr_alias[name] = key
-            self._alias_ever[name] = key
         if self._derived_expr(value):
             self.derived.add(name)
 
@@ -251,10 +249,10 @@ class _WorkerScan:
 
     def _scan_reads(self, fn: ast.AST) -> None:
         parents: dict[int, ast.AST] = {}
-        for node in ast.walk(fn):
+        for node in _own_nodes(fn):
             for child in ast.iter_child_nodes(node):
                 parents[id(child)] = node
-        for node in ast.walk(fn):
+        for node in _own_nodes(fn):
             if id(node) in self._store_bases:
                 continue
             if not isinstance(node, (ast.Subscript, ast.Name)):
@@ -308,15 +306,23 @@ class SharedWriteDisjointness(Check):
         frontier = list(entries)
         while frontier:
             fn = functions[frontier.pop()]
-            for callee in _called_names(fn):
+            for callee in _reached_names(fn):
                 if callee in functions and callee not in worker_scope:
                     worker_scope.add(callee)
                     frontier.append(callee)
 
+        views_names = {
+            name
+            for fn_name in worker_scope
+            for node in _own_nodes(functions[fn_name])
+            if isinstance(node, ast.Assign) and _is_writeable_arrays_call(node.value)
+            for target in node.targets
+            if (name := dotted_name(target)) is not None
+        }
         findings: list[Finding] = []
         scans: list[_WorkerScan] = []
         for name in sorted(worker_scope):
-            scan = _WorkerScan(self, ctx, functions[name], is_entry=name in entries)
+            scan = _WorkerScan(self, ctx, functions[name], views_names)
             scan.run()
             scans.append(scan)
             findings.extend(scan.findings)

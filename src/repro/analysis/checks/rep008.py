@@ -1,9 +1,9 @@
 """REP008 pipe-protocol-pairing: every dispatch send reaches a barrier recv.
 
-The master↔worker protocols — the refine pool's pipe protocol
-(``core/parallel_refine.py``) and the engine's superstep protocol, spoken
-by the mp backend over pipes (``distributed/backend_mp.py``) and by the
-RPC backend over framed sockets (``distributed/backend_rpc.py``) — are
+The master↔worker protocols — the refine pool's ``level / gains / drop``
+(``core/parallel_refine.py``) and the engine's superstep protocol, both
+spoken over the one pipe group (``distributed/backend_mp.py``), the
+latter also over framed sockets (``distributed/backend_rpc.py``) — are
 strict request/reply state machines: the master sends one dispatch per
 worker, then receives one barrier reply per worker, in order.  A dispatch
 whose reply is never received desynchronizes the stream permanently: the
@@ -13,19 +13,16 @@ interpreted one slot off (the failure is silent and arbitrarily delayed).
 The check models each protocol explicitly, REP005-style (module-wide
 rather than per-function):
 
-* the **worker service loop** (``while True:`` around a ``recv()``,
-  dispatching on the message kind) is located first and read as the
-  protocol table — which kinds are answered with a reply and which
-  (``exit``) are fire-and-forget.  A loop either branches per kind
-  (``if kind == "gains": ... send(...)``) or looks the kind up in a
-  dispatch table (``{"step": handler, ...}``) ahead of one reply site.
-  A file with no service loop of its own — both engine masters, whose
-  workers all run ``distributed/worker.py:serve`` — is checked against
-  the table mined from that one shared loop;
-* every **master-side** function is then walked with a pending-dispatch
-  set: a send of a reply-carrying kind adds a pending dispatch, a
-  barrier ``recv`` discharges all of them (barrier semantics: one recv
-  loop drains one reply per dispatched worker).
+* every worker runs the one service loop,
+  ``distributed/worker.py:serve(channel, handlers)``, so a protocol is the
+  **handler table** passed at a ``serve(...)`` call site: each kind it
+  lists is answered with exactly one reply, and ``exit`` ends the loop
+  without one.  A file with no call site of its own — both engine
+  masters — is checked against the table ``WorkerHost.serve`` passes;
+* every function is then walked with a pending-dispatch set: a send of
+  a reply-carrying kind adds a pending dispatch, a barrier ``recv``
+  discharges all of them (barrier semantics: one recv loop drains one
+  reply per dispatched worker).
 
 Flagged: a function exit/``return`` with a dispatch outstanding, a
 ``raise`` while a dispatch is outstanding (the exception path skips the
@@ -95,91 +92,43 @@ def _send_msg_kind(call: ast.Call, aliases: dict[str, str]) -> str | None:
     return None
 
 
-def _is_service_loop(fn: ast.AST) -> bool:
-    """A worker loop: ``while True:`` whose body assigns from a ``recv()``.
+def _protocol_table(tree: ast.AST) -> dict[str, bool]:
+    """kind -> carries-reply, read at the module's ``serve(...)`` call sites.
 
-    (A master's retry loop — ``while pending:`` around its barrier recvs —
-    is not one, and must stay subject to the master scan.)
+    ``serve(channel, handlers)`` answers every kind its handler table
+    lists with exactly one reply and leaves on ``exit`` without one, so
+    the table literal at the call site *is* the protocol.
     """
-    for node in ast.walk(fn):
-        if not (
-            isinstance(node, ast.While)
-            and isinstance(node.test, ast.Constant)
-            and node.test.value is True
-        ):
-            continue
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Assign)
-                and _call_kind(sub.value) == "recv"
-            ):
-                return True
-    return False
-
-
-def _protocol_table(fn: ast.AST) -> dict[str, bool]:
-    """kind -> carries-reply, read from a service loop's dispatch structure."""
     table: dict[str, bool] = {}
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Dict)
-            and node.keys
-            and all(
-                isinstance(key, ast.Constant) and isinstance(key.value, str)
-                for key in node.keys
-            )
-        ):
-            # A dispatch table: every kind it lists is looked up, run and
-            # answered at the loop's one reply site.
-            for key in node.keys:
-                table[key.value] = True  # type: ignore[union-attr]
-            continue
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
+    for node in ast.walk(tree):
         if not (
-            isinstance(test, ast.Compare)
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Eq)
-            and len(test.comparators) == 1
-            and isinstance(test.comparators[0], ast.Constant)
-            and isinstance(test.comparators[0].value, str)
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "serve"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Dict)
         ):
             continue
-        kind = test.comparators[0].value
-        replies = any(
-            _call_kind(sub) == "send"
-            for stmt in node.body
-            for sub in ast.walk(stmt)
-        )
-        # Conservative merge across loops: reply-carrying wins.
-        table[kind] = table.get(kind, False) or replies
+        for key in node.args[1].keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                table[key.value] = True
+    if table:
+        # ``exit`` asks for no reply; ``ok`` / ``error`` lead replies
+        # (worker -> master), never a dispatch.
+        table.update(exit=False, ok=False, error=False)
     return table
 
 
-def _mine(tree: ast.AST) -> tuple[dict[str, bool], set[int]]:
-    """``(protocol table, ids of the service-loop functions)`` of a module."""
-    table: dict[str, bool] = {}
-    service: set[int] = set()
-    for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_service_loop(fn):
-            service.add(id(fn))
-            for kind, replies in _protocol_table(fn).items():
-                table[kind] = table.get(kind, False) or replies
-    return table, service
-
-
 def engine_protocol_table() -> dict[str, bool]:
-    """The engine protocol, mined from the one loop every engine worker runs.
+    """The engine protocol, read where every engine worker enters ``serve``.
 
-    Raises when ``distributed/worker.py`` has no service loop left to mine:
-    scanning both masters against an empty table would turn the rule into
-    a silent no-op.
+    Raises when ``distributed/worker.py`` has no handler table left to
+    read: scanning both masters against an empty table would turn the
+    rule into a silent no-op.
     """
     path = Path(__file__).resolve().parents[2] / "distributed" / "worker.py"
-    table, service = _mine(ast.parse(path.read_text(encoding="utf-8")))
-    if not service or not table:
-        raise RuntimeError(f"REP008: no engine service loop found in {path}")
+    table = _protocol_table(ast.parse(path.read_text(encoding="utf-8")))
+    if not table:
+        raise RuntimeError(f"REP008: no serve(...) handler table found in {path}")
     return table
 
 
@@ -343,14 +292,10 @@ class PipeProtocolPairing(Check):
 
     def run(self, ctx: FileContext) -> Iterable[Finding]:
         assert ctx.tree is not None
-        table, service = _mine(ctx.tree)
-        if not service:
-            table = engine_protocol_table()
+        table = _protocol_table(ctx.tree) or engine_protocol_table()
         findings: list[Finding] = []
         for fn in ast.walk(ctx.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if id(fn) in service:
                 continue
             scan = _MasterScan(self, ctx, fn, table)
             scan.run()

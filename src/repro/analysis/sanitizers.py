@@ -298,7 +298,7 @@ def _reset_probes() -> None:
 
 
 def worker_echo(lo: int, hi: int, ranks: Any) -> tuple[int, int, int, int, bool]:
-    """Worker-side payload for the ``("done", echo)`` barrier reply.
+    """Worker-side ``ok`` payload of a sanitized ``gains`` reply.
 
     Computed from the worker's *own view* of the shared work buffer, so a
     master/worker disagreement (stale bounds, torn segment) is visible at

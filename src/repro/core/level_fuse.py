@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hypergraph.bipartite import BipartiteGraph, csr_row_positions
+from ..hypergraph.bipartite import BipartiteGraph, csr_row_positions, ragged_positions
 from .config import SHPConfig
 from .gains import gain_tables, segment_sums
 from .parallel_refine import (
@@ -108,16 +108,6 @@ def _unique_sorted(values: np.ndarray, upper_bound: int) -> np.ndarray:
         ordered = np.sort(values)
     keep = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     return ordered[keep].astype(np.int64)
-
-
-def _expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(starts[i], ends[i])`` without a Python loop."""
-    lengths = ends - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    block_start = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    return np.repeat(starts - block_start, lengths) + np.arange(total, dtype=np.int64)
 
 
 class _LevelTracker:
@@ -510,9 +500,8 @@ def refine_level_fused(
             active &= ~settled
             if not active.any():
                 break
-            active_ranks = _expand_ranges(
-                block_bounds[:-1][active], block_bounds[1:][active]
-            )
+            starts = block_bounds[:-1][active]
+            active_ranks = ragged_positions(starts, block_bounds[1:][active] - starts)
             rank_active[:] = False
             rank_active[active_ranks] = True
 
@@ -526,7 +515,7 @@ def refine_level_fused(
             range_end = np.searchsorted(
                 slot_sorted_keys, touched_slots + 1, side="left"
             )
-            members = slot_sorted_ranks[_expand_ranges(range_start, range_end)]
+            members = slot_sorted_ranks[ragged_positions(range_start, range_end - range_start)]
             dirty = np.zeros(n_ranks, dtype=bool)
             dirty[members] = True
             dirty &= rank_active

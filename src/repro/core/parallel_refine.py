@@ -33,12 +33,19 @@ the level-static kernel inputs (pruned group-major edge arrays, gain
 tables) plus the mutable run state (pair counts, sides, gain cache), and
 per iteration the master ships only two integers per worker — the block
 bounds into the shared work buffer.
+
+The pool is not a worker runtime of its own.  Its workers run the one
+service loop, :func:`repro.distributed.worker.serve`, over three request
+kinds — ``("level", handle, meta)`` attaches the level segment,
+``("gains", lo, hi)`` evaluates and scatters work-buffer block ``[lo, hi)``
+(its ``ok`` payload is the sanitizer's echo under ``REPRO_SAN``, else
+``None``), ``("drop",)`` detaches — and its master side is the one pipe
+group, :class:`repro.distributed.backend_mp.PipeWorkers`.  What the pool
+keeps is the level segment and poisoning: a failed barrier leaves the
+later replies out of step, so the pool refuses further dispatches.
 """
 
 from __future__ import annotations
-
-import time
-import traceback
 
 import numpy as np
 
@@ -126,75 +133,57 @@ def split_ranks_by_edges(
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _gain_worker_main(worker_id: int, conn) -> None:
-    """One pool worker: attach a level segment, answer block-gain requests."""
+def _gain_worker_main(conn) -> None:
+    """One pool worker: the shared service loop over the level segment."""
     from ..distributed.shared_pool import SharedArrayPack
+    from ..distributed.worker import serve
 
     pack = None
     views: dict | None = None
     has_qw = False
-    try:
-        while True:
-            msg = conn.recv()
-            kind = msg[0]
-            if kind == "level":
-                _, handle, meta = msg
-                pack = SharedArrayPack.attach(handle)
-                views = pack.arrays(writeable=True)
-                has_qw = bool(meta["has_qw"])
-                conn.send(("ready",))
-            elif kind == "gains":
-                _, lo, hi = msg
-                assert views is not None
-                ranks = views["work_buf"][lo:hi]
-                gains = block_pair_gains(
-                    ranks,
-                    views["rank_indptr"],
-                    views["rank_side"],
-                    views["pc"],
-                    views["gm_slot2"],
-                    views["gm_col_even"],
-                    views["gm_qw"] if has_qw else None,
-                    views["removal_table"],
-                    views["insertion_table"],
-                )
-                # The deterministic merge: each worker scatters into its
-                # own ascending, disjoint slice of the shared gain cache.
-                views["gain_cache"][ranks] = gains
-                san = _sanitizer()
-                if san is None:
-                    conn.send(("done",))
-                else:
-                    # Echo the interval this block actually wrote so the
-                    # master can check disjointness at the merge barrier.
-                    from ..analysis.sanitizers import worker_echo
 
-                    conn.send(("done", worker_echo(lo, hi, ranks)))
-            elif kind == "drop":
-                # Release views before closing: a live exported buffer
-                # would keep the worker's mapping (and segment) alive.
-                views = None
-                if pack is not None:
-                    pack.close()
-                    pack = None
-                conn.send(("dropped",))
-            elif kind == "exit":
-                break
-    except EOFError:  # master went away; nothing to report to
-        pass
-    except BaseException as exc:  # ship the failure to the master
-        tb = traceback.format_exc()
-        try:
-            conn.send(("error", exc, tb))
-        except Exception:
-            try:
-                conn.send(("error", RuntimeError(f"{type(exc).__name__}: {exc}"), tb))
-            except Exception:
-                pass
-    finally:
+    def level(handle, meta):
+        nonlocal pack, views, has_qw
+        pack = SharedArrayPack.attach(handle)
+        views = pack.arrays(writeable=True)
+        has_qw = bool(meta["has_qw"])
+
+    def gains(lo, hi):
+        ranks = views["work_buf"][lo:hi]
+        block = block_pair_gains(
+            ranks,
+            views["rank_indptr"],
+            views["rank_side"],
+            views["pc"],
+            views["gm_slot2"],
+            views["gm_col_even"],
+            views["gm_qw"] if has_qw else None,
+            views["removal_table"],
+            views["insertion_table"],
+        )
+        # The deterministic merge: each worker scatters into its own
+        # ascending, disjoint slice of the shared gain cache.
+        views["gain_cache"][ranks] = block
+        if _sanitizer() is not None:
+            # Echo the interval this block actually wrote so the master
+            # can check disjointness at the merge barrier.
+            from ..analysis.sanitizers import worker_echo
+
+            return worker_echo(lo, hi, ranks)
+
+    def drop():
+        # Release views before closing: a live exported buffer would keep
+        # the worker's mapping (and segment) alive.
+        nonlocal pack, views
         views = None
         if pack is not None:
             pack.close()
+            pack = None
+
+    try:
+        serve(conn, {"level": level, "gains": gains, "drop": drop})
+    finally:
+        drop()
         conn.close()
 
 
@@ -215,32 +204,18 @@ class ParallelGainPool:
         mp_context: str | None = None,
         step_timeout: float = 600.0,
     ):
-        import multiprocessing as mp
-
-        from ..distributed.shared_pool import SharedArrayPool, default_mp_context
+        from ..distributed.backend_mp import PipeWorkers
+        from ..distributed.shared_pool import SharedArrayPool
 
         if num_workers < 1:
             raise ValueError(f"num_workers must be at least 1, got {num_workers!r}")
         self.num_workers = num_workers
         self.step_timeout = step_timeout
         self._pool = SharedArrayPool()
-        self._level_loaded = False
         self._failed = False
-        ctx = mp.get_context(mp_context or default_mp_context())
-        self._workers = []
-        self._conns = []
-        for worker_id in range(num_workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_gain_worker_main,
-                args=(worker_id, child_conn),
-                name=f"repro-refine-{worker_id}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._workers.append(proc)
-            self._conns.append(parent_conn)
+        self._group = PipeWorkers(
+            mp_context, _gain_worker_main, [()] * num_workers, "refine worker", step_timeout
+        )
 
     # ------------------------------------------------------------------
     def publish_level(
@@ -253,16 +228,11 @@ class ParallelGainPool:
         ``gain_cache``, ``work_buf``) to these so its in-place updates are
         visible to every worker at the next gains barrier.
         """
-        if self._level_loaded:
+        if "level" in self._pool:
             raise RuntimeError("previous level still loaded; call drop_level first")
         self._check_usable()
         handle = self._pool.publish("level", arrays)
-        self._level_loaded = True
-        meta = {"has_qw": has_qw}
-        for worker_id, conn in enumerate(self._conns):
-            self._send(conn, worker_id, ("level", handle, meta))
-        for worker_id, conn in enumerate(self._conns):
-            self._recv(conn, worker_id)
+        self._barrier([("level", handle, {"has_qw": has_qw})] * self.num_workers)
         return self._pool.arrays("level", writeable=True)
 
     def compute_gains(self, bounds: np.ndarray) -> None:
@@ -271,21 +241,17 @@ class ParallelGainPool:
         ``bounds`` come from :func:`split_ranks_by_edges` over the sorted
         dirty set the master just wrote into the shared work buffer.
         """
-        if not self._level_loaded:
+        if "level" not in self._pool:
             raise RuntimeError("no level loaded")
         self._check_usable()
         san = _sanitizer()
         if san is not None:
             san.gain_dispatch(bounds)
-        for worker_id, conn in enumerate(self._conns):
-            self._send(conn, worker_id, ("gains", int(bounds[worker_id]), int(bounds[worker_id + 1])))
-        echoes: list | None = [] if san is not None else None
-        for worker_id, conn in enumerate(self._conns):
-            msg = self._recv(conn, worker_id)
-            if echoes is not None:
-                echoes.append(msg[1] if len(msg) > 1 else None)
+        echoes = self._barrier(
+            [("gains", int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        )
         if san is not None:
-            san.gain_barrier(bounds, echoes or [])
+            san.gain_barrier(bounds, echoes)
 
     def drop_level(self) -> None:
         """Detach workers from the level segment and unlink it (idempotent).
@@ -297,42 +263,18 @@ class ParallelGainPool:
         no longer in step) and the master just releases the segment, so
         error-path callers can always reclaim the shared memory.
         """
-        if not self._level_loaded:
+        if "level" not in self._pool:
             return
         try:
             if not self._failed:
-                for worker_id, conn in enumerate(self._conns):
-                    self._send(conn, worker_id, ("drop",))
-                for worker_id, conn in enumerate(self._conns):
-                    self._recv(conn, worker_id)
+                self._barrier([("drop",)] * self.num_workers)
         finally:
             # Reclaim the segment even when a worker died mid-drop.
             self._pool.release("level")
-            self._level_loaded = False
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("exit",))
-            except (OSError, BrokenPipeError):
-                pass
-        for proc in self._workers:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - error-path cleanup
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            conn.close()
-        self._workers = []
-        self._conns = []
+        self._group.close()
         self._pool.close()
-        self._level_loaded = False
-
-    def __enter__(self) -> "ParallelGainPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     def _check_usable(self) -> None:
@@ -343,51 +285,11 @@ class ParallelGainPool:
                 "or a fresh pool"
             )
 
-    def _send(self, conn, worker_id: int, msg: tuple) -> None:
-        """Send one dispatch, translating a dead worker's pipe into a
-        clear error (and poisoning the pool: the barrier protocol is out
-        of step once any dispatch fails to land)."""
+    def _barrier(self, requests: list[tuple]) -> list:
+        """One request per worker, one reply each; a barrier that fails
+        poisons the pool (the replies behind it are out of step)."""
         try:
-            conn.send(msg)
-        except (OSError, ValueError) as exc:
+            return self._group.barrier(requests)
+        except BaseException:
             self._failed = True
-            proc = self._workers[worker_id]
-            proc.join(timeout=1)
-            raise RuntimeError(
-                f"refine worker {worker_id} is gone "
-                f"(exitcode {proc.exitcode}); dispatch {msg[0]!r} failed: {exc}"
-            ) from exc
-
-    def _recv(self, conn, worker_id: int):
-        """Receive one barrier message, surfacing worker death or errors."""
-        proc = self._workers[worker_id]
-        deadline = time.monotonic() + self.step_timeout  # reprolint: disable=REP006 -- barrier hang guard, not kernel math: no computed value depends on the clock
-        while not conn.poll(0.05):
-            if not proc.is_alive():
-                self._failed = True
-                raise RuntimeError(
-                    f"refine worker {worker_id} exited unexpectedly "
-                    f"(exitcode {proc.exitcode})"
-                )
-            if time.monotonic() > deadline:  # pragma: no cover - hang guard  # reprolint: disable=REP006 -- barrier hang guard, not kernel math: no computed value depends on the clock
-                self._failed = True
-                raise TimeoutError(
-                    f"refine worker {worker_id} missed the gains barrier "
-                    f"({self.step_timeout:.0f}s)"
-                )
-        try:
-            msg = conn.recv()
-        except (EOFError, ConnectionResetError, OSError) as exc:
-            # poll() returns True for EOF too: a SIGKILLed worker's
-            # half-closed pipe reads as "readable" and then fails here.
-            self._failed = True
-            proc.join(timeout=1)
-            raise RuntimeError(
-                f"refine worker {worker_id} died mid-dispatch "
-                f"(exitcode {proc.exitcode}): {exc!r}"
-            ) from exc
-        if msg[0] == "error":
-            _, exc, tb = msg
-            self._failed = True
-            raise exc from RuntimeError(f"refine worker {worker_id} failed:\n{tb}")
-        return msg
+            raise

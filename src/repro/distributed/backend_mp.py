@@ -10,6 +10,10 @@ Layout (mirrors a small Giraph deployment on a single machine):
   (:func:`repro.distributed.worker.serve`) over its end of a pipe: a
   :class:`~repro.distributed.worker.WorkerHost` holding one logical
   worker, whose partition is built in the worker and never shared.
+* The master reaches them through :class:`PipeWorkers`, the one pipe
+  master in ``src/``; the refine pool (:mod:`repro.core.parallel_refine`)
+  and the ``rpc`` backend's localhost auto-spawn use it too.  It lives in
+  this driver module because its hang guard reads the clock (REP006).
 * The immutable graph travels by reference: an in-memory graph's CSR
   arrays are published once through the shared-memory pool
   (:mod:`repro.distributed.shared_pool`) and attached zero-copy,
@@ -35,9 +39,9 @@ import numpy as np
 from ..storage import open_store_view
 from .backend import Backend
 from .shared_pool import SharedArrayPack, SharedArrayPool, default_mp_context
-from .worker import WorkerHost, serve
+from .worker import WorkerHost
 
-__all__ = ["MultiprocessBackend", "SharedArrayPack", "share_graph", "attach_graph"]
+__all__ = ["MultiprocessBackend", "PipeWorkers", "SharedArrayPack", "share_graph", "attach_graph"]
 
 
 def share_graph(graph) -> tuple[SharedArrayPack, dict]:
@@ -78,6 +82,108 @@ def attach_graph(handle: tuple, meta: dict):
         name=meta["name"],
     )
     return graph, pack
+
+
+# ----------------------------------------------------------------------
+# The pipe master
+# ----------------------------------------------------------------------
+class PipeWorkers:
+    """N sibling worker processes on duplex pipes: request, one reply, barrier.
+
+    The master half of :func:`repro.distributed.worker.serve`, written
+    once.  Worker ``i`` runs ``target(conn, *worker_args[i])`` as a daemon
+    process under the fork-preferred start method (``mp_context``, else
+    ``REPRO_MP_CONTEXT``); a spawn that fails part-way leaves no child
+    running.  ``label`` names a worker in every error (``worker 1 exited
+    unexpectedly (exitcode -9)``); ``step_timeout`` bounds each wait.
+    """
+
+    def __init__(self, mp_context, target, worker_args, label: str, step_timeout: float):
+        ctx = mp.get_context(mp_context or default_mp_context())
+        self.label = label
+        self.step_timeout = step_timeout
+        self.procs: list = []
+        self.conns: list = []
+        try:
+            for worker_id, args in enumerate(worker_args):
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                self.conns.append(parent_conn)
+                proc = ctx.Process(
+                    target=target, args=(child_conn, *args),
+                    name=f"repro {label} {worker_id}", daemon=True,
+                )
+                try:
+                    proc.start()
+                finally:
+                    child_conn.close()
+                self.procs.append(proc)
+        except BaseException:
+            self.close(grace=0.0)
+            raise
+
+    def send(self, worker_id: int, request: tuple) -> None:
+        """Dispatch one request; a dead worker's pipe is a named error."""
+        try:
+            self.conns[worker_id].send(request)
+        except OSError as exc:
+            proc = self.procs[worker_id]
+            proc.join(timeout=1)
+            raise RuntimeError(
+                f"{self.label} {worker_id} is gone (exitcode {proc.exitcode}); "
+                f"dispatch {request[0]!r} failed: {exc}"
+            ) from exc
+
+    def recv(self, worker_id: int):
+        """One reply payload from a worker, surfacing its death, its hang
+        or the error it shipped (re-raised with its traceback chained)."""
+        conn, proc = self.conns[worker_id], self.procs[worker_id]
+        who = f"{self.label} {worker_id}"
+        deadline = time.monotonic() + self.step_timeout
+        while not conn.poll(0.05):
+            if not proc.is_alive():
+                raise RuntimeError(f"{who} exited unexpectedly (exitcode {proc.exitcode})")
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"{who} sent no reply within {self.step_timeout:g}s")
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError) as exc:
+            # poll() is true for EOF too: a SIGKILLed worker's half-closed
+            # pipe reads as "readable" and then fails here.
+            proc.join(timeout=1)
+            raise RuntimeError(
+                f"{who} died at the barrier (exitcode {proc.exitcode}); if the "
+                "start method is 'spawn', the driving script must be importable "
+                "(run under `if __name__ == '__main__':` guards)"
+            ) from exc
+        except Exception as exc:  # payload did not survive unpickling
+            raise RuntimeError(f"{who} sent an undecodable message: {exc!r}") from exc
+        return Backend._payload(reply, who)
+
+    def barrier(self, requests: list[tuple]) -> list:
+        """Send worker ``i`` ``requests[i]``, then gather every reply
+        payload in worker order."""
+        for worker_id, request in enumerate(requests):
+            self.send(worker_id, request)
+        return [self.recv(worker_id) for worker_id in range(len(requests))]
+
+    def close(self, grace: float = 30.0) -> None:
+        """``exit`` every worker, give each ``grace`` seconds to leave,
+        terminate the rest and close the pipes (idempotent).  Error paths
+        pass ``grace=0``: a worker blocked mid-reply never reads ``exit``."""
+        for conn in self.conns:
+            try:
+                conn.send(("exit",))
+            except OSError:
+                pass
+        for proc in self.procs:
+            proc.join(timeout=grace)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5)
+        for conn in self.conns:
+            conn.close()
+        self.procs = []
+        self.conns = []
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +228,7 @@ def _worker_main(conn, init: tuple, handles: dict) -> None:
         elif "graph" in handles:
             shared["graph"], graph_pack = attach_graph(*handles["graph"])
             packs.append(graph_pack)
-        serve(_PipeChannel(conn, init), WorkerHost())
+        WorkerHost().serve(_PipeChannel(conn, init))
     finally:
         for pack in packs:
             # Views into a segment may still be referenced here; close()
@@ -154,10 +260,9 @@ class MultiprocessBackend(Backend):
     def __init__(self, mp_context: str | None = None, step_timeout: float = 600.0):
         self.mp_context = mp_context or default_mp_context()
         self.step_timeout = step_timeout
-        # Per-run state (managed by the _open/_finish/_close hooks; defaults
-        # let _close run safely even when _open failed partway).
-        self._workers: list = []
-        self._conns: list = []
+        # Per-run state (managed by the _open/_finish/_close hooks; the
+        # default lets _close run safely even when _open failed partway).
+        self._group: PipeWorkers | None = None
         # All shared segments (placement table, graph CSR) live in one
         # pool so teardown is a single idempotent close().
         self._pool = SharedArrayPool()
@@ -167,7 +272,6 @@ class MultiprocessBackend(Backend):
     # ------------------------------------------------------------------
     def _open(self, engine, program, combiner) -> None:
         shared, snapshots = self._plan(engine, program, combiner)
-        ctx = mp.get_context(self.mp_context)
 
         # What every worker reads travels by reference: arrays as one
         # shared-memory copy (not one private copy per worker), a
@@ -188,85 +292,37 @@ class MultiprocessBackend(Backend):
             self._pool.adopt("graph", graph_pack)
             handles["graph"] = (graph_pack.handle, graph_meta)
 
-        self._workers = []
-        self._conns = []
-        for worker_id, snapshot in enumerate(snapshots):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, ("init", shared, {worker_id: snapshot}), handles),
-                name=f"repro-worker-{worker_id}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._workers.append(proc)
-            self._conns.append(parent_conn)
+        inits = [
+            (("init", shared, {worker_id: snapshot}), handles)
+            for worker_id, snapshot in enumerate(snapshots)
+        ]
+        self._group = PipeWorkers(
+            self.mp_context, _worker_main, inits, "worker", self.step_timeout
+        )
         for worker_id in range(self._num_workers):
-            self._recv(worker_id)  # the init reply: partitions are built
+            self._group.recv(worker_id)  # the init reply: partitions are built
 
     def _execute_superstep(self, superstep: int, broadcasts: dict):
-        for worker_id, conn in enumerate(self._conns):
-            conn.send(
-                ("step", superstep, broadcasts, {worker_id: self._inboxes[worker_id]}, False)
-            )
+        requests = [
+            ("step", superstep, broadcasts, {worker_id: inbox}, False)
+            for worker_id, inbox in enumerate(self._inboxes)
+        ]
         replies: dict[int, tuple] = {}
-        for worker_id in range(self._num_workers):
-            replies.update(self._recv(worker_id))
+        for reply in self._group.barrier(requests):
+            replies.update(reply)
         return self._commit(replies)
 
     def _finish(self) -> dict:
-        for conn in self._conns:
-            conn.send(("collect",))
         collected: dict = {}
-        for worker_id in range(self._num_workers):
-            collected.update(self._recv(worker_id))
-        for conn in self._conns:
-            conn.send(("exit",))
-        for proc in self._workers:
-            proc.join(timeout=30)
+        for reply in self._group.barrier([("collect",)] * self._num_workers):
+            collected.update(reply)
+        self._group.close()
         return collected
 
     def _close(self) -> None:
-        for proc in self._workers:
-            if proc.is_alive():  # pragma: no cover - error-path cleanup
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            conn.close()
-        self._workers = []
-        self._conns = []
+        if self._group is not None:
+            self._group.close(grace=0.0)
+            self._group = None
         self._pool.close()
         self._engine = None
         self._inboxes = []
-
-    # ------------------------------------------------------------------
-    def _recv(self, worker_id: int):
-        """One reply payload from a worker, surfacing its death or error."""
-        conn, proc = self._conns[worker_id], self._workers[worker_id]
-        deadline = time.monotonic() + self.step_timeout
-        while not conn.poll(0.05):
-            if not proc.is_alive():
-                raise RuntimeError(
-                    f"worker {worker_id} exited unexpectedly "
-                    f"(exitcode {proc.exitcode})"
-                )
-            if time.monotonic() > deadline:  # pragma: no cover - hang guard
-                raise TimeoutError(
-                    f"worker {worker_id} missed the superstep barrier "
-                    f"({self.step_timeout:.0f}s)"
-                )
-        try:
-            reply = conn.recv()
-        except (EOFError, ConnectionResetError) as exc:
-            raise RuntimeError(
-                f"worker {worker_id} died at the superstep barrier "
-                f"(exitcode {proc.exitcode}); if the start method is 'spawn', "
-                "the driving script must be importable (run under "
-                "`if __name__ == '__main__':` guards)"
-            ) from exc
-        except Exception as exc:  # payload did not survive unpickling
-            raise RuntimeError(
-                f"worker {worker_id} sent an undecodable message: {exc!r}"
-            ) from exc
-        return self._payload(reply, f"worker {worker_id}")

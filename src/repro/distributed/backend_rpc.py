@@ -43,15 +43,15 @@ The run fails only when every peer is gone.  See
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import pickle
 import socket
 import time
 
 from .backend import Backend
+from .backend_mp import PipeWorkers
 from .shared_pool import default_mp_context
 from .wire import WireError, recv_obj, send_obj
-from .worker import WorkerHost, serve
+from .worker import WorkerHost
 
 __all__ = ["RpcBackend", "serve_worker"]
 
@@ -102,7 +102,7 @@ def serve_worker(
         while True:
             sock, _ = srv.accept()
             try:
-                serve(_SocketChannel(sock), WorkerHost())
+                WorkerHost().serve(_SocketChannel(sock))
             finally:
                 try:
                     sock.close()
@@ -118,7 +118,7 @@ def _spawned_worker_main(conn) -> None:
     """Entry point of an auto-spawned localhost worker process."""
 
     def ready(port: int) -> None:
-        conn.send(port)
+        conn.send(("ok", port))
         conn.close()
 
     serve_worker("127.0.0.1", 0, ready=ready)
@@ -180,6 +180,7 @@ class RpcBackend(Backend):
         self.chaos_kill = chaos_kill
         # Per-run state (reset by _open/_close).
         self._peers: list[_Peer] = []
+        self._spawned: PipeWorkers | None = None
         self._wid_peer: list[int] = []
         self._checkpoints: list[bytes] = []
         #: bytes on the wire and barrier latency of the current superstep.
@@ -228,25 +229,14 @@ class RpcBackend(Backend):
                     _Peer(self._connect(host, int(port)), None, spec)
                 )
             return
-        # Auto-spawn one localhost worker process per cluster worker.
-        ctx = mp.get_context(self.mp_context)
-        pending = []
-        for i in range(num_workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_spawned_worker_main,
-                args=(child_conn,),
-                name=f"repro-rpc-worker-{i}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            pending.append((proc, parent_conn))
-        for i, (proc, parent_conn) in enumerate(pending):
-            if not parent_conn.poll(self.connect_timeout):
-                raise TimeoutError(f"spawned rpc worker {i} never reported its port")
-            port = parent_conn.recv()
-            parent_conn.close()
+        # Auto-spawn one localhost worker process per cluster worker; each
+        # reports the port it bound as its one reply.
+        self._spawned = PipeWorkers(
+            self.mp_context, _spawned_worker_main, [()] * num_workers,
+            "spawned rpc worker", self.connect_timeout,
+        )
+        for i, proc in enumerate(self._spawned.procs):
+            port = self._spawned.recv(i)
             self._peers.append(
                 _Peer(self._connect("127.0.0.1", port), proc, f"localhost:{port}")
             )
@@ -381,12 +371,10 @@ class RpcBackend(Backend):
                     peer.sock.close()
                 except OSError:  # pragma: no cover - teardown race
                     pass
-        for peer in self._peers:
-            if peer.proc is not None:
-                peer.proc.join(timeout=10)
-                if peer.proc.is_alive():  # pragma: no cover - hung worker
-                    peer.proc.terminate()
-                    peer.proc.join(timeout=5)
+        if self._spawned is not None:
+            # Spawned servers leave once their one connection has ended.
+            self._spawned.close(grace=10.0)
+            self._spawned = None
         self._peers = []
         self._wid_peer = []
         self._inboxes = []

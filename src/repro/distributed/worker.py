@@ -7,11 +7,16 @@ worker, written once; the three backends are *transports* that reach it:
 * ``sim`` owns a :class:`WorkerHost` in the calling process and calls
   :meth:`WorkerHost.step` directly with live message objects — nothing is
   pickled.
-* ``mp`` runs :func:`serve` in one OS process per worker, over a
-  ``multiprocessing`` pipe.
-* ``rpc`` runs :func:`serve` per master connection, over a framed socket
-  (:mod:`repro.distributed.wire`), and is the only transport that asks
-  ``step`` for checkpoints.
+* ``mp`` runs :meth:`WorkerHost.serve` in one OS process per worker, over
+  a ``multiprocessing`` pipe.
+* ``rpc`` runs :meth:`WorkerHost.serve` per master connection, over a
+  framed socket (:mod:`repro.distributed.wire`), and is the only
+  transport that asks ``step`` for checkpoints.
+
+:func:`serve` is the only service loop in ``src/`` and knows no protocol:
+:meth:`WorkerHost.serve` enters it with the engine's ``kind -> handler``
+table (below), the refine pool's gain workers with ``level / gains /
+drop`` (:mod:`repro.core.parallel_refine`).
 
 Because every worker-side operation has exactly one call site here
 (:func:`~repro.distributed.backend.execute_worker_superstep_batch`,
@@ -19,9 +24,9 @@ Because every worker-side operation has exactly one call site here
 cross-backend bitwise parity holds by construction rather than by keeping
 three loops in step.
 
-Protocol (the master sends a request tuple, ``serve`` answers each with
-exactly one reply; ``exit`` is the only fire-and-forget kind — ``repro
-lint`` REP008 reads this table from ``serve`` itself):
+Engine protocol (the master sends a request tuple, ``serve`` answers each
+with exactly one reply; ``exit`` is the only fire-and-forget kind — ``repro
+lint`` REP008 reads this table where :meth:`WorkerHost.serve` passes it):
 
 ==========================================================  =======================================
 request                                                     reply payload (``("ok", payload)``)
@@ -116,35 +121,23 @@ class WorkerHost:
             out[wid] = (result, hops, ckpt)
         return out
 
-    def collect(self) -> dict:
-        """``collect_states`` of every hosted logical worker's partition."""
-        return {
-            wid: program.collect_states(partition)
-            for wid, (_, program, partition) in sorted(self.workers.items())
-        }
+    def step_pickled(
+        self, superstep: int, broadcasts: dict, inboxes: dict, checkpoint: bool = False
+    ) -> dict:
+        """:meth:`step` as a process-crossing transport requests it.
 
-
-def serve(channel, host: WorkerHost) -> None:
-    """Serve one master over ``channel`` until ``exit`` or hang-up.
-
-    ``channel.recv()`` returns the next request and ``channel.send(reply)``
-    ships one reply; both raise ``EOFError``/``OSError`` once the master is
-    gone, and ``send`` raises whatever pickling raises when a reply cannot
-    cross the process boundary.
-    """
-
-    def step(superstep, broadcasts, inboxes, checkpoint):
-        # The once-per-hop codec: each (source, destination) hop is pickled
-        # exactly once, here in the sending worker — batches compacted to
-        # the entry rows they reference, so columns travel as a few large
-        # buffers — forwarded by the master as an opaque blob,
-        # and decoded once, here in the receiving worker.
+        The once-per-hop codec: each (source, destination) hop is pickled
+        exactly once, here in the sending worker — batches compacted to
+        the entry rows they reference, so columns travel as a few large
+        buffers — forwarded by the master as an opaque blob, and decoded
+        once, here in the receiving worker.
+        """
         live = {
             wid: [pickle.loads(blob) for blob in blobs]
             for wid, blobs in inboxes.items()
         }
         out = {}
-        for wid, (result, hops, ckpt) in host.step(superstep, broadcasts, live, checkpoint).items():
+        for wid, (result, hops, ckpt) in self.step(superstep, broadcasts, live, checkpoint).items():
             blobs = {
                 dst: pickle.dumps([b.compact() for b in hop], protocol=_PICKLE_PROTO)
                 for dst, hop in hops.items()
@@ -152,22 +145,41 @@ def serve(channel, host: WorkerHost) -> None:
             out[wid] = (result, blobs, ckpt)
         return out
 
-    handlers = {
-        "init": host.init,
-        "adopt": host.adopt,
-        "step": step,
-        "collect": host.collect,
-    }
+    def collect(self) -> dict:
+        """``collect_states`` of every hosted logical worker's partition."""
+        return {
+            wid: program.collect_states(partition)
+            for wid, (_, program, partition) in sorted(self.workers.items())
+        }
+
+    def serve(self, channel) -> None:
+        """Answer one master's engine requests over ``channel``: what an
+        ``mp`` worker process and an ``rpc`` connection run."""
+        serve(channel, {
+            "init": self.init, "adopt": self.adopt,
+            "step": self.step_pickled, "collect": self.collect,
+        })
+
+
+def serve(channel, handlers: dict) -> None:
+    """Answer one master over ``channel`` until ``exit`` or hang-up.
+
+    ``handlers`` maps each request kind to the callable that takes the
+    request's arguments and returns the reply payload.
+    ``channel.recv()`` returns the next request and ``channel.send(reply)``
+    ships one reply; both raise ``EOFError``/``OSError`` once the master is
+    gone, and ``send`` raises whatever pickling raises when a reply cannot
+    cross the process boundary.
+    """
     try:
         while True:
-            msg = channel.recv()
-            kind = msg[0]
+            kind, *args = channel.recv()
             if kind == "exit":
                 return
             try:
                 if kind not in handlers:
                     raise ValueError(f"unknown message kind {kind!r}")
-                reply = ("ok", handlers[kind](*msg[1:]))
+                reply = ("ok", handlers[kind](*args))
             except Exception as exc:  # ship the failure; keep serving
                 reply = ("error", exc, traceback.format_exc())
             try:

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.config import SHPConfig
 from ..core.histograms import GainBinning
-from ..core.partition import balanced_random_assignment, validate_assignment
+from ..core.partition import balanced_random_assignment, capacities, validate_assignment
 from ..core.swaps import match_histogram_cells
 from ..distributed import ClusterSpec, GiraphEngine, JobMetrics
 from ..hypergraph.bipartite import BipartiteGraph
@@ -80,9 +80,7 @@ class _SHPMaster:
             eps_eff = cfg.epsilon * min(1.0, k_now / cfg.k)
         else:
             eps_eff = cfg.epsilon
-        target = self.num_data / k_now
-        cap = max(np.floor((1.0 + eps_eff) * target), np.ceil(target))
-        return np.full(k_now, int(cap), dtype=np.int64)
+        return capacities(self.num_data, k_now, eps_eff)
 
     # ------------------------------------------------------------------
     def compute(self, superstep: int, aggregates: dict) -> dict | None:

@@ -32,6 +32,7 @@ __all__ = [
     "read_hmetis_header",
     "read_hmetis_vertex_weights",
     "write_edge_list",
+    "iter_edge_list_chunks",
     "read_edge_list",
     "save_npz",
     "load_npz",
@@ -200,13 +201,27 @@ def iter_hmetis_edge_chunks(
                 edge_weights_out[qid] = float(fields[0])
             fields = fields[1:]
         qs.extend([qid] * len(fields))
-        for f in fields:
-            ds.append(int(f) - 1)
+        try:
+            for f in fields:
+                ds.append(int(f) - 1)
+        except ValueError as exc:
+            raise GraphValidationError(f"hyperedge {qid}: {exc}") from None
         if len(qs) >= chunk_edges:
             yield np.asarray(qs, dtype=np.int64), np.asarray(ds, dtype=np.int64)
             qs, ds = [], []
     if qs:
         yield np.asarray(qs, dtype=np.int64), np.asarray(ds, dtype=np.int64)
+
+
+def _gather_chunks(chunks) -> tuple[np.ndarray, np.ndarray]:
+    """Drain a ``(q_ids, d_ids)`` chunk stream into two whole edge arrays."""
+    chunks = list(chunks)
+    if not chunks:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return (
+        np.concatenate([q for q, _ in chunks]),
+        np.concatenate([d for _, d in chunks]),
+    )
 
 
 def read_hmetis_vertex_weights(handle: TextIO, num_vertices: int) -> np.ndarray:
@@ -239,22 +254,19 @@ def read_hmetis(
         edge_weights = (
             np.empty(num_edges, dtype=np.float64) if has_edge_weights else None
         )
-        q_chunks: list[np.ndarray] = []
-        d_chunks: list[np.ndarray] = []
-        for q_arr, d_arr in iter_hmetis_edge_chunks(
-            handle, num_edges, has_edge_weights, edge_weights, chunk_edges
-        ):
-            q_chunks.append(q_arr)
-            d_chunks.append(d_arr)
+        q_ids, d_ids = _gather_chunks(
+            iter_hmetis_edge_chunks(
+                handle, num_edges, has_edge_weights, edge_weights, chunk_edges
+            )
+        )
         weights = (
             read_hmetis_vertex_weights(handle, num_vertices)
             if has_vertex_weights
             else None
         )
-        empty = np.empty(0, dtype=np.int64)
         return BipartiteGraph.from_edges(
-            np.concatenate(q_chunks) if q_chunks else empty,
-            np.concatenate(d_chunks) if d_chunks else empty,
+            q_ids,
+            d_ids,
             num_queries=num_edges,
             num_data=num_vertices,
             data_weights=weights,
@@ -280,20 +292,43 @@ def write_edge_list(graph: BipartiteGraph, path_or_file) -> None:
             handle.close()
 
 
+def iter_edge_list_chunks(handle: TextIO, chunk_edges: int = HMETIS_CHUNK_EDGES):
+    """Stream ``query<TAB>data`` lines as bounded ``(query, data)`` chunks.
+
+    Yields int64 array pairs of at most ``chunk_edges`` incidences each;
+    blank lines and ``#`` comments are skipped.  This single parser backs
+    both :func:`read_edge_list` and the out-of-core store converter, so
+    the two paths cannot drift.
+    """
+    qs: list[int] = []
+    ds: list[int] = []
+    for lineno, line in enumerate(handle, start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) < 2:
+            raise GraphValidationError(
+                f"line {lineno}: expected 'query data', got {line.strip()!r}"
+            )
+        try:
+            qs.append(int(parts[0]))
+            ds.append(int(parts[1]))
+        except ValueError as exc:
+            raise GraphValidationError(f"line {lineno}: {exc}") from None
+        if len(qs) >= chunk_edges:
+            yield np.asarray(qs, dtype=np.int64), np.asarray(ds, dtype=np.int64)
+            qs, ds = [], []
+    if qs:
+        yield np.asarray(qs, dtype=np.int64), np.asarray(ds, dtype=np.int64)
+
+
 def read_edge_list(path_or_file, name: str = "") -> BipartiteGraph:
     """Read ``query<TAB>data`` pairs (comments with ``#`` allowed)."""
     handle, owned = _open_for_read(path_or_file)
     try:
-        qs: list[int] = []
-        ds: list[int] = []
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            qs.append(int(parts[0]))
-            ds.append(int(parts[1]))
-        return BipartiteGraph.from_edges(qs, ds, name=name)
+        return BipartiteGraph.from_edges(
+            *_gather_chunks(iter_edge_list_chunks(handle)), name=name
+        )
     finally:
         if owned:
             handle.close()

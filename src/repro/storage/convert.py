@@ -39,6 +39,7 @@ import numpy as np
 
 from ..hypergraph.bipartite import GraphValidationError
 from ..hypergraph.io import (
+    iter_edge_list_chunks,
     iter_hmetis_edge_chunks,
     read_hmetis_header,
     read_hmetis_vertex_weights,
@@ -96,21 +97,8 @@ class _EdgeListSource:
         self.data_weights = None
 
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        qs: list[int] = []
-        ds: list[int] = []
         with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                qs.append(int(parts[0]))
-                ds.append(int(parts[1]))
-                if len(qs) >= self._chunk_edges:
-                    yield np.asarray(qs, dtype=np.int64), np.asarray(ds, dtype=np.int64)
-                    qs, ds = [], []
-        if qs:
-            yield np.asarray(qs, dtype=np.int64), np.asarray(ds, dtype=np.int64)
+            yield from iter_edge_list_chunks(handle, self._chunk_edges)
 
 
 def _iter_npy_member(

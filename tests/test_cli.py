@@ -119,6 +119,18 @@ class TestEvaluateCommand:
             main(["evaluate", str(path), str(bad), "-k", "4"])
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "convert"])
+    def test_malformed_graph_file_is_an_error_line_not_a_traceback(self, tmp_path, command):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("0\t1\n5\n")
+        other = tmp_path / ("assign.txt" if command == "evaluate" else "out.rgs")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(bad), str(other)])
+        # argparse-style exit: a message (non-zero status), not an exception
+        # escaping main().
+        assert str(exit_info.value.code).startswith("error: line 2:")
+
+
 class TestGenerateCommand:
     @pytest.mark.parametrize("suffix", [".hgr", ".tsv", ".npz"])
     def test_generate_formats(self, tmp_path, suffix, capsys):

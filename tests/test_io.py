@@ -134,6 +134,10 @@ class TestHMetis:
         with pytest.raises(GraphValidationError):
             read_hmetis(io.StringIO("42\n"))
 
+    def test_non_integer_pin_names_the_hyperedge_and_token(self):
+        with pytest.raises(GraphValidationError, match=r"hyperedge 1: .*'x7'"):
+            read_hmetis(io.StringIO("2 4\n1 2\n3 x7\n"))
+
     def test_file_path_round_trip(self, tiny_graph, tmp_path):
         path = tmp_path / "g.hgr"
         write_hmetis(tiny_graph, path)
@@ -203,6 +207,16 @@ class TestEdgeList:
         text = "# header\n\n0 1\n0 2\n"
         loaded = read_edge_list(io.StringIO(text))
         assert loaded.num_edges == 2
+
+
+    @pytest.mark.parametrize("text, where", [
+        ("0 1\n5\n", r"line 2: .*'5'"),            # one field (was IndexError)
+        ("# c\n\n0\ta\n", r"line 3: .*'a'"),       # non-integer data id
+        ("0 1\nq 2\n", r"line 2: .*'q'"),          # non-integer query id
+    ], ids=["one-field", "bad-data-id", "bad-query-id"])
+    def test_malformed_line_names_line_and_token(self, text, where):
+        with pytest.raises(GraphValidationError, match=where):
+            read_edge_list(io.StringIO(text))
 
 
 class TestNpz:

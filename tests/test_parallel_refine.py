@@ -201,7 +201,7 @@ class TestWorkerDeath:
         pool = ParallelGainPool(2, step_timeout=60.0)
         try:
             pool.publish_level(_zero_degree_level(16), has_qw=False)
-            victim = pool._workers[1]
+            victim = pool._group.procs[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             started = time.monotonic()
@@ -219,7 +219,7 @@ class TestWorkerDeath:
         pool = ParallelGainPool(2)
         try:
             pool.publish_level(_zero_degree_level(8), has_qw=False)
-            victim = pool._workers[0]
+            victim = pool._group.procs[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             with pytest.raises((RuntimeError, TimeoutError)):
@@ -237,8 +237,8 @@ class TestWorkerDeath:
         pool = ParallelGainPool(2)
         try:
             pool.publish_level(_zero_degree_level(8), has_qw=False)
-            os.kill(pool._workers[0].pid, signal.SIGKILL)
-            pool._workers[0].join(timeout=10)
+            os.kill(pool._group.procs[0].pid, signal.SIGKILL)
+            pool._group.procs[0].join(timeout=10)
             with pytest.raises((RuntimeError, TimeoutError)):
                 pool.compute_gains(np.array([0, 4, 8], dtype=np.int64))
             # The segment is reclaimed even though the protocol is dead...

@@ -308,11 +308,12 @@ def test_rep006_scope_covers_storage():
 # REP007 shared-write-disjointness
 # ----------------------------------------------------------------------
 
+# A request handler as ``serve`` calls it: the dispatched bounds arrive as
+# its parameters.
 WORKER_HEAD = (
-    "def worker(handle, conn):\n"
+    "def gains(handle, lo, hi):\n"
     "    pack = SharedArrayPack.attach(handle)\n"
     "    views = pack.arrays(writeable=True)\n"
-    "    lo, hi = conn.recv()\n"
 )
 
 
@@ -349,6 +350,37 @@ def test_rep007_flags(tmp_path, bad_tail):
 def test_rep007_allows(tmp_path, good_tail):
     source = WORKER_HEAD + good_tail
     assert codes(run_lint(tmp_path, source, select=["REP007"])) == []
+
+
+def test_rep007_handlers_share_the_views_and_only_parameters_seed_derivation(tmp_path):
+    # The refine worker's shape: handlers nested in the function that runs
+    # ``serve``, the views bound by one (``level``) and written by another
+    # (``gains``) through a closure variable.  A slice computed from the
+    # parameters is fine; an index that is a plain local — even one read
+    # off the pipe — is not dispatch-derived and must be flagged.
+    source = (
+        "def worker(conn):\n"
+        "    views = None\n"
+        "\n"
+        "    def level(handle):\n"
+        "        nonlocal views\n"
+        "        views = SharedArrayPack.attach(handle).arrays(writeable=True)\n"
+        "\n"
+        "    def gains(lo, hi):\n"
+        '        ranks = views["work_buf"][lo:hi]\n'
+        '        views["gain_cache"][ranks] = 0.5\n'
+        "{extra}"
+        "\n"
+        '    serve(conn, {{"level": level, "gains": gains}})\n'
+    )
+    assert codes(run_lint(tmp_path, source.format(extra=""), select=["REP007"])) == []
+    for local in ("slot = 3\n", "slot = conn.recv()\n"):
+        bad = source.format(
+            extra="        " + local + '        views["gain_cache"][slot] = 0.0\n'
+        )
+        report = run_lint(tmp_path, bad, select=["REP007"])
+        assert codes(report) == ["REP007"]
+        assert "`slot`" in report.unsuppressed[0].message
 
 
 def test_rep007_ignores_non_worker_scope(tmp_path):
@@ -433,16 +465,12 @@ def test_rep008_allows(tmp_path, good):
 
 
 def test_rep008_fire_and_forget_kind_mined_from_service_loop(tmp_path):
-    # The worker loop declares 'exit' reply-less, so the master's
-    # un-received exit send is fine; 'work' still demands a barrier.
+    # The worker enters the service loop with a handler table: 'work' is
+    # answered, so it demands a barrier; 'exit' ends the loop reply-less,
+    # so the master's un-received exit send is fine.
     source = (
-        "def worker(conn):\n"
-        "    while True:\n"
-        "        msg = conn.recv()\n"
-        '        if msg[0] == "work":\n'
-        '            conn.send(("done",))\n'
-        '        elif msg[0] == "exit":\n'
-        "            return\n"
+        "def worker(conn, host):\n"
+        '    serve(conn, {"work": host.work})\n'
         "\n"
         "def shutdown(conn):\n"
         '    conn.send(("exit",))\n'
@@ -458,27 +486,20 @@ def test_rep008_fire_and_forget_kind_mined_from_service_loop(tmp_path):
 
 
 def test_rep008_dispatch_table_loop_is_mined(tmp_path):
-    # A loop that looks the kind up in a table and replies at one site
-    # answers every listed kind; 'exit' still leaves without a reply.
+    # The table is read wherever the file calls serve — a method call on
+    # the worker module works like the bare name — and a worker-side reply
+    # ('ok' / 'error' lead replies) is never mistaken for a dispatch.
     source = (
-        "def worker(conn, host):\n"
-        '    handlers = {"work": host.work}\n'
-        "    while True:\n"
-        "        msg = conn.recv()\n"
-        '        if msg[0] == "exit":\n'
-        "            return\n"
-        "        conn.send(handlers[msg[0]](*msg[1:]))\n"
-        "\n"
-        "def shutdown(conn):\n"
-        '    conn.send(("exit",))\n'
-        "    conn.close()\n"
+        "def worker(conn, host, port):\n"
+        '    conn.send(("ok", port))\n'
+        '    worker_mod.serve(conn, {"work": host.work, "stop": host.stop})\n'
         "\n"
         "def bad_dispatch(conn):\n"
-        '    conn.send(("work", 1))\n'
+        '    conn.send(("stop",))\n'
     )
     report = run_lint(tmp_path, source, select=["REP008"])
     assert codes(report) == ["REP008"]
-    assert "work" in report.unsuppressed[0].message
+    assert "stop" in report.unsuppressed[0].message
 
 
 def test_rep008_master_only_file_is_checked_against_the_shared_engine_loop(tmp_path):

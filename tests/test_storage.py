@@ -368,6 +368,21 @@ class TestConverter:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".rgs-spill")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("name, text, where", [
+        ("g.tsv", "0 1\n5\n", r"line 2: .*'5'"),
+        ("g.tsv", "0\ta\n", r"line 1: .*'a'"),
+        ("g.hgr", "2 4\n1 2\n3 x7\n", r"hyperedge 1: .*'x7'"),
+    ], ids=["tsv-one-field", "tsv-bad-id", "hgr-bad-pin"])
+    def test_malformed_source_is_a_validation_error(self, tmp_path, name, text, where):
+        from repro.hypergraph.bipartite import GraphValidationError
+
+        src = tmp_path / name
+        src.write_text(text)
+        with pytest.raises(GraphValidationError, match=where):
+            convert_to_store(src, tmp_path / "g.rgs")
+        leftovers = [p for p in tmp_path.iterdir() if p.name != name]
+        assert leftovers == []  # no half-written store, no spill files
+
     def test_unknown_source_suffix_rejected(self, tmp_path):
         from repro.hypergraph.bipartite import GraphValidationError
 

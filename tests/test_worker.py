@@ -22,7 +22,7 @@ from repro.core import balanced_random_assignment
 from repro.core.histograms import GainBinning
 from repro.distributed import ClusterSpec, GiraphEngine, SimulatedBackend
 from repro.distributed.backend import merge_aggregates
-from repro.distributed.worker import WorkerHost, serve
+from repro.distributed.worker import WorkerHost
 from repro.distributed_shp import SHPColumnarProgram
 from repro.distributed_shp.job import _SHPMaster
 from repro.hypergraph import darwini_bipartite
@@ -70,7 +70,7 @@ def served():
     """A live ``serve`` loop on a thread; yields the master's channel end."""
     to_worker, to_master = queue.Queue(), queue.Queue()
     thread = threading.Thread(
-        target=serve, args=(_End(to_worker, to_master), WorkerHost()), daemon=True
+        target=WorkerHost().serve, args=(_End(to_worker, to_master),), daemon=True
     )
     thread.start()
     master = _End(to_master, to_worker)
