@@ -15,7 +15,8 @@ is a *transport* — where hosts live, how requests and hops reach them:
 * :class:`RpcBackend` (``backend_rpc``) — worker processes serving the
   same loop over TCP (auto-spawned localhost processes or external
   ``repro rpc-worker`` hosts), length-prefixed pickled frames, a
-  checkpoint on every barrier reply, superstep retry on worker death.
+  snapshot per logical worker per protocol cycle; on worker death:
+  adopt, replay the cycle so far, retry the superstep.
 
 :func:`execute_worker_superstep_batch` has a single call site,
 ``WorkerHost.step``, and the master half every transport shares lives on
@@ -317,32 +318,37 @@ class Backend(ABC):
     def _plan(self, engine, program, combiner) -> tuple[dict, list[tuple]]:
         """Describe a run the way ``WorkerHost.init`` takes it.
 
-        Returns ``(shared, snapshots)``: the job-wide context and one
-        pristine ``(vids, program, None)`` snapshot per logical worker (its
-        partition is built by whichever host adopts it).  Also resets the
-        per-run master state (:attr:`_inboxes`).
+        Returns ``(shared, snapshots)``: the job-wide context — the program
+        rides here, once per host — and one pristine ``(vids, None, [])``
+        snapshot per logical worker (no state, nothing held: its partition
+        is built by whichever host adopts it).  Also resets the per-run
+        master state (:attr:`_inboxes`).
         """
         self._engine = engine
         self._num_workers = engine.cluster.num_workers
-        #: per logical worker, the hops to deliver at the next superstep.
+        #: per logical worker, the ``(source worker, hop)`` pairs to deliver
+        #: at the next superstep.
         self._inboxes: list[list] = [[] for _ in range(self._num_workers)]
         shared = {
             "seed": engine.seed,
             "num_workers": self._num_workers,
             "combiner": combiner,
+            "program": program,
             "graph": engine._graph,
             "worker_of": engine._worker_of_array,
         }
-        snapshots = [(vids, program, None) for vids in engine._worker_vertices]
+        snapshots = [(vids, None, []) for vids in engine._worker_vertices]
         return shared, snapshots
 
     def _commit(self, replies: dict[int, tuple]) -> list[WorkerStepResult]:
         """Barrier commit of ``wid -> (report, {dst: hop}, ...)`` replies.
 
-        Hops are delivered in ascending source-worker order — the order
-        that fixes every vertex's message sequence, hence the bitwise
-        result — whatever order the replies arrived in.  A hop is opaque
-        here: live lists on ``sim``, once-pickled blobs on ``mp``/``rpc``.
+        Hops are delivered as ``(source worker, hop)`` in ascending source
+        order — the order that fixes every vertex's message sequence,
+        hence the bitwise result — whatever order the replies arrived in;
+        the source lets the receiving host slot in the hop its worker sent
+        itself, which never reaches the master.  A hop is opaque here: live
+        lists on ``sim``, once-pickled blobs on ``mp``/``rpc``.
         """
         inboxes: list[list] = [[] for _ in range(self._num_workers)]
         results = []
@@ -350,7 +356,7 @@ class Backend(ABC):
             result, hops = replies[wid][:2]
             results.append(result)
             for dst, hop in hops.items():
-                inboxes[dst].append(hop)
+                inboxes[dst].append((wid, hop))
         self._inboxes = inboxes
         return results
 
@@ -378,8 +384,8 @@ class SimulatedBackend(Backend):
 
         shared, snapshots = self._plan(engine, program, combiner)
         self._host = WorkerHost()
-        # Live snapshots: one shared program instance — nothing is copied
-        # or pickled.
+        # One live program instance, shared with the caller — nothing is
+        # copied or pickled.
         self._host.init(shared, dict(enumerate(snapshots)))
 
     def _execute_superstep(self, superstep: int, broadcasts: dict) -> list[WorkerStepResult]:

@@ -21,8 +21,9 @@ Layout (mirrors a small Giraph deployment on a single machine):
   maps the file itself.
 * Message hops are pickled **once** in the sending worker and routed by
   the master as opaque byte blobs, so the master never re-serializes
-  traffic it merely forwards.  No checkpoints are taken: a dead worker
-  fails the run.
+  traffic it merely forwards; the hop a worker addresses to itself stays
+  live in its process.  No snapshots are taken: a dead worker fails the
+  run.
 
 Determinism: placement comes from the engine seed and ``ctx.random()`` is
 counter-based (see :mod:`repro.distributed.engine`), so a job produces

@@ -6,8 +6,9 @@ backend's split of responsibilities:
 
 * The **master** (calling process) runs the master program, routes message
   blobs between workers, reduces aggregators, assembles metrics, and also
-  owns *fault handling*: per-worker state checkpoints, worker-death
-  detection, and superstep retry against the surviving worker set.
+  owns *fault handling*: per-worker snapshots once per protocol cycle,
+  worker-death detection, and adopt / replay / retry against the
+  surviving worker set.
 * Each **worker peer** is a process reachable over TCP — auto-spawned on
   localhost (tests/CI, ``hosts=None``) or started externally with
   ``repro rpc-worker`` on real machines (``hosts=["host:port", ...]``) —
@@ -29,16 +30,22 @@ failover.
 
 Fault tolerance
 ---------------
-This is the one transport that asks ``step`` for checkpoints: every step
-reply carries a pickled snapshot of each logical worker's post-superstep
-state (vertex-id array, program instance, columnar partition).
-The master retains the latest committed checkpoint per logical worker plus
-the current superstep's inbound blobs; when a peer dies mid-superstep
+This is the one transport that asks ``step`` for snapshots, and only on
+the last superstep of the program's protocol cycle (``phase_cycle``; SHP:
+S4, which sends nothing — a program that declares no cycle is cut at every
+barrier by the same code): that reply carries, per logical worker, the
+pickled ``(vids, state, held)`` — vertex ids, the mutable columns the
+program's ``save_state`` names, the hop the worker sent itself.  The
+master retains the last committed snapshot per logical worker plus a log
+of what every barrier since delivered, ``(superstep, broadcasts,
+inboxes)`` — references to blobs it forwarded anyway.  When a peer dies
 (connection failure or barrier timeout) its logical workers are *adopted*
-by surviving peers — checkpoint restored, the same superstep re-dispatched
-with the retained inboxes — and the run continues with identical results.
-The run fails only when every peer is gone.  See
-``docs/running-distributed.md`` for the operational walk-through.
+by surviving peers — partition rebuilt from the graph the adopter holds,
+snapshot state loaded, the log replayed with replies discarded, the
+current request re-dispatched — and the run continues with identical
+results; the final ``collect`` is such a barrier too.  The run fails only
+when every peer is gone.  See ``docs/running-distributed.md`` for the
+operational walk-through.
 """
 
 from __future__ import annotations
@@ -152,15 +159,16 @@ class RpcBackend(Backend):
         Seconds allowed for each TCP connect (and spawned-worker startup).
     step_timeout:
         Seconds to wait for a peer at each superstep barrier before
-        declaring it dead and retrying its logical workers elsewhere.
+        declaring it dead (an auto-spawned one is terminated) and
+        re-homing its logical workers elsewhere.
     mp_context:
         Multiprocessing start method for auto-spawned workers (default:
         ``fork`` where available, overridable via ``REPRO_MP_CONTEXT``).
     chaos_kill:
         Optional ``(superstep, peer_index)`` fault-injection hook: right
         before dispatching that superstep the backend kills that peer,
-        exercising the adopt-and-retry path deterministically (used by the
-        failover tests; harmless in production).
+        exercising the adopt-replay-retry path deterministically (used by
+        the failover tests; harmless in production).
     """
 
     name = "rpc"
@@ -182,7 +190,14 @@ class RpcBackend(Backend):
         self._peers: list[_Peer] = []
         self._spawned: PipeWorkers | None = None
         self._wid_peer: list[int] = []
+        #: supersteps per checkpoint: the program's cycle length.
+        self._cycle = 1
+        #: per logical worker, its last committed snapshot (pickled) ...
         self._checkpoints: list[bytes] = []
+        #: ... and what every barrier since delivered: ``(superstep,
+        #: broadcasts, inboxes)``, fewer than ``_cycle`` entries, each a
+        #: reference to blobs the master forwarded anyway.
+        self._log: list[tuple] = []
         #: bytes on the wire and barrier latency of the current superstep.
         self._wire = 0
         self._rtt = 0.0
@@ -199,11 +214,15 @@ class RpcBackend(Backend):
         self._connect_peers(num_workers)
         num_peers = len(self._peers)
         self._wid_peer = [wid % num_peers for wid in range(num_workers)]
+        # The cadence is the program's: cut after the last superstep of
+        # each protocol cycle, after every superstep if it declares none.
+        self._cycle = getattr(program, "phase_cycle", 1)
         # Pristine checkpoints are what init ships, and what lets any peer
-        # adopt a logical worker that dies before its first barrier.
+        # adopt a logical worker that dies before its first cut.
         self._checkpoints = [
             pickle.dumps(snapshot, protocol=_PICKLE_PROTO) for snapshot in snapshots
         ]
+        self._log = []
         for peer_idx, peer in enumerate(self._peers):
             hosted = {
                 wid: self._checkpoints[wid]
@@ -221,7 +240,7 @@ class RpcBackend(Backend):
         if self.hosts is not None:
             for spec in self.hosts:
                 host, _, port = spec.rpartition(":")
-                if not host:
+                if not host or not port.isdecimal():
                     raise ValueError(
                         f"execution host {spec!r} is not of the form 'host:port'"
                     )
@@ -260,47 +279,82 @@ class RpcBackend(Backend):
             self.chaos_kill = None
         start = time.perf_counter()
         self._wire = 0
-        pending = set(range(self._num_workers))
-        replies: dict[int, tuple] = {}
-        while pending:
-            by_peer: dict[int, dict[int, list]] = {}
-            for wid in sorted(pending):
-                by_peer.setdefault(self._wid_peer[wid], {})[wid] = self._inboxes[wid]
-            # Dispatch to every peer, then gather.  The last field asks for
-            # a checkpoint on every reply: what a failover restores.
-            dispatched = [
-                peer_idx
-                for peer_idx, inboxes in by_peer.items()
-                if self._send(peer_idx, ("step", superstep, broadcasts, inboxes, True))
-            ]
-            for peer_idx in dispatched:
-                replies.update(self._recv(peer_idx, f"superstep {superstep}") or {})
-            pending -= replies.keys()
-            if pending:
-                self._reassign(sorted(pending))
-        # The inboxes and checkpoints a retry needs are replaced only now
-        # that the whole barrier completed.
+        checkpoint = (superstep + 1) % self._cycle == 0
+        inboxes = self._inboxes
+        replies = self._barrier(
+            lambda wids: (
+                "step", superstep, broadcasts,
+                {wid: inboxes[wid] for wid in wids}, checkpoint,
+            ),
+            f"superstep {superstep}",
+        )
+        # What a failover restores and replays moves on only now that the
+        # whole barrier completed.
         results = self._commit(replies)
-        self._checkpoints = [replies[wid][2] for wid in range(self._num_workers)]
+        if checkpoint:
+            self._checkpoints = [replies[wid][2] for wid in range(self._num_workers)]
+            self._log = []
+        else:
+            self._log.append((superstep, broadcasts, inboxes))
         self._rtt = time.perf_counter() - start
         return results
 
+    def _barrier(self, request_for, what: str) -> dict:
+        """One answer per logical worker, whatever dies on the way.
+
+        Sends ``request_for(wids)`` to every peer for the workers it hosts,
+        gathers the ``wid -> answer`` payloads, and re-homes the workers of
+        peers that failed until none is pending."""
+        pending = set(range(self._num_workers))
+        replies: dict[int, object] = {}
+        while pending:
+            by_peer: dict[int, list[int]] = {}
+            for wid in sorted(pending):
+                by_peer.setdefault(self._wid_peer[wid], []).append(wid)
+            dispatched = [
+                peer_idx
+                for peer_idx, wids in by_peer.items()
+                if self._send(peer_idx, request_for(wids))
+            ]
+            for peer_idx in dispatched:
+                payload = self._recv(peer_idx, what)
+                if payload is not None:
+                    replies.update((wid, payload[wid]) for wid in by_peer[peer_idx])
+            pending -= replies.keys()
+            if pending:
+                self._reassign(sorted(pending))
+        return replies
+
     def _reassign(self, orphans: list[int]) -> None:
-        """Adopt orphaned logical workers onto surviving peers."""
+        """Re-home orphaned logical workers onto surviving peers."""
         survivors = [i for i, peer in enumerate(self._peers) if peer.alive]
         if not survivors:
             raise RuntimeError(
-                "all rpc workers are gone; cannot retry the superstep"
+                "all rpc workers are gone; no peer is left to re-home their "
+                "logical workers onto"
             )
+        by_peer: dict[int, list[int]] = {}
         for j, wid in enumerate(orphans):
-            peer_idx = survivors[j % len(survivors)]
-            # If this peer dies too, the orphan stays pending and the
-            # caller's loop reassigns it.
-            if (
-                self._send(peer_idx, ("adopt", wid, self._checkpoints[wid]))
-                and self._recv(peer_idx, f"adopting worker {wid}") is not None
+            by_peer.setdefault(survivors[j % len(survivors)], []).append(wid)
+        for peer_idx, wids in sorted(by_peer.items()):
+            # Adopt the last snapshots, then replay what was delivered
+            # since — deterministic, so the replies are discarded.  If this
+            # peer dies too, its orphans stay pending and the caller's loop
+            # reassigns them.
+            requests = [
+                *(("adopt", wid, self._checkpoints[wid]) for wid in wids),
+                *(
+                    ("step", superstep, broadcasts, {wid: inboxes[wid] for wid in wids}, False)
+                    for superstep, broadcasts, inboxes in self._log
+                ),
+            ]
+            if all(
+                self._send(peer_idx, request)
+                and self._recv(peer_idx, f"re-homing workers {wids}") is not None
+                for request in requests
             ):
-                self._wid_peer[wid] = peer_idx
+                for wid in wids:
+                    self._wid_peer[wid] = peer_idx
 
     def _send(self, peer_idx: int, request: tuple) -> bool:
         """Send one metered request; a peer that cannot take it is dead."""
@@ -332,6 +386,10 @@ class RpcBackend(Backend):
             peer.sock.close()
         except OSError:  # pragma: no cover - teardown race
             pass
+        if peer.proc is not None:
+            # A stalled (not crashed) spawned server would otherwise live
+            # on until _close, which then waits out its grace on it.
+            peer.proc.terminate()
 
     def _kill_peer(self, peer_idx: int) -> None:
         """Chaos hook: hard-kill one peer (process if spawned, else socket)."""
@@ -344,17 +402,9 @@ class RpcBackend(Backend):
 
     # ------------------------------------------------------------------
     def _finish(self) -> dict:
-        # Final states come from the committed checkpoints: the master
-        # already holds every logical worker's post-superstep snapshot, so
-        # collection needs no further round-trips and survives any peer
-        # dying after its last barrier.
-        host = WorkerHost()
-        # A run of zero supersteps left pristine snapshots: partitions are
-        # then built here, which takes the graph.
-        host.graph = self._engine._graph
-        for wid, checkpoint in enumerate(self._checkpoints):
-            host.adopt(wid, checkpoint)
-        return host.collect()
+        # A barrier like any other: a peer that died after its last step
+        # is re-homed and replayed before it answers.
+        return self._barrier(lambda wids: ("collect",), "collect")
 
     def _annotate_step(self, step) -> None:
         step.wire_bytes = self._wire
@@ -379,4 +429,5 @@ class RpcBackend(Backend):
         self._wid_peer = []
         self._inboxes = []
         self._checkpoints = []
+        self._log = []
         self._engine = None

@@ -23,8 +23,9 @@ transport that reaches it:
   ``multiprocessing.shared_memory`` and routes once-pickled message hops —
   real parallel wall-clock on one machine.
 * :class:`~repro.distributed.RpcBackend` runs hosts behind framed TCP
-  sockets (localhost or other machines), checkpoints every barrier and
-  retries a superstep when a worker dies.
+  sockets (localhost or other machines), checkpoints once per protocol
+  cycle and, when a worker dies, re-homes it from that checkpoint,
+  replays the supersteps since and retries the current one.
 
 All three therefore run the *same* per-worker superstep code
 (:func:`repro.distributed.backend.execute_worker_superstep_batch`) and are
@@ -72,12 +73,18 @@ class BatchVertexProgram(Protocol):
     columns.  Every backend runs it through
     :func:`repro.distributed.backend.execute_worker_superstep_batch`.
 
-    Programs must be picklable (``mp``/``rpc`` ship one copy per logical
-    worker, and a checkpoint is the pickled ``(vids, program, partition)``),
-    so per-instance mutable state is *worker-local* state.  State goes in
-    as whatever the program holds (e.g. an initial assignment array) and
-    comes out as whatever ``collect_states`` returns — columns in, columns
-    out; the engine never sees a per-vertex Python object.
+    Programs must be picklable (``mp``/``rpc`` ship one copy per host, in
+    the ``init`` request) and hold no per-worker state once
+    ``create_partition`` returned: everything a superstep writes lives in
+    the partition.  State goes in as whatever the program holds (e.g. an
+    initial assignment array) and comes out as whatever ``collect_states``
+    returns — columns in, columns out; the engine never sees a per-vertex
+    Python object.
+
+    A checkpointing transport (``rpc``) additionally reads ``phase_cycle``
+    — the number of supersteps in one protocol cycle; it checkpoints after
+    the last superstep of each cycle, after every superstep when the
+    attribute is absent — and calls ``save_state`` / ``load_state``.
     """
 
     def phase_name(self, superstep: int) -> str:
@@ -102,6 +109,15 @@ class BatchVertexProgram(Protocol):
 
     def partition_nbytes(self, partition: object) -> int:
         """Resident bytes of the partition (memory metering)."""
+        ...  # pragma: no cover - protocol
+
+    def save_state(self, partition: object) -> object:
+        """The picklable part of ``partition`` a peer cannot rebuild with
+        ``create_partition`` — what a checkpoint carries."""
+        ...  # pragma: no cover - protocol
+
+    def load_state(self, partition: object, state: object) -> None:
+        """Resume a freshly created partition from ``save_state``'s value."""
         ...  # pragma: no cover - protocol
 
 

@@ -11,7 +11,11 @@ worker, written once; the three backends are *transports* that reach it:
   a ``multiprocessing`` pipe.
 * ``rpc`` runs :meth:`WorkerHost.serve` per master connection, over a
   framed socket (:mod:`repro.distributed.wire`), and is the only
-  transport that asks ``step`` for checkpoints.
+  transport that asks ``step`` for snapshots — on the last superstep of
+  each protocol cycle.
+
+On all three a hop a worker addresses to itself never leaves its host:
+``step`` holds it live and hands it to the same worker's next step.
 
 :func:`serve` is the only service loop in ``src/`` and knows no protocol:
 :meth:`WorkerHost.serve` enters it with the engine's ``kind -> handler``
@@ -20,23 +24,29 @@ drop`` (:mod:`repro.core.parallel_refine`).
 
 Because every worker-side operation has exactly one call site here
 (:func:`~repro.distributed.backend.execute_worker_superstep_batch`,
-``create_partition``, ``collect_states``, the once-per-hop pickle),
-cross-backend bitwise parity holds by construction rather than by keeping
-three loops in step.
+``create_partition``, ``save_state`` / ``load_state``, ``collect_states``,
+the once-per-hop pickle), cross-backend bitwise parity holds by
+construction rather than by keeping three loops in step.
 
 Engine protocol (the master sends a request tuple, ``serve`` answers each
 with exactly one reply; ``exit`` is the only fire-and-forget kind — ``repro
 lint`` REP008 reads this table where :meth:`WorkerHost.serve` passes it):
 
-==========================================================  =======================================
-request                                                     reply payload (``("ok", payload)``)
-==========================================================  =======================================
-``("init", shared, {wid: snapshot})``                       hosted logical worker ids
-``("adopt", wid, snapshot)``                                ``wid``
-``("step", superstep, broadcasts, {wid: hops}, checkpoint)``  ``{wid: (report, {dst: hop}, ckpt)}``
-``("collect",)``                                            ``{wid: collected states}``
-``("exit",)``                                               *(none — the loop ends)*
-==========================================================  =======================================
+====================================================================  =========================================
+request                                                               reply payload (``("ok", payload)``)
+====================================================================  =========================================
+``("init", shared, {wid: snapshot})``                                 hosted logical worker ids
+``("adopt", wid, snapshot)``                                          ``wid``
+``("step", superstep, broadcasts, {wid: [(src, hop)]}, checkpoint)``  ``{wid: (report, {dst: hop}, snapshot)}``
+``("collect",)``                                                      ``{wid: collected states}``
+``("exit",)``                                                         *(none — the loop ends)*
+====================================================================  =========================================
+
+``shared`` is the job-wide context, program included; a snapshot is
+``(vids, state, held)`` or its pickle — ``state`` is ``None`` and ``held``
+empty in the pristine ones ``init`` takes; a step reply's is ``None``
+unless ``checkpoint`` was set, and its ``{dst: hop}`` never has ``dst ==
+wid``.
 
 A handler that raises is answered with ``("error", exc, traceback)`` and
 the loop keeps serving.
@@ -57,41 +67,55 @@ _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 class WorkerHost:
     """The state of every logical worker one peer hosts.
 
-    A logical worker is the tuple ``(vids, program, partition)`` — its
-    ascending vertex-id array, its program instance and the program's
-    struct-of-arrays partition — which is also exactly what a checkpoint
-    pickles, so a worker can be re-homed onto any host by :meth:`adopt`.
+    A logical worker is its ascending vertex-id array plus the partition
+    the job's program built for it (``workers[wid] = (vids, partition)``),
+    and the hop it addressed to itself at the last superstep (``held``).
+    The program is job-wide context: it arrives once, in ``init``'s
+    ``shared``, and holds no per-worker state once ``create_partition``
+    returned.  A **snapshot** is ``(vids, state, held)`` — ``state`` what
+    ``program.save_state(partition)`` returns (the mutable columns only;
+    ``None`` in a pristine snapshot) — so a worker can be re-homed onto any
+    host by :meth:`adopt`, which rebuilds everything else from the graph
+    that host already holds.
     """
 
     def __init__(self):
         self.graph = None
+        self.program = None
         self.seed = 0
         self.num_workers = 0
         self.combiner = None
         #: dense vertex id -> logical worker array.
         self.worker_of = None
         self.workers: dict[int, tuple] = {}
+        #: wid -> the hop ``wid`` sent to itself at its last step: live
+        #: batches, delivered at its next step without leaving this host.
+        self.held: dict[int, list] = {}
 
     def init(self, shared: dict, snapshots: dict) -> list[int]:
         """Install the job-wide context, then adopt the listed workers."""
         self.graph = shared["graph"]
+        self.program = shared["program"]
         self.seed = shared["seed"]
         self.num_workers = shared["num_workers"]
         self.combiner = shared["combiner"]
         self.worker_of = shared["worker_of"]
         self.workers = {}
+        self.held = {}
         return [self.adopt(wid, snapshots[wid]) for wid in sorted(snapshots)]
 
     def adopt(self, wid: int, snapshot) -> int:
         """Host logical worker ``wid`` from a snapshot tuple or its pickle
-        (how checkpoints travel): pristine at init (no partition yet — it
-        is built here), post-superstep when the master re-homes an orphan."""
+        (how checkpoints travel): the partition is built here, from this
+        host's graph, and the snapshot's mutable state loaded into it."""
         if isinstance(snapshot, bytes):
             snapshot = pickle.loads(snapshot)
-        vids, program, partition = snapshot
-        if partition is None:
-            partition = program.create_partition(wid, vids, self.graph)
-        self.workers[wid] = (vids, program, partition)
+        vids, state, held = snapshot
+        partition = self.program.create_partition(wid, vids, self.graph)
+        if state is not None:
+            self.program.load_state(partition, state)
+        self.workers[wid] = (vids, partition)
+        self.held[wid] = held
         return wid
 
     def step(
@@ -99,42 +123,50 @@ class WorkerHost:
     ) -> dict:
         """Run one superstep for the listed logical workers, ascending.
 
-        ``inboxes[wid]`` is the list of hops delivered to ``wid`` — one per
-        source worker, each a list of ``MessageBatch``.  Returns ``wid ->
-        (barrier report, outbound hops keyed by destination worker,
-        post-superstep checkpoint or None)``.
+        ``inboxes[wid]`` lists the ``(source worker, hop)`` pairs delivered
+        to ``wid`` by *other* workers, each hop a list of ``MessageBatch``;
+        the hop ``wid`` sent itself is held here and merged back in, so
+        batches reach the kernel in ascending source order.  Returns ``wid
+        -> (barrier report, outbound hops keyed by destination worker,
+        pickled post-superstep snapshot or None)``.
         """
         out = {}
         for wid in sorted(inboxes):
-            vids, program, partition = self.workers[wid]
-            inbox = [batch for hop in inboxes[wid] for batch in hop]
+            vids, partition = self.workers[wid]
+            delivered = dict(inboxes[wid])
+            delivered[wid] = self.held[wid]
+            inbox = [batch for src in sorted(delivered) for batch in delivered[src]]
             result = execute_worker_superstep_batch(
-                wid, vids, partition, program, superstep, broadcasts, inbox,
+                wid, vids, partition, self.program, superstep, broadcasts, inbox,
                 self.seed, self.worker_of, self.num_workers, self.combiner,
             )
             hops, result.batches = result.batches, {}
-            ckpt = (
-                pickle.dumps(self.workers[wid], protocol=_PICKLE_PROTO)
-                if checkpoint
-                else None
-            )
-            out[wid] = (result, hops, ckpt)
+            self.held[wid] = hops.pop(wid, [])
+            out[wid] = (result, hops, self._snapshot(wid) if checkpoint else None)
         return out
+
+    def _snapshot(self, wid: int) -> bytes:
+        """``wid`` as :meth:`adopt` takes it back, pickled."""
+        vids, partition = self.workers[wid]
+        held = [batch.compact() for batch in self.held[wid]]
+        return pickle.dumps(
+            (vids, self.program.save_state(partition), held), protocol=_PICKLE_PROTO
+        )
 
     def step_pickled(
         self, superstep: int, broadcasts: dict, inboxes: dict, checkpoint: bool = False
     ) -> dict:
         """:meth:`step` as a process-crossing transport requests it.
 
-        The once-per-hop codec: each (source, destination) hop is pickled
-        exactly once, here in the sending worker — batches compacted to
-        the entry rows they reference, so columns travel as a few large
-        buffers — forwarded by the master as an opaque blob, and decoded
-        once, here in the receiving worker.
+        The once-per-hop codec: each (source, destination) hop that leaves
+        this host is pickled exactly once, here in the sending worker —
+        batches compacted to the entry rows they reference, so columns
+        travel as a few large buffers — forwarded by the master as an
+        opaque blob, and decoded once, here in the receiving worker.
         """
         live = {
-            wid: [pickle.loads(blob) for blob in blobs]
-            for wid, blobs in inboxes.items()
+            wid: [(src, pickle.loads(blob)) for src, blob in hops]
+            for wid, hops in inboxes.items()
         }
         out = {}
         for wid, (result, hops, ckpt) in self.step(superstep, broadcasts, live, checkpoint).items():
@@ -148,8 +180,8 @@ class WorkerHost:
     def collect(self) -> dict:
         """``collect_states`` of every hosted logical worker's partition."""
         return {
-            wid: program.collect_states(partition)
-            for wid, (_, program, partition) in sorted(self.workers.items())
+            wid: self.program.collect_states(partition)
+            for wid, (_, partition) in sorted(self.workers.items())
         }
 
     def serve(self, channel) -> None:

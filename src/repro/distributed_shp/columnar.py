@@ -75,6 +75,15 @@ def _scalar_gain_fns(objective_name: str, p: float, splits_ahead: float):
 DENSE_S3_MAX_LEVEL_K = 8
 
 
+#: The ``_Partition`` fields a superstep writes — a snapshot's whole state.
+_MUTABLE = (
+    "bucket", "target", "gain", "bin", "has_delta", "delta_old",
+    "nd_indptr", "nd_bucket", "nd_count",
+    "cache_qids", "cache_weight", "cache_indptr", "cache_bucket", "cache_count",
+    "parity",
+)
+
+
 class _Partition:
     """One worker's struct-of-arrays state (built by ``create_partition``)."""
 
@@ -144,6 +153,10 @@ class SHPColumnarProgram:
         #: starting bucket of every data vertex (what partitions are built from).
         self.initial = initial
 
+    #: supersteps per protocol cycle (S1-S4): where a checkpointing
+    #: transport cuts — after S4, which sends nothing.
+    phase_cycle = len(_PHASES)
+
     def phase_name(self, superstep: int) -> str:
         return _PHASES[superstep % 4]
 
@@ -192,6 +205,21 @@ class SHPColumnarProgram:
     def collect_states(self, part: _Partition) -> tuple[np.ndarray, np.ndarray]:
         """``(data vertex ids, their final buckets)`` of one partition."""
         return part.dvids, part.bucket
+
+    def save_state(self, part: _Partition) -> dict:
+        """What a peer cannot rebuild: the columns the kernels write.  The
+        static CSR comes back from ``create_partition``, the gain tables
+        from the ``splits_ahead`` they were tabulated for."""
+        state = {name: getattr(part, name) for name in _MUTABLE}
+        state["table_splits"] = part._table_splits
+        return state
+
+    def load_state(self, part: _Partition, state: dict) -> None:
+        """Resume a freshly created partition from :meth:`save_state`."""
+        for name in _MUTABLE:
+            setattr(part, name, state[name])
+        if state["table_splits"] is not None:
+            self._tables(part, state["table_splits"])
 
     def partition_nbytes(self, part: _Partition) -> int:
         return part.nbytes()

@@ -69,6 +69,13 @@ def _assign_community_blocks(
     Returns ``(block_starts, block_sizes)`` over a contiguous id space;
     callers permute ids afterwards so locality never leaks through ids.
     """
+    if num_communities > num_items:
+        # Every community holds at least one item: the drift loop below
+        # could never give the surplus back.
+        raise ValueError(
+            f"cannot split {num_items} items into {num_communities} non-empty "
+            "communities: num_communities must not exceed the item count"
+        )
     raw = rng.pareto(size_skew, size=num_communities) + 1.0
     sizes = np.maximum(1, np.round(raw / raw.sum() * num_items)).astype(np.int64)
     # Fix rounding drift so sizes sum exactly to num_items.

@@ -79,6 +79,9 @@ class VertexContext:
     worker_id: int
     broadcasts: dict
     seed: int = 0
+    #: scratch shared by the vertices of one logical worker (Giraph's
+    #: WorkerContext); lives in the partition, so it is checkpointed.
+    worker_state: dict = field(default_factory=dict)
     _ops: int = 0
     _vid: int = field(default=-1, repr=False)
     _draws: int = field(default=0, repr=False)
@@ -126,20 +129,24 @@ def _pairs(batch: MessageBatch):
 @dataclass
 class _DictPartition:
     states: dict  # vid -> state dict, ascending vid
-    graph: object  # rides in checkpoints so a re-homed worker can re-bind
+    worker_state: dict  # VertexContext.worker_state of this logical worker
+    graph: object  # the host's graph: rebuilt by create_partition, never shipped
 
 
 class PerVertexAdapter:
     """A ``BatchVertexProgram`` that runs ``program.compute`` per vertex.
 
     ``states`` maps every vertex id ``0..n-1`` to its initial state dict;
-    ``collect_states`` returns a worker's ``{vid: state}``.
+    ``collect_states`` returns a worker's ``{vid: state}``.  The wrapped
+    program's ``phase_cycle``, if it declares one, is the adapter's.
     """
 
     def __init__(self, program, states: dict):
         self.program = program
         self.states = states
         self._bound = None
+        if hasattr(program, "phase_cycle"):
+            self.phase_cycle = program.phase_cycle
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_bound": None}
@@ -148,10 +155,16 @@ class PerVertexAdapter:
         return self.program.phase_name(superstep)
 
     def create_partition(self, worker_id: int, vids: np.ndarray, graph) -> _DictPartition:
-        return _DictPartition({v: self.states[v] for v in vids.tolist()}, graph)
+        return _DictPartition({v: self.states[v] for v in vids.tolist()}, {}, graph)
 
     def collect_states(self, partition: _DictPartition) -> dict:
         return partition.states
+
+    def save_state(self, partition: _DictPartition) -> tuple:
+        return partition.states, partition.worker_state
+
+    def load_state(self, partition: _DictPartition, state: tuple) -> None:
+        partition.states, partition.worker_state = state
 
     def partition_nbytes(self, partition: _DictPartition) -> int:
         return sum(
@@ -167,7 +180,9 @@ class PerVertexAdapter:
         for batch in inbox:
             for dst, payload in _pairs(batch):
                 mailboxes.setdefault(dst, []).append(payload)
-        scalar = VertexContext(ctx.superstep, ctx.worker_id, ctx.broadcasts, ctx.seed)
+        scalar = VertexContext(
+            ctx.superstep, ctx.worker_id, ctx.broadcasts, ctx.seed, partition.worker_state
+        )
         active = 0
         for vid, state in partition.states.items():
             msgs = mailboxes.get(vid, [])

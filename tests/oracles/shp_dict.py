@@ -4,8 +4,10 @@
 one Python ``compute()`` per vertex over dict state, ~22x slower than
 :class:`~repro.distributed_shp.SHPColumnarProgram` — moved here verbatim
 from ``src/repro/distributed_shp/job.py`` (minus its dict-path metering
-hook ``message_schema``, which has no caller left) together with the
-dict-side half of ``ShpDeltaCombiner``.  It exists to be compared against:
+hook ``message_schema``, which has no caller left; its per-worker descent
+parity now sits in ``ctx.worker_state``, i.e. in the partition, because a
+program holds no per-worker state) together with the dict-side half of
+``ShpDeltaCombiner``.  It exists to be compared against:
 for a given seed the columnar program must produce the same assignment,
 ``moved_history``, superstep count and message counts.
 
@@ -43,11 +45,6 @@ class _SHPVertexProgram:
         self.config = config
         self.binning = binning
         self.mode = mode
-        # Worker-local alternation for level descent (Giraph's WorkerContext
-        # permits exactly this kind of per-worker shared scratch): vertices
-        # of the same bucket on the same worker alternate children, keeping
-        # the split balanced to within ±(workers/2) instead of binomial drift.
-        self._descent_parity: dict[tuple[int, int], int] = {}
         self._graph = None
         self._adj_cache: dict[int, np.ndarray] = {}
 
@@ -59,7 +56,7 @@ class _SHPVertexProgram:
     def __getstate__(self) -> dict:
         # Programs travel graph-free (the RPC backend pickles them to remote
         # workers, which bind their own graph copy); the adjacency cache is
-        # derived data and would bloat every checkpoint.
+        # derived data.
         state = self.__dict__.copy()
         state["_graph"] = None
         state["_adj_cache"] = {}
@@ -75,6 +72,8 @@ class _SHPVertexProgram:
                 adj = self._graph.query_neighbors(vid - self.num_data).astype(np.int64)
             self._adj_cache[vid] = adj
         return adj
+
+    phase_cycle = len(_PHASES)
 
     def phase_name(self, superstep: int) -> str:
         return _PHASES[superstep % 4]
@@ -93,10 +92,14 @@ class _SHPVertexProgram:
         if phase == 0:
             if broadcasts.get("advance"):
                 # New bisection level: descend into a child bucket, chosen by
-                # worker-local alternation so the split starts balanced.
-                key = (ctx.worker_id, state["bucket"])
-                child = self._descent_parity.get(key, ctx.superstep % 2)
-                self._descent_parity[key] = 1 - child
+                # worker-local alternation (Giraph's WorkerContext permits
+                # exactly this kind of per-worker shared scratch): vertices
+                # of the same bucket on the same worker alternate children,
+                # keeping the split balanced to within ±(workers/2) instead
+                # of binomial drift.
+                parity = ctx.worker_state
+                child = parity.get(state["bucket"], ctx.superstep % 2)
+                parity[state["bucket"]] = 1 - child
                 state["bucket"] = 2 * state["bucket"] + child
                 state["delta"] = (None, state["bucket"])
                 state["qdata"] = {}

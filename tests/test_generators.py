@@ -49,6 +49,26 @@ class TestCommunityBipartite:
         b = community_bipartite(300, 400, 2500, seed=9)
         assert np.array_equal(a.q_indices, b.q_indices)
 
+    def test_more_communities_than_items_is_a_named_error(self):
+        """Used to spin forever: every size is already 1, so the rounding
+        drift could never be paid back.  Run under a hard timeout."""
+        import threading
+
+        raised: list[Exception] = []
+
+        def call():
+            try:
+                community_bipartite(50, 8, 200, num_communities=9, seed=1)
+            except ValueError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=20)
+        assert not thread.is_alive(), "community_bipartite hung"
+        assert raised and "8 items into 9" in str(raised[0])
+        community_bipartite(50, 8, 200, num_communities=8, seed=1).validate()
+
     def test_seed_changes_graph(self):
         a = community_bipartite(300, 400, 2500, seed=1)
         b = community_bipartite(300, 400, 2500, seed=2)

@@ -1,10 +1,10 @@
 """The shared service loop, driven with no processes and no sockets.
 
 ``serve`` + ``WorkerHost`` are the one worker runtime behind every
-backend, so what is pinned here — the request/reply protocol, checkpoint
-adoption, and the error-shipping path — holds for ``mp`` and ``rpc`` at
-once.  The channel is an in-memory pair that pickles every message, i.e.
-the process boundary without the process.
+backend, so what is pinned here — the request/reply protocol, snapshot
+adoption, held self-hops and the error-shipping path — holds for ``mp``
+and ``rpc`` at once.  The channel is an in-memory pair that pickles every
+message, i.e. the process boundary without the process.
 """
 
 from __future__ import annotations
@@ -111,11 +111,18 @@ def test_init_step_adopt_step_collect_matches_sim(served):
     master.send(("step", 0, {}, dict(enumerate(backend._inboxes)), True))
     replies = _ok(master.recv())
     assert all(isinstance(blob, bytes) for _, hops, _ in replies.values() for blob in hops.values())
+    # A worker's hop to itself never reaches the master: it is held on the
+    # host and rides in the snapshot instead.
+    assert all(wid not in hops for wid, (_, hops, _) in replies.items())
     checkpoint = replies[1][2]
     assert isinstance(checkpoint, bytes)
+    vids, state, held = pickle.loads(checkpoint)
+    assert np.array_equal(vids, engine._worker_vertices[1])
+    assert sum(len(batch) for batch in held) > 0
     first = backend._commit(replies)
+    assert [src for src, _ in backend._inboxes[1]] == [0]
 
-    # Re-home logical worker 1 from its post-superstep checkpoint, then go on.
+    # Re-home logical worker 1 from its post-superstep snapshot, then go on.
     master.send(("adopt", 1, checkpoint))
     assert _ok(master.recv()) == 1
     master.send(("step", 1, {}, dict(enumerate(backend._inboxes)), False))
@@ -154,7 +161,7 @@ def test_unknown_kind_and_pickle_poison_are_error_replies_and_the_loop_lives(ser
 
 
 # ----------------------------------------------------------------------
-# What a checkpoint holds (the real SHP program, no channel)
+# What a snapshot holds (the real SHP program, no channel)
 # ----------------------------------------------------------------------
 
 def _containers(obj, seen=None):
@@ -186,11 +193,11 @@ def _same_batches(a, b):
             assert np.array_equal(x.entry_len, y.entry_len)
 
 
-def test_checkpoint_is_the_partition_and_a_fresh_host_resumes_from_it():
-    """A checkpoint is ``(vids, program, partition)``: arrays only, within
-    15% of the partition's own pickle (at the parent of this change the
-    untouched per-vertex state dicts and the Python vid list rode along —
-    ratio ~1.27), and adopting it reproduces the next superstep exactly."""
+def test_snapshot_is_the_mutable_state_and_a_fresh_host_resumes_from_it():
+    """A snapshot is ``(vids, state, held)``: the columns a superstep writes
+    plus the hop the worker sent itself — no program (its O(|D|) ``initial``
+    ships once, in ``shared``), none of the static CSR ``create_partition``
+    rebuilds — and a host that never saw the worker resumes it exactly."""
     graph = darwini_bipartite(2000, seed=3)
     config = SHPConfig(k=8, seed=1, swap_mode="bernoulli")
     binning = GainBinning(num_bins=config.num_bins, min_gain=config.min_gain)
@@ -202,6 +209,7 @@ def test_checkpoint_is_the_partition_and_a_fresh_host_resumes_from_it():
 
     backend = SimulatedBackend()
     shared, snapshots = backend._plan(engine, program, None)
+    assert shared["program"] is program
     host = WorkerHost()
     host.init(shared, dict(enumerate(snapshots)))
 
@@ -216,26 +224,36 @@ def test_checkpoint_is_the_partition_and_a_fresh_host_resumes_from_it():
         results = backend._commit(replies)
         aggregates = merge_aggregates({}, [r.aggregates for r in results])
 
-    for wid, (_, _, ckpt) in replies.items():
-        vids, _, partition = snapshot = pickle.loads(ckpt)
+    static = {"dvids", "d_adj_indptr", "d_adj_q", "qvids", "q_weight", "q_adj_indptr", "q_adj_d"}
+    for wid, (_, hops, ckpt) in replies.items():
+        vids, state, held = snapshot = pickle.loads(ckpt)
         assert isinstance(vids, np.ndarray)
-        assert len(ckpt) <= 1.15 * len(pickle.dumps(partition, pickle.HIGHEST_PROTOCOL))
-        # No dict keyed by vertex id (each worker holds ~2000 vertices; the
-        # dicts that remain are config fields and per-bucket parity).
+        partition = host.workers[wid][1]
+        assert not static & state.keys() and static <= vars(partition).keys()
+        assert b"SHPColumnarProgram" not in ckpt
+        # Columns only: no dict keyed by vertex id (each worker holds ~2000
+        # vertices; the dict that remains is the per-bucket parity).
         assert all(len(d) < 100 for d in _containers(snapshot))
+        # S1 just ran: the deltas this worker addressed to its own queries
+        # are held, not routed.
+        assert wid not in hops and sum(len(batch) for batch in held) > 0
 
     fresh = WorkerHost()
     fresh.init(shared, {})
     assert fresh.adopt(1, replies[1][2]) == 1
+    kept_part, fresh_part = host.workers[1][1], fresh.workers[1][1]
+    assert kept_part is not fresh_part
+    assert program.partition_nbytes(kept_part) == program.partition_nbytes(fresh_part)
     # master.compute mutates the master, so both hosts get one broadcast.
     (kept, broadcasts) = step(host, 5, aggregates, (1,), False)
     adopted = fresh.step(5, broadcasts, {1: backend._inboxes[1]}, False)
     (report, hops, _), (report2, hops2, _) = kept[1], adopted[1]
     assert report.messages_sent == report2.messages_sent > 0
-    assert (report.ops, report.active, report.aggregates) == (
-        report2.ops, report2.active, report2.aggregates
+    assert (report.ops, report.active, report.aggregates, report.state_bytes) == (
+        report2.ops, report2.active, report2.aggregates, report2.state_bytes
     )
     assert np.array_equal(report.remote_row, report2.remote_row)
     assert hops.keys() == hops2.keys()
     for dst in hops:
         _same_batches(hops[dst], hops2[dst])
+    _same_batches(host.held[1], fresh.held[1])
