@@ -278,6 +278,10 @@ def _run_partition(
             # serialized traffic + barrier latency on rpc.
             "wire_bytes": int(metrics.total_wire_bytes),
             "round_trip_sec": float(metrics.total_round_trip_seconds),
+            # Share of the cycles x |D| vertex gains S3 actually
+            # recomputed; the rest kept their proposal (activity rule).
+            "recomputed_fraction": sum(result.recomputed_history)
+            / max(1, result.cycles * graph.num_data),
         }
         for phase, agg in metrics.by_phase().items():
             report.metrics.append(
@@ -290,8 +294,12 @@ def _run_partition(
                     "supersteps": agg["count"],
                 }
             )
-        for cycle, moved in enumerate(result.moved_history):
-            report.metrics.append({"record": "cycle", "cycle": cycle, "moved": moved})
+        for cycle, (moved, recomputed) in enumerate(
+            zip(result.moved_history, result.recomputed_history)
+        ):
+            report.metrics.append(
+                {"record": "cycle", "cycle": cycle, "moved": moved, "recomputed": recomputed}
+            )
     else:  # PartitionResult: iteration history
         report.meters = {
             "iterations": result.num_iterations,

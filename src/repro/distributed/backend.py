@@ -232,10 +232,11 @@ class Backend(ABC):
     :meth:`_execute_superstep` / :meth:`_finish` carry the run,
     :meth:`_close` releases resources on every exit path — plus, for
     process-crossing transports, a channel for
-    :func:`~repro.distributed.worker.serve`.  :meth:`_annotate_step` lets
-    a backend attach physical measurements (wire bytes, barrier latency)
-    to each superstep's metrics without touching the logical meters.  A
-    backend instance drives one run at a time.
+    :func:`~repro.distributed.worker.serve`.  :meth:`_annotate_step` and
+    :meth:`_annotate_job` let a backend attach physical measurements (wire
+    bytes, barrier latency) to each superstep's and the job's metrics
+    without touching the logical meters.  A backend instance drives one
+    run at a time.
 
     Backend contract: :meth:`run` returns, per logical worker, what the
     program's ``collect_states`` made of that worker's final partition —
@@ -277,6 +278,7 @@ class Backend(ABC):
                 metrics.add(step)
                 executed += 1
             collected = self._finish()
+            self._annotate_job(metrics)
         finally:
             self._close()
 
@@ -313,6 +315,11 @@ class Backend(ABC):
         backend fills ``wire_bytes`` and ``round_trip_seconds`` from its
         sockets).  Default: no-op — the *logical* meters stay untouched so
         cross-backend parity holds."""
+
+    def _annotate_job(self, metrics) -> None:
+        """Attach what the backend measured outside any superstep to the
+        finished job's :class:`~repro.distributed.metrics.JobMetrics` (the
+        RPC backend: the wire bytes of the final collect).  Default: no-op."""
 
     # -- the master half every transport shares ----------------------------
     def _plan(self, engine, program, combiner) -> tuple[dict, list[tuple]]:

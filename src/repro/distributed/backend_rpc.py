@@ -198,7 +198,8 @@ class RpcBackend(Backend):
         #: broadcasts, inboxes)``, fewer than ``_cycle`` entries, each a
         #: reference to blobs the master forwarded anyway.
         self._log: list[tuple] = []
-        #: bytes on the wire and barrier latency of the current superstep.
+        #: bytes on the wire and barrier latency of the current superstep
+        #: (after the last one: of the final collect).
         self._wire = 0
         self._rtt = 0.0
         #: bytes moved during the init handshake (graph + program shipping);
@@ -404,11 +405,15 @@ class RpcBackend(Backend):
     def _finish(self) -> dict:
         # A barrier like any other: a peer that died after its last step
         # is re-homed and replayed before it answers.
+        self._wire = 0
         return self._barrier(lambda wids: ("collect",), "collect")
 
     def _annotate_step(self, step) -> None:
         step.wire_bytes = self._wire
         step.round_trip_seconds = self._rtt
+
+    def _annotate_job(self, metrics) -> None:
+        metrics.collect_wire_bytes = self._wire
 
     def _close(self) -> None:
         for peer in self._peers:

@@ -84,6 +84,9 @@ class JobMetrics:
     cluster: ClusterSpec
     supersteps: list[SuperstepMetrics] = field(default_factory=list)
     wall_seconds: float = 0.0
+    #: real serialized bytes of the final ``collect`` round trip, which
+    #: follows the last superstep and so sits in no step's ``wire_bytes``.
+    collect_wire_bytes: int = 0
 
     def add(self, step: SuperstepMetrics) -> None:
         self.supersteps.append(step)
@@ -102,8 +105,9 @@ class JobMetrics:
 
     @property
     def total_wire_bytes(self) -> int:
-        """Real transport bytes over the whole job (zero for in-process)."""
-        return sum(s.wire_bytes for s in self.supersteps)
+        """Real transport bytes of the whole job after ``init``: every
+        superstep plus the final collect (zero for in-process)."""
+        return sum(s.wire_bytes for s in self.supersteps) + self.collect_wire_bytes
 
     @property
     def total_round_trip_seconds(self) -> float:

@@ -14,7 +14,7 @@ ids, buckets)`` columns.
 
 The program is **bitwise-identical** for a given seed on every backend —
 and to the per-vertex reference in ``tests/oracles/`` (``compute()`` per
-vertex over dict state).  Three properties make the latter hold:
+vertex over dict state).  Four properties make the latter hold:
 
 * randomness is counter-based (`counter_random_array` reproduces the scalar
   splitmix hash exactly), so S4 coin flips agree;
@@ -22,6 +22,10 @@ vertex over dict state).  Three properties make the latter hold:
   reference calls (``_scalar_gain_fns``), and every floating-point
   accumulation runs in one canonical order — ascending query id per data
   vertex — via ``np.bincount``'s sequential left-to-right adds;
+* that per-vertex add order is preserved on any subset of rows (a
+  vertex's terms never meet another's), so S3 recomputes only *stale*
+  data vertices — Giraph's activity rule, ``_stale_rows`` — and a vertex
+  it skips holds, bit for bit, what a whole-partition pass would write;
 * the aggregated histograms are integer-valued, so master decisions match.
 
 Worker-local representation notes: a per-vertex execution would cache one
@@ -30,7 +34,9 @@ partition stores each cached query row once per worker (all copies are
 identical) and joins data vertices against it through the adjacency CSR,
 which is both the memory win and the vectorization enabler.  Message
 metering still counts every logical (per-edge) message at its full schema
-size.
+size, and S3's ops and activity meters price the per-vertex execution
+(every vertex, every cached entry) whatever subset was recomputed;
+``recomputed`` and ``charge_transient`` report what ran.
 """
 
 from __future__ import annotations
@@ -76,8 +82,11 @@ DENSE_S3_MAX_LEVEL_K = 8
 
 
 #: The ``_Partition`` fields a superstep writes — a snapshot's whole state.
+#: What is derived from them (the gain tables, the pin -> cache-row join)
+#: is rebuilt by ``load_state``.
 _MUTABLE = (
-    "bucket", "target", "gain", "bin", "has_delta", "delta_old",
+    "bucket", "target", "gain", "bin", "stale", "computed_under",
+    "has_delta", "delta_old",
     "nd_indptr", "nd_bucket", "nd_count",
     "cache_qids", "cache_weight", "cache_indptr", "cache_bucket", "cache_count",
     "parity",
@@ -94,6 +103,13 @@ class _Partition:
         self.target = np.empty(0, dtype=np.int64)
         self.gain = np.empty(0, dtype=np.float64)
         self.bin = np.empty(0, dtype=np.int64)
+        # Activity: ``gain`` / ``target`` / ``bin`` are out of date and the
+        # next S3 recomputes them (set by S4 on movers, by a level descent
+        # on everyone, by S3 itself on whoever received neighbor data).
+        self.stale = np.empty(0, dtype=bool)
+        # The ``(splits_ahead, level_k)`` broadcast the gain columns were
+        # computed under (None: never computed).
+        self.computed_under: tuple[float, int] | None = None
         self.has_delta = np.empty(0, dtype=bool)
         self.delta_old = np.empty(0, dtype=np.int64)  # -1: first announcement
         # Local data -> adjacent query (engine ids, ascending per row).
@@ -117,6 +133,12 @@ class _Partition:
         self.cache_indptr = np.zeros(1, dtype=np.int64)
         self.cache_bucket = np.empty(0, dtype=np.int64)
         self.cache_count = np.empty(0, dtype=np.int64)
+        # The level-static half of the S3 join, derived from ``cache_qids``
+        # by ``_join`` whenever the set of cached queries changes: per
+        # local pin (aligned with ``d_adj_q``) its cache row, -1 while the
+        # query has not broadcast; per cache row the local pins naming it.
+        self.pin_row = np.empty(0, dtype=np.int32)
+        self.row_refs = np.empty(0, dtype=np.int32)
         # Level-descent alternation state: per bucket, which child the
         # next descending vertex of this worker takes.
         self.parity: dict[int, int] = {}
@@ -182,6 +204,7 @@ class SHPColumnarProgram:
         part.target = np.full(n, -1, dtype=np.int64)
         part.gain = np.zeros(n, dtype=np.float64)
         part.bin = np.zeros(n, dtype=np.int64)
+        part.stale = np.ones(n, dtype=bool)
         part.has_delta = np.ones(n, dtype=bool)
         part.delta_old = np.full(n, -1, dtype=np.int64)
 
@@ -200,6 +223,7 @@ class SHPColumnarProgram:
         part.q_adj_indptr = np.concatenate(([0], np.cumsum(q_lengths)))
         part.q_adj_d = graph.q_indices[q_positions].astype(np.int64)
         part.nd_indptr = np.zeros(qvids.size + 1, dtype=np.int64)
+        self._join(part)
         return part
 
     def collect_states(self, part: _Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -208,18 +232,22 @@ class SHPColumnarProgram:
 
     def save_state(self, part: _Partition) -> dict:
         """What a peer cannot rebuild: the columns the kernels write.  The
-        static CSR comes back from ``create_partition``, the gain tables
-        from the ``splits_ahead`` they were tabulated for."""
-        state = {name: getattr(part, name) for name in _MUTABLE}
-        state["table_splits"] = part._table_splits
-        return state
+        static CSR comes back from ``create_partition``; the gain tables
+        and the pin -> cache-row join from ``load_state``."""
+        return {name: getattr(part, name) for name in _MUTABLE}
 
     def load_state(self, part: _Partition, state: dict) -> None:
-        """Resume a freshly created partition from :meth:`save_state`."""
+        """Resume a freshly created partition from :meth:`save_state`.
+
+        Everything derived is rebuilt here, not on first use, so a
+        re-homed partition is byte for byte as large as the one it
+        replaces (``partition_nbytes`` feeds ``memory_per_worker``).
+        """
         for name in _MUTABLE:
             setattr(part, name, state[name])
-        if state["table_splits"] is not None:
-            self._tables(part, state["table_splits"])
+        if part.computed_under is not None:
+            self._tables(part, part.computed_under[0])
+        self._join(part)
 
     def partition_nbytes(self, part: _Partition) -> int:
         return part.nbytes()
@@ -295,12 +323,14 @@ class SHPColumnarProgram:
             part.bucket = 2 * part.bucket + child
             part.delta_old = np.full(n, -1, dtype=np.int64)
             part.has_delta = np.ones(n, dtype=bool)
+            part.stale = np.ones(n, dtype=bool)
         # New level: cached neighbor data is stale.
         part.cache_qids = np.empty(0, dtype=np.int64)
         part.cache_weight = np.empty(0, dtype=np.float64)
         part.cache_indptr = np.zeros(1, dtype=np.int64)
         part.cache_bucket = np.empty(0, dtype=np.int64)
         part.cache_count = np.empty(0, dtype=np.int64)
+        self._join(part)
 
     # ------------------------------------------------------------------
     # S2: queries fold deltas into n_i(q), dirty queries broadcast it
@@ -432,22 +462,19 @@ class SHPColumnarProgram:
         splits = float(ctx.broadcasts.get("splits_ahead", 1.0))
         rem_t, ins_t, ins0 = self._tables(part, splits)
         level_k = int(ctx.broadcasts.get("level_k", cfg.k))
+        rows = self._stale_rows(part, inbox, (splits, level_k))
+        nrows = rows.size
 
-        # Join local data vertices with the worker's query cache through
-        # the adjacency CSR (rows already ascending in query id).
-        edge_d = np.repeat(
-            np.arange(nloc, dtype=np.int64), np.diff(part.d_adj_indptr)
-        )
-        edge_q = part.d_adj_q
-        crow = np.searchsorted(part.cache_qids, edge_q)
-        if part.cache_qids.size:
-            crow_c = np.minimum(crow, part.cache_qids.size - 1)
-            found = part.cache_qids[crow_c] == edge_q
-        else:
-            crow_c = crow
-            found = np.zeros(edge_q.size, dtype=bool)
+        # Join the stale data vertices with the worker's query cache:
+        # their pins through the adjacency CSR (rows already ascending in
+        # query id), each pin's cache row through the level-static join.
+        # ``edge_d`` indexes ``rows``, not the partition.
+        pins, degree = csr_row_positions(part.d_adj_indptr, rows)
+        edge_d = np.repeat(np.arange(nrows, dtype=np.int64), degree)
+        crow = part.pin_row[pins]
+        found = crow >= 0
         f_d = edge_d[found]
-        f_row = crow_c[found]
+        f_row = crow[found]
         w_e = part.cache_weight[f_row]
         row_len = part.cache_indptr[f_row + 1] - part.cache_indptr[f_row]
         positions = ragged_positions(part.cache_indptr[f_row], row_len)
@@ -455,23 +482,26 @@ class SHPColumnarProgram:
         ent_b = part.cache_bucket[positions]
         ent_c = part.cache_count[positions]
 
-        bucket_e = part.bucket[f_d]
+        bucket = part.bucket[rows]
+        bucket_e = bucket[f_d]
         match = ent_b == bucket_e[ent_edge]
         count_here = np.ones(f_d.size, dtype=np.int64)
         count_here[ent_edge[match]] = ent_c[match]
 
         # bincount accumulates sequentially in input order — (data vertex,
         # ascending query id), the canonical order — so the float sums are
-        # bitwise reproducible (and equal to a sorted per-vertex fold).
-        rsum = np.bincount(f_d, weights=w_e * rem_t[count_here], minlength=nloc)
-        weight_sum = np.bincount(f_d, weights=w_e, minlength=nloc)
+        # bitwise reproducible (and equal to a sorted per-vertex fold) on
+        # any subset of rows: a vertex's terms never meet another's.
+        rsum = np.bincount(f_d, weights=w_e * rem_t[count_here], minlength=nrows)
+        weight_sum = np.bincount(f_d, weights=w_e, minlength=nrows)
 
         other = ~match
         # Transient-buffer meter: the join scratch above is the kernel's
         # allocation high-water mark (freed before the superstep returns);
         # selection-path scratch is added per branch below.
         join_bytes = (
-            edge_d.nbytes
+            pins.nbytes
+            + edge_d.nbytes
             + crow.nbytes
             + f_d.nbytes
             + f_row.nbytes
@@ -489,17 +519,16 @@ class SHPColumnarProgram:
             # ``2·group + side``, so the only legal destination is the
             # sibling column ``bucket ^ 1`` of the vertex's own group.
             # Aggregating *only* sibling entries keeps memory at O(occupied
-            # pairs) — the dense ``nloc × level_k`` grid never exists —
+            # pairs) — the dense ``rows × level_k`` grid never exists —
             # and is bitwise-equal to the dense column: the filtered
             # subsequence preserves the (data vertex, ascending query) add
             # order.
-            sibling = part.bucket ^ 1
             sib = other & (ent_b == (bucket_e ^ 1)[ent_edge])
             rows_sib = f_d[ent_edge[sib]]
             terms = w_e[ent_edge[sib]] * (ins_t[ent_c[sib]] - ins0)
-            adjust = np.bincount(rows_sib, weights=terms, minlength=nloc)
-            occupied = np.bincount(rows_sib, minlength=nloc) > 0
-            best_bucket = sibling
+            adjust = np.bincount(rows_sib, weights=terms, minlength=nrows)
+            occupied = np.bincount(rows_sib, minlength=nrows) > 0
+            best_bucket = bucket ^ 1
             best_adjust = np.where(occupied, adjust, 0.0)
             select_bytes = (
                 sib.nbytes + rows_sib.nbytes + terms.nbytes + adjust.nbytes
@@ -509,23 +538,24 @@ class SHPColumnarProgram:
             terms = w_e[ent_edge[other]] * (ins_t[ent_c[other]] - ins0)
             select_bytes = cells.nbytes + terms.nbytes
             if level_k <= DENSE_S3_MAX_LEVEL_K:
-                # Dense grid: float64 sums + bool present, nloc × level_k each.
-                select_bytes += nloc * level_k * 9
+                # Dense grid: float64 sums + bool present, rows × level_k each.
+                select_bytes += nrows * level_k * 9
                 best_bucket, best_adjust = self._select_dense(
-                    part, nloc, level_k, cells, terms
+                    bucket, level_k, cells, terms
                 )
             else:
                 best_bucket, best_adjust = self._select_sparse(
-                    part, nloc, level_k, cells, terms
+                    bucket, level_k, cells, terms
                 )
         ctx.charge_transient(join_bytes + select_bytes)
 
         gain = rsum - (weight_sum * ins0 + best_adjust)
         if cfg.move_penalty > 0.0:
             gain = gain - cfg.move_penalty
-        part.target = best_bucket.astype(np.int64)
-        part.gain = gain
-        part.bin = self.binning.bin_of(gain).astype(np.int64)
+        part.target[rows] = best_bucket
+        part.gain[rows] = gain
+        part.bin[rows] = self.binning.bin_of(gain)
+        ctx.aggregate_items("recomputed", {"count": float(nrows)})
 
         num_bins = self.binning.num_bins
         num_bin_ids = self.binning.num_bin_ids
@@ -543,23 +573,52 @@ class SHPColumnarProgram:
         ctx.aggregate_items(
             "sizes", {b: float(c) for b, c in enumerate(sizes.tolist()) if c}
         )
-        # Ops: total cached nd entries + 2 aggregate calls per data vertex.
-        ctx.charge(float(row_len.sum()) + 2.0 * nloc)
+        # Ops are a *logical* meter: they price the per-vertex execution
+        # (every data vertex folds every cached entry of every adjacent
+        # query, then makes 2 aggregate calls), whatever subset ran here —
+        # cache row lengths times the local pins naming each row.
+        entries = (np.diff(part.cache_indptr) * part.row_refs).sum()
+        ctx.charge(float(entries) + 2.0 * nloc)
         ctx.add_active(nloc)
 
     @staticmethod
-    def _select_dense(part: _Partition, nloc: int, level_k: int, cells, terms):
-        """Mode-"k" destination pick over the dense candidate grid."""
-        sums = np.bincount(cells, weights=terms, minlength=nloc * level_k)
-        sums = sums.reshape(nloc, level_k)
-        present = np.zeros(nloc * level_k, dtype=bool)
+    def _stale_rows(part: _Partition, inbox: list, broadcast: tuple) -> np.ndarray:
+        """Giraph's activity rule for S3: the local data vertices (ascending
+        row indices) whose proposal must be recomputed; clears the flags.
+
+        A gain is a function of the vertex's bucket, the cached rows of its
+        adjacent queries and the ``(splits_ahead, level_k)`` broadcast, so
+        a vertex is stale iff it moved (S4 and the level descent set the
+        flag; never-computed vertices start with it), it received neighbor
+        data this superstep (the inbox's ``dst`` name exactly the local
+        vertices adjacent to a re-broadcast query), or the broadcast is not
+        the one its gain was computed under (then everyone).  Anyone else
+        would recompute the value it already holds, bit for bit.
+        """
+        for batch in inbox:
+            part.stale[np.searchsorted(part.dvids, batch.dst)] = True
+        if part.computed_under != broadcast:
+            part.stale[:] = True
+            part.computed_under = broadcast
+        rows = np.flatnonzero(part.stale)
+        part.stale[:] = False
+        return rows
+
+    @staticmethod
+    def _select_dense(bucket: np.ndarray, level_k: int, cells, terms):
+        """Mode-"k" destination pick over the dense candidate grid of the
+        rows being computed (``bucket``: their current buckets)."""
+        n = bucket.size
+        sums = np.bincount(cells, weights=terms, minlength=n * level_k)
+        sums = sums.reshape(n, level_k)
+        present = np.zeros(n * level_k, dtype=bool)
         present[cells] = True
-        present = present.reshape(nloc, level_k)
-        rows = np.arange(nloc)
+        present = present.reshape(n, level_k)
+        rows = np.arange(n)
         candidates = np.where(present, sums, np.inf)
-        candidates[rows, part.bucket] = np.inf
+        candidates[rows, bucket] = np.inf
         minval = candidates.min(axis=1)
-        fallback = (part.bucket + 1) % level_k
+        fallback = (bucket + 1) % level_k
         fallback_adj = np.where(present[rows, fallback], sums[rows, fallback], 0.0)
         use_min = minval < 0.0
         best_bucket = np.where(use_min, candidates.argmin(axis=1), fallback)
@@ -569,7 +628,7 @@ class SHPColumnarProgram:
         return best_bucket, best_adjust
 
     @staticmethod
-    def _select_sparse(part: _Partition, nloc: int, level_k: int, cells, terms):
+    def _select_sparse(bucket: np.ndarray, level_k: int, cells, terms):
         """Mode-"k" destination pick over occupied cells only (large k).
 
         Bitwise-equal to :meth:`_select_dense`: per-cell sums come from the
@@ -579,21 +638,22 @@ class SHPColumnarProgram:
         """
         from ..objectives.evaluate import compact_cell_sums
 
+        n = bucket.size
         occupied, cell_sums = compact_cell_sums(cells, terms)
         rows_u = occupied // level_k
         b_u = occupied % level_k
-        cand = b_u != part.bucket[rows_u]  # dense path masks the own column
+        cand = b_u != bucket[rows_u]  # dense path masks the own column
         c_rows = rows_u[cand]
         c_b = b_u[cand]
         c_sums = cell_sums[cand]
-        minval = np.full(nloc, np.inf)
+        minval = np.full(n, np.inf)
         np.minimum.at(minval, c_rows, c_sums)
         is_min = c_sums == minval[c_rows]
-        best_b = np.full(nloc, level_k, dtype=np.int64)
+        best_b = np.full(n, level_k, dtype=np.int64)
         np.minimum.at(best_b, c_rows[is_min], c_b[is_min])
-        fallback = (part.bucket + 1) % level_k
-        fb_cells = np.arange(nloc, dtype=np.int64) * level_k + fallback
-        fallback_adj = np.zeros(nloc, dtype=np.float64)
+        fallback = (bucket + 1) % level_k
+        fb_cells = np.arange(n, dtype=np.int64) * level_k + fallback
+        fallback_adj = np.zeros(n, dtype=np.float64)
         if occupied.size:
             fb_idx = np.minimum(
                 np.searchsorted(occupied, fb_cells), occupied.size - 1
@@ -650,11 +710,27 @@ class SHPColumnarProgram:
         order = np.argsort(qids, kind="stable")
         starts, lens = starts[order], lens[order]
         positions = ragged_positions(starts, lens)
+        # Rows were replaced one for one unless a query broadcast for the
+        # first time this level — in practice the level's first cycle only.
+        rejoin = qids.size != part.cache_qids.size
         part.cache_qids = qids[order]
         part.cache_weight = weights[order]
         part.cache_indptr = np.concatenate(([0], np.cumsum(lens)))
         part.cache_bucket = pool_b[positions]
         part.cache_count = pool_c[positions]
+        if rejoin:
+            self._join(part)
+
+    @staticmethod
+    def _join(part: _Partition) -> None:
+        """Resolve every local pin to its cache row (the level-static half
+        of the S3 join) and count the pins naming each row."""
+        nrows = part.cache_qids.size
+        crow = np.searchsorted(part.cache_qids, part.d_adj_q)
+        found = crow < nrows
+        found[found] = part.cache_qids[crow[found]] == part.d_adj_q[found]
+        part.pin_row = np.where(found, crow, -1).astype(np.int32)
+        part.row_refs = np.bincount(crow[found], minlength=nrows).astype(np.int32)
 
     def _tables(self, part: _Partition, splits: float):
         """Gain tables built from the *scalar* closures (bitwise-shared)."""
@@ -711,6 +787,7 @@ class SHPColumnarProgram:
         part.bucket[movers] = part.target[movers]
         part.delta_old[movers] = old
         part.has_delta[movers] = True
+        part.stale[movers] = True
         ctx.aggregate_items("moved", {"count": float(movers.size)})
         ctx.charge(float(movers.size))
         ctx.add_active(int(movers.size))

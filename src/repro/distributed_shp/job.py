@@ -66,6 +66,8 @@ class _SHPMaster:
         self.pending_reset = False
         self.pending_advance = False
         self.moved_history: list[int] = []
+        #: per cycle, the data vertices whose gain S3 actually recomputed.
+        self.recomputed_history: list[int] = []
 
     # ------------------------------------------------------------------
     @property
@@ -92,6 +94,11 @@ class _SHPMaster:
             )
 
         if phase == 0:
+            if self.total_cycles:
+                # No movement aggregate at all means nothing moved last cycle.
+                self.moved_history.append(
+                    int(aggregates.get("moved", {}).get("count", 0))
+                )
             if self.pending_advance:
                 broadcasts["advance"] = True
                 self.pending_advance = False
@@ -105,25 +112,26 @@ class _SHPMaster:
                         if self.config.use_final_pfanout
                         else 1.0
                     )
-            elif self._should_stop(aggregates):
+            elif self._should_stop():
                 return None
         elif phase == 1 and self.pending_reset:
             broadcasts["reset"] = True
             self.pending_reset = False
         elif phase == 3:
+            self.recomputed_history.append(
+                int(aggregates.get("recomputed", {}).get("count", 0))
+            )
             broadcasts["probs"] = self._match(aggregates)
             self.cycle_in_level += 1
             self.total_cycles += 1
         return broadcasts
 
     # ------------------------------------------------------------------
-    def _should_stop(self, aggregates: dict) -> bool:
+    def _should_stop(self) -> bool:
         """Convergence / budget check at the start of each cycle."""
         if self.total_cycles == 0:
             return False
-        # No movement aggregate at all means nothing moved last cycle.
-        moved = int(aggregates.get("moved", {}).get("count", 0))
-        self.moved_history.append(moved)
+        moved = self.moved_history[-1]
         # Zero moves is convergence of this level whatever the threshold
         # (a fraction of 0 would otherwise never be "below" it).
         converged = (
@@ -183,6 +191,9 @@ class DistributedSHPResult:
     supersteps: int
     halted_by_master: bool
     moved_history: list[int] = field(default_factory=list)
+    #: per protocol cycle, how many data vertices S3 recomputed (the rest
+    #: kept their proposal: none of their inputs had changed).
+    recomputed_history: list[int] = field(default_factory=list)
     backend: str = "sim"
 
 
@@ -285,5 +296,6 @@ class DistributedSHP:
             supersteps=job.supersteps_run,
             halted_by_master=job.halted_by_master,
             moved_history=master.moved_history,
+            recomputed_history=master.recomputed_history,
             backend=engine.backend.name,
         )

@@ -6,6 +6,9 @@
   ``counter_random`` that ``counter_random_array`` must reproduce.
 * :mod:`oracles.shp_dict` — the per-vertex twin of distributed SHP that
   ``SHPColumnarProgram`` must agree with bit for bit.
+* :mod:`oracles.full_recompute` — ``SHPColumnarProgram`` with every data
+  vertex marked stale before each S3: the whole-partition gain recompute
+  the activity rule's proposals are checked against after every S3.
 * :mod:`oracles.shp2_loop` — SHP-2 by literal per-group recursion (one
   ``induced_subgraph`` + one ``refine`` loop per bisection), under
   production's driver; what the level-fused engine is checked against.

@@ -22,7 +22,9 @@ import pytest
 from oracles.per_vertex import run_per_vertex
 from oracles.shp_dict import run_dict_shp
 from repro import SHPConfig
-from repro.distributed import ClusterSpec, GiraphEngine, RpcBackend, serve_worker
+from repro.distributed import (
+    ClusterSpec, GiraphEngine, RpcBackend, backend_rpc, serve_worker, wire,
+)
 from repro.distributed_shp import DistributedSHP
 from repro.hypergraph import community_bipartite
 
@@ -64,6 +66,7 @@ def _assert_bitwise(run, reference):
     assert np.array_equal(run.assignment, reference.assignment)
     assert run.supersteps == reference.supersteps
     assert run.moved_history == reference.moved_history
+    assert run.recomputed_history == reference.recomputed_history
     assert run.metrics.total_messages == reference.metrics.total_messages
     for step, ref in zip(run.metrics.supersteps, reference.metrics.supersteps):
         assert step.messages_remote == ref.messages_remote
@@ -189,6 +192,12 @@ def _chaotic(monkeypatch, kills: dict) -> RpcBackend:
         {5: [1]},  # S2: replay S1
         {7: [1]},  # S4, the superstep that cuts: replay S1-S3
         {18: [2]},  # the cycle that descends a bisection level (advance at 16)
+        # Third cycle of level 2: the pin -> cache-row join was built two
+        # cycles ago and S3 recomputes 153 of 160 vertices.  Before S3 the
+        # adopter replays S1-S2 onto the movers the snapshot's ``stale``
+        # column carries; before S4 it replays the partial S3 itself.
+        {26: [1]},
+        {27: [2]},
         {"collect": [1]},  # after the last barrier: replay, then collect
         {4: [1, 2]},  # two peers at one barrier: the survivor hosts all three
         # Successive deaths: worker 1 moves to peer 0 before S2, then peer 0
@@ -202,6 +211,46 @@ def test_failover_matrix_is_bitwise_sim(graph, sim_reference, monkeypatch, kills
     run = _run(graph, _chaotic(monkeypatch, planned))
     assert not planned, "a scheduled kill never fired"
     _assert_bitwise(run, sim_reference[("columnar", False)])
+
+
+@pytest.mark.parametrize("kills", [{}, {"collect": [1]}], ids=["clean", "kill-before-collect"])
+def test_total_wire_bytes_is_every_byte_moved_after_init(graph, monkeypatch, kills):
+    """The final ``collect`` round trip follows the last superstep, so it
+    sits in no step's ``wire_bytes``; it is metered on the job instead —
+    with whatever re-homing a death before it costs."""
+    moved: list[int] = []
+    after_init: list[int] = []
+
+    def send(sock, obj):
+        moved.append(wire.send_obj(sock, obj))
+        return moved[-1]
+
+    def recv(sock):
+        obj, nbytes = wire.recv_obj(sock)
+        moved.append(nbytes)
+        return obj, nbytes
+
+    monkeypatch.setattr(backend_rpc, "send_obj", send)
+    monkeypatch.setattr(backend_rpc, "recv_obj", recv)
+    backend = _chaotic(monkeypatch, dict(kills))
+    open_, close = backend._open, backend._close
+
+    def opened(*args):
+        open_(*args)
+        moved.clear()
+
+    def closing():
+        after_init.append(sum(moved))
+        close()  # sends the unmetered, fire-and-forget ``exit``
+
+    monkeypatch.setattr(backend, "_open", opened)
+    monkeypatch.setattr(backend, "_close", closing)
+    metrics = _run(graph, backend).metrics
+
+    assert metrics.total_wire_bytes == after_init[0]
+    in_steps = sum(step.wire_bytes for step in metrics.supersteps)
+    assert metrics.collect_wire_bytes == after_init[0] - in_steps > 0
+    assert backend._setup_wire_bytes > 0  # init: metered, but in no job total
 
 
 def test_dict_oracle_survives_death_in_the_descent_cycle(graph, sim_reference, monkeypatch):

@@ -225,11 +225,17 @@ def test_snapshot_is_the_mutable_state_and_a_fresh_host_resumes_from_it():
         aggregates = merge_aggregates({}, [r.aggregates for r in results])
 
     static = {"dvids", "d_adj_indptr", "d_adj_q", "qvids", "q_weight", "q_adj_indptr", "q_adj_d"}
+    derived = {"pin_row", "row_refs", "_rem_table", "_ins_table"}
     for wid, (_, hops, ckpt) in replies.items():
         vids, state, held = snapshot = pickle.loads(ckpt)
         assert isinstance(vids, np.ndarray)
         partition = host.workers[wid][1]
         assert not static & state.keys() and static <= vars(partition).keys()
+        # Nothing derived travels either: the gain tables and the S3 join
+        # come back from ``load_state``.  What does travel is who S3 must
+        # recompute — the first cycle's movers, until the next S3.
+        assert not derived & state.keys() and derived <= vars(partition).keys()
+        assert 0 < np.count_nonzero(state["stale"]) < state["stale"].size
         assert b"SHPColumnarProgram" not in ckpt
         # Columns only: no dict keyed by vertex id (each worker holds ~2000
         # vertices; the dict that remains is the per-bucket parity).
@@ -244,6 +250,9 @@ def test_snapshot_is_the_mutable_state_and_a_fresh_host_resumes_from_it():
     kept_part, fresh_part = host.workers[1][1], fresh.workers[1][1]
     assert kept_part is not fresh_part
     assert program.partition_nbytes(kept_part) == program.partition_nbytes(fresh_part)
+    for name in derived:
+        assert np.array_equal(getattr(kept_part, name), getattr(fresh_part, name))
+    assert fresh_part.pin_row.size == fresh_part.d_adj_q.size and (fresh_part.pin_row >= 0).all()
     # master.compute mutates the master, so both hosts get one broadcast.
     (kept, broadcasts) = step(host, 5, aggregates, (1,), False)
     adopted = fresh.step(5, broadcasts, {1: backend._inboxes[1]}, False)
