@@ -10,8 +10,8 @@ whose reply is never received desynchronizes the stream permanently: the
 *next* barrier receives the stale reply and every message after it is
 interpreted one slot off (the failure is silent and arbitrarily delayed).
 
-The check models each protocol explicitly, REP005-style (module-wide
-rather than per-function):
+The check models each protocol explicitly (module-wide rather than
+per-function):
 
 * every worker runs the one service loop,
   ``distributed/worker.py:serve(channel, handlers)``, so a protocol is the

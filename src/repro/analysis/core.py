@@ -3,18 +3,17 @@
 The engine's cross-backend guarantees (``docs/architecture.md``, "parity
 invariants") are *properties of the source*: no hidden RNG state, no
 order-dependent float folds, dtype-exact wire schemas, picklable payloads,
-registries in sync with the CLI, no wall-clock in kernels.  Off-the-shelf
-linters cannot see any of that, so this module provides a small static
-analysis framework the repo's own checks plug into:
+no wall-clock in kernels.  Off-the-shelf linters cannot see any of that, so
+this module provides a small static analysis framework the repo's own
+checks plug into:
 
 * :class:`Check` — the plugin base class.  A check declares its ``code``
-  (``REPnnn``), severity, and path scope, and implements either :meth:`
-  Check.run` (per-file, over a parsed AST) or :meth:`Check.run_project`
-  (whole-program, e.g. importing the registries).  Checks register
-  themselves on :data:`LINT_CHECKS`, the same lazy
-  :class:`~repro.api.registry.Registry` mechanism every other pluggable
-  piece of the pipeline uses, so ``repro lint --select``/``--ignore``
-  address them by code exactly like partitioners are addressed by name.
+  (``REPnnn``), severity, and path scope, and implements :meth:`Check.run`
+  (per-file, over a parsed AST).  Checks register themselves on
+  :data:`LINT_CHECKS`, the same lazy :class:`~repro.api.registry.Registry`
+  mechanism every other pluggable piece of the pipeline uses, so ``repro
+  lint --select``/``--ignore`` address them by code exactly like
+  partitioners are addressed by name.
 * :class:`Finding` — one diagnostic, locatable and JSON-serializable.
 * suppressions — ``# reprolint: disable=REP002 -- <reason>`` on the flagged
   line, or ``# reprolint: file-disable=REP002 -- <reason>`` anywhere in the
@@ -118,7 +117,6 @@ class FileContext:
         self.path = path
         self.display_path = display_path
         self.source = source
-        self.lines = source.splitlines()
         self.tree: ast.Module | None = None
         self.parse_error: SyntaxError | None = None
         try:
@@ -168,17 +166,12 @@ class Check:
     ``scope`` is a tuple of package-relative prefixes (``"core/"``,
     ``"distributed/engine.py"``); empty means the whole package.  Files
     outside the package tree (``pkg_rel is None`` — fixtures) always match.
-
-    Per-file checks implement :meth:`run`; whole-program checks set
-    ``project_check = True`` and implement :meth:`run_project` (plus
-    :meth:`wants` to decide whether the linted file set warrants a run).
     """
 
     code: str = "REP999"
     name: str = "unnamed-check"
     severity: Severity = "error"
     scope: tuple[str, ...] = ()
-    project_check: bool = False
 
     def applies_to(self, ctx: FileContext) -> bool:
         if ctx.pkg_rel is None:
@@ -189,14 +182,6 @@ class Check:
 
     def run(self, ctx: FileContext) -> Iterable[Finding]:
         """Per-file pass over ``ctx.tree``; yield findings."""
-        return ()
-
-    def wants(self, contexts: list[FileContext]) -> bool:
-        """Whether a project check should run for this file set."""
-        return False
-
-    def run_project(self, contexts: list[FileContext]) -> Iterable[Finding]:
-        """Whole-program pass (may import the package under analysis)."""
         return ()
 
 
@@ -459,8 +444,6 @@ def lint_paths(
     rep000_ignored = bool(ignore) and any(
         code.strip().upper() == FRAMEWORK_CODE for code in ignore
     )
-    per_file = [c for c in checks if not c.project_check]
-    project = [c for c in checks if c.project_check]
 
     contexts: list[FileContext] = []
     for path in iter_python_files(paths):
@@ -471,11 +454,6 @@ def lint_paths(
         contexts.append(FileContext(path, str(path), source))
 
     findings: list[Finding] = []
-    project_findings: list[Finding] = []
-    for check in project:
-        if check.wants(contexts):
-            project_findings.extend(check.run_project(contexts))
-
     for ctx in contexts:
         file_findings: list[Finding] = []
         if ctx.parse_error is not None:
@@ -489,12 +467,9 @@ def lint_paths(
                 message=f"file does not parse: {ctx.parse_error.msg}",
             ))
         else:
-            for check in per_file:
+            for check in checks:
                 if check.applies_to(ctx):
                     file_findings.extend(check.run(ctx))
-        file_findings.extend(
-            f for f in project_findings if f.path == ctx.display_path
-        )
         suppressions, hygiene = parse_suppressions(ctx, known_codes)
         file_findings, unused = apply_suppressions(
             file_findings, suppressions, ctx,
@@ -504,15 +479,6 @@ def lint_paths(
             file_findings.extend(hygiene)
             file_findings.extend(unused)
         findings.extend(file_findings)
-
-    # Project findings may anchor to files outside the linted set (never in
-    # practice — rep005 anchors to cli.py — but don't drop them silently).
-    anchored = {f.path for f in findings}
-    findings.extend(
-        f for f in project_findings
-        if f.path not in {ctx.display_path for ctx in contexts}
-        and f.path not in anchored
-    )
 
     findings.sort(key=Finding.sort_key)
     return LintReport(

@@ -368,17 +368,9 @@ def _run_serving(spec: JobSpec, graph: BipartiteGraph, report: RunReport) -> Non
     from ..workloads import ServingConfig, ServingSimulator
 
     s = spec.serving
-    config = ServingConfig(
-        num_servers=s.servers,
-        rounds=s.rounds,
-        queries_per_round=s.queries_per_round,
-        skew=s.skew,
-        churn_fraction=s.churn_fraction,
-        migration_budget=s.migration_budget,
-        repair_iterations=s.repair_iterations,
-        method=s.method,
-        seed=spec.seed,
-    )
+    # Every [serving] key but `servers` is a ServingConfig field of the same name.
+    knobs = dataclasses.asdict(s)
+    config = ServingConfig(num_servers=knobs.pop("servers"), seed=spec.seed, **knobs)
     model = LatencyModel(base_ms=1.0, sigma=1.0, size_ms_per_record=0.02)
     start = time.perf_counter()
     outcome = ServingSimulator(graph, config, latency_model=model).run()

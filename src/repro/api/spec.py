@@ -20,23 +20,31 @@ job, and a future multi-host run can all be reproduced from a single file::
     name = "shp-2"
     k = 8
 
-Validation is strict: unknown keys and bad enum values raise
-:class:`SpecError` naming the offending dotted path (``algorithm.naem``,
-``execution.backend``), and registry-backed fields (algorithm name,
-objective, backend, matcher options) are checked against the live
-registries so a newly registered plugin is immediately addressable.
+An option is declared once, here, as ``name: type = option(default, ...)``:
+bounds, literal ``choices`` or the ``registry`` backing it, and — where a
+legacy subcommand exposes it — its flag spelling and help sentence.
+Validation (:func:`check_options`), the ``partition`` / ``compare`` /
+``serve-sim`` flags (``repro.cli``) and the README key table are derived
+from those lines.  Validation is strict: unknown keys, wrong types,
+out-of-range numbers and bad enum values raise :class:`SpecError` naming
+the offending dotted path (``algorithm.naem``, ``execution.backend``);
+registry-backed fields are checked against the live registries, so a newly
+registered plugin is immediately addressable.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from collections.abc import Iterable, Mapping
+import operator
+import typing
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .registry import BACKENDS, OBJECTIVES, PARTITIONERS, Registry
+from .registry import BACKENDS, OBJECTIVES, PARTITIONERS
 
 try:  # Python 3.11+
     import tomllib
@@ -48,6 +56,12 @@ except ModuleNotFoundError:  # pragma: no cover - Python 3.10 fallback
 
 __all__ = [
     "SpecError",
+    "option",
+    "check_options",
+    "iter_options",
+    "option_choices",
+    "option_range",
+    "build_spec",
     "GraphSpec",
     "AlgorithmSpec",
     "ExecutionSpec",
@@ -60,12 +74,6 @@ __all__ = [
     "apply_overrides",
 ]
 
-GRAPH_SOURCES = ("file", "dataset", "darwini")
-JOB_KINDS = ("partition", "serving", "stream-refine")
-#: Accepted for compatibility with specs that still write the key; it has
-#: one legal value and selects nothing (the engine runs one kind of program).
-VERTEX_MODES = ("columnar",)
-SERVING_METHODS = ("2", "k")
 LOCAL_BACKEND = "local"
 
 
@@ -74,57 +82,128 @@ class SpecError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# validation helpers — every error names the dotted path of the bad field
+# declaring an option, and the one validation pass over the declarations
 # ----------------------------------------------------------------------
 
-def _check_type(value: Any, types: type | tuple, path: str) -> None:
-    if isinstance(value, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        raise SpecError(f"{path}: expected {_type_names(types)}, got bool {value!r}")
-    if not isinstance(value, types):
-        raise SpecError(
-            f"{path}: expected {_type_names(types)}, got {type(value).__name__} {value!r}"
-        )
+#: Bound keywords of :func:`option`: name -> (holds(value, bound), symbol).
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "le": (operator.le, "<=")}
+_OPTION_KEYS = {*_BOUNDS, "choices", "registry", "flags", "metavar", "help"}
+#: What an annotation accepts from TOML/JSON: an int is a float, any
+#: mapping a dict, a tuple a list (a bool is never a number; see _check_type).
+_ACCEPTS: dict[Any, tuple[type, ...]] = {
+    float: (int, float), dict: (Mapping,), list: (list, tuple),
+}
 
 
-def _type_names(types: type | tuple) -> str:
-    if not isinstance(types, tuple):
-        types = (types,)
-    return " or ".join(t.__name__ for t in types)
+def option(default: Any, **known: Any) -> Any:
+    """Declare one spec field: its default plus everything else known about it.
+
+    ``gt`` / ``ge`` / ``le`` bound a number; ``choices`` (a literal tuple)
+    and / or ``registry`` (read live, so new plugins are legal at once)
+    enumerate a string; ``flags``, ``metavar`` and ``help`` are its spelling
+    on the legacy subcommands (``{default}`` in ``help`` is filled in from
+    the default).  The annotation supplies the type.
+    """
+    unknown = set(known) - _OPTION_KEYS
+    if unknown:
+        raise TypeError(f"option() got unknown keys {sorted(unknown)}")
+    return field(default=default, metadata=known)
 
 
-def _check_choice(value: Any, choices: Iterable[str], path: str) -> None:
-    choices = tuple(choices)
-    if value not in choices:
-        raise SpecError(
-            f"{path}: must be one of {', '.join(map(repr, choices))}; got {value!r}"
-        )
+@functools.cache
+def _hints(cls: type) -> dict[str, Any]:
+    return typing.get_type_hints(cls)
 
 
-def _check_registry(value: Any, registry: Registry, path: str) -> None:
-    _check_type(value, str, path)
-    if value not in registry:
-        raise SpecError(
-            f"{path}: unknown {registry.kind} {value!r}; "
-            f"known: {', '.join(registry.names())}"
-        )
+def _members(annotation: Any) -> tuple[Any, ...]:
+    """``X | None`` -> ``(X, NoneType)``; a plain type -> ``(X,)``."""
+    return typing.get_args(annotation) or (annotation,)
 
 
-def _build(cls: type, data: Any, path: str) -> Any:
-    """Construct a spec dataclass from a mapping, rejecting unknown keys."""
+def _check_type(value: Any, annotation: Any, path: str) -> None:
+    for tp in _members(annotation):
+        if isinstance(value, _ACCEPTS.get(tp, tp)) and not (
+            isinstance(value, bool) and tp in (int, float)
+        ):
+            return
+    names = " or ".join("None" if tp is type(None) else tp.__name__ for tp in _members(annotation))
+    raise SpecError(f"{path}: expected {names}, got {type(value).__name__} {value!r}")
+
+
+def option_range(f: dataclasses.Field) -> str:
+    """A numeric field's declared bounds as text (``'> 0, <= 1'``), or ``''``."""
+    return ", ".join(
+        f"{symbol} {f.metadata[key]}" for key, (_, symbol) in _BOUNDS.items() if key in f.metadata
+    )
+
+
+def option_choices(f: dataclasses.Field) -> list[str] | None:
+    """The values an enumerated field accepts — literal ``choices`` first,
+    then the registry's names, read live — else ``None``."""
+    sources = [f.metadata[key] for key in ("choices", "registry") if key in f.metadata]
+    return [name for source in sources for name in source] if sources else None
+
+
+def check_options(spec: Any, prefix: str = "") -> None:
+    """Validate every field of a spec dataclass against its declaration.
+
+    The type comes from the annotation, range and choices from
+    :func:`option`; each error starts with the field's dotted path.
+    Mapping / tuple values are normalised to ``dict`` / ``list`` in place.
+    """
+    hints = _hints(type(spec))
+    for f in dataclasses.fields(spec):
+        path = f"{prefix}.{f.name}" if prefix else f.name
+        value, meta = getattr(spec, f.name), f.metadata
+        _check_type(value, hints[f.name], path)
+        if value is None:
+            continue
+        for key, (holds, _) in _BOUNDS.items():
+            if key in meta and not holds(value, meta[key]):
+                raise SpecError(f"{path}: must be {option_range(f)}; got {value!r}")
+        allowed = option_choices(f)
+        # `in` on a registry also resolves aliases and spelling variants.
+        if allowed is not None and value not in allowed and value not in meta.get("registry", ()):
+            what = meta["registry"].kind if "registry" in meta else f.name
+            raise SpecError(f"{path}: unknown {what} {value!r}; known: {', '.join(allowed)}")
+        if isinstance(value, Mapping):
+            for key in value:
+                _check_type(key, str, f"{path} key")
+            if not isinstance(value, dict):
+                object.__setattr__(spec, f.name, dict(value))
+        elif isinstance(value, tuple):
+            object.__setattr__(spec, f.name, list(value))
+
+
+def iter_options(cls: type, prefix: str = "") -> Iterator[tuple[str, dataclasses.Field, type]]:
+    """``(dotted.key, field, type)`` for every option of a spec tree, nested
+    sections expanded, in declaration order (``X | None`` reports ``X``)."""
+    for f in dataclasses.fields(cls):
+        tp = next(t for t in _members(_hints(cls)[f.name]) if t is not type(None))
+        if dataclasses.is_dataclass(tp):
+            yield from iter_options(tp, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f, tp
+
+
+def build_spec(cls: type, data: Any, path: str = "") -> Any:
+    """Construct a spec dataclass — nested sections included — from a
+    mapping, rejecting unknown keys by dotted path."""
     if isinstance(data, cls):
         return data
     if not isinstance(data, Mapping):
-        raise SpecError(f"{path}: expected a table/mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = [key for key in data if key not in known]
-    if unknown:
         raise SpecError(
-            f"unknown key {path + '.' + str(unknown[0])!r} "
-            f"(known: {', '.join(sorted(known))})"
+            f"{path or 'job spec'}: expected a table/mapping, got {type(data).__name__}"
         )
-    return cls(**dict(data))
+    hints = _hints(cls)
+    kwargs: dict[str, Any] = {}
+    for key, value in data.items():
+        dotted = f"{path}.{key}" if path else str(key)
+        if key not in hints:
+            raise SpecError(f"unknown key {dotted!r} (known: {', '.join(hints)})")
+        section = dataclasses.is_dataclass(hints[key])
+        kwargs[key] = build_spec(hints[key], value, dotted) if section else value
+    return cls(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -142,31 +221,23 @@ class GraphSpec:
     applies the standard degree-≥2 preprocessing before partitioning.
     """
 
-    source: str = "file"
-    path: str | None = None
-    dataset: str | None = None
-    scale: float = 0.01
-    users: int = 4000
-    avg_degree: int = 30
-    clustering: float = 0.4
-    remove_small_queries: bool = True
+    source: str = option("file", choices=("file", "dataset", "darwini"))
+    path: str | None = option(None, flags=("input",), help="graph file (.hgr / .tsv / .npz)")
+    dataset: str | None = option(None)
+    scale: float = option(0.01, gt=0)
+    users: int = option(
+        4000, ge=1, flags=("--users",),
+        help="users in the generated workload (no input file; default: {default})",
+    )
+    avg_degree: int = option(
+        30, ge=0, flags=("--avg-degree",),
+        help="average friend count in the generated workload (default: {default})",
+    )
+    clustering: float = option(0.4, ge=0, le=1)
+    remove_small_queries: bool = option(True)
 
     def __post_init__(self) -> None:
-        p = "graph"
-        _check_choice(self.source, GRAPH_SOURCES, f"{p}.source")
-        if self.path is not None:
-            _check_type(self.path, str, f"{p}.path")
-        if self.dataset is not None:
-            _check_type(self.dataset, str, f"{p}.dataset")
-        _check_type(self.scale, (int, float), f"{p}.scale")
-        _check_type(self.users, int, f"{p}.users")
-        _check_type(self.avg_degree, int, f"{p}.avg_degree")
-        _check_type(self.clustering, (int, float), f"{p}.clustering")
-        _check_type(self.remove_small_queries, bool, f"{p}.remove_small_queries")
-        if self.scale <= 0:
-            raise SpecError(f"{p}.scale: must be positive, got {self.scale!r}")
-        if self.users < 1:
-            raise SpecError(f"{p}.users: must be at least 1, got {self.users!r}")
+        check_options(self, "graph")
 
     def require_source_fields(self) -> None:
         """Cross-field checks deferred to run time, so a partially built
@@ -190,33 +261,20 @@ class AlgorithmSpec:
     (``matcher``, ``move_damping``, ``max_iterations``, ...).
     """
 
-    name: str = "shp-2"
-    k: int = 2
-    epsilon: float = 0.05
-    p: float = 0.5
-    objective: str = "pfanout"
+    name: str = option(
+        "shp-2", registry=PARTITIONERS, flags=("--algorithm",),
+        help="partitioner (default: {default})",
+    )
+    # k = 1 is degenerate but legal for the trivial baselines (random/hash);
+    # SHP's own k >= 2 floor is enforced by SHPConfig.
+    k: int = option(2, ge=1, flags=("-k",), help="number of buckets")
+    epsilon: float = option(0.05, ge=0, flags=("--epsilon",), help="imbalance bound")
+    p: float = option(0.5, gt=0, le=1, flags=("-p",), help="fanout probability")
+    objective: str = option("pfanout", registry=OBJECTIVES, flags=("--objective",))
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        p = "algorithm"
-        _check_registry(self.name, PARTITIONERS, f"{p}.name")
-        _check_type(self.k, int, f"{p}.k")
-        _check_type(self.epsilon, (int, float), f"{p}.epsilon")
-        _check_type(self.p, (int, float), f"{p}.p")
-        _check_registry(self.objective, OBJECTIVES, f"{p}.objective")
-        _check_type(self.options, Mapping, f"{p}.options")
-        # k = 1 is degenerate but legal for the trivial baselines
-        # (random/hash); SHP's own k >= 2 floor is enforced by SHPConfig.
-        if self.k < 1:
-            raise SpecError(f"{p}.k: must be at least 1, got {self.k!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise SpecError(f"{p}.p: must be in (0, 1], got {self.p!r}")
-        if self.epsilon < 0:
-            raise SpecError(f"{p}.epsilon: must be non-negative, got {self.epsilon!r}")
-        for key in self.options:
-            _check_type(key, str, f"{p}.options key")
-        if not isinstance(self.options, dict):
-            object.__setattr__(self, "options", dict(self.options))
+        check_options(self, "algorithm")
 
 
 @dataclass(frozen=True)
@@ -243,71 +301,70 @@ class ExecutionSpec:
     per-superstep barrier wait before a worker is declared dead.
     """
 
-    backend: str = LOCAL_BACKEND
-    workers: int = 4
-    refine_workers: int = 1
-    vertex_mode: str = "columnar"
-    combiner: bool = False
-    hosts: list | None = None
-    connect_timeout: float = 10.0
-    step_timeout: float = 600.0
+    backend: str = option(
+        LOCAL_BACKEND, choices=(LOCAL_BACKEND,), registry=BACKENDS, flags=("--backend",),
+        help="execution backend: 'local' (in-process vectorized optimizer), "
+        "'sim' (vertex-centric engine, simulated workers), "
+        "'mp' (vertex-centric engine, one OS process per worker), "
+        "'rpc' (workers over TCP; see docs/running-distributed.md)",
+    )
+    workers: int = option(
+        4, ge=1, flags=("--workers",),
+        help="cluster worker count for engine backends (default: {default})",
+    )
+    refine_workers: int = option(
+        1, ge=1, flags=("--refine-workers",),
+        help="shared-memory gain workers for the local shp-2 refinement "
+        "(--backend local); assignments stay bitwise-identical to serial "
+        "per seed (default: {default})",
+    )
+    # Accepted for compatibility with specs that still write the key; it has
+    # one legal value and selects nothing (the engine runs one kind of program).
+    vertex_mode: str = option("columnar", choices=("columnar",))
+    combiner: bool = option(
+        False, flags=("--combiner",),
+        help="combine messages per destination before transmission "
+        "(engine backends; fewer wire bytes, bitwise-identical result)",
+    )
+    hosts: list | None = option(
+        None, flags=("--hosts",), metavar="HOST:PORT",
+        help="rpc worker endpoint (repeatable); with --backend rpc and no "
+        "--hosts, localhost workers are spawned automatically",
+    )
+    connect_timeout: float = option(10.0, gt=0)
+    step_timeout: float = option(600.0, gt=0)
 
     def __post_init__(self) -> None:
         p = "execution"
-        _check_type(self.backend, str, f"{p}.backend")
-        if self.backend != LOCAL_BACKEND and self.backend not in BACKENDS:
-            raise SpecError(
-                f"{p}.backend: must be {LOCAL_BACKEND!r} or one of "
-                f"{', '.join(map(repr, BACKENDS.names()))}; got {self.backend!r}"
-            )
-        _check_type(self.workers, int, f"{p}.workers")
         if self.vertex_mode == "dict":
             raise SpecError(
                 f"{p}.vertex_mode: the per-vertex 'dict' reference is no longer "
                 "an execution mode — it lives in tests/oracles/ as a test "
                 "oracle; drop the key (the engine always runs columnar)"
             )
-        _check_choice(self.vertex_mode, VERTEX_MODES, f"{p}.vertex_mode")
-        if self.workers < 1:
-            raise SpecError(f"{p}.workers: must be at least 1, got {self.workers!r}")
-        _check_type(self.refine_workers, int, f"{p}.refine_workers")
-        if self.refine_workers < 1:
-            raise SpecError(
-                f"{p}.refine_workers: must be at least 1, got {self.refine_workers!r}"
-            )
-        _check_type(self.combiner, bool, f"{p}.combiner")
-        if self.combiner and self.backend == LOCAL_BACKEND:
+        check_options(self, p)
+        if self.combiner and self.is_local:
             raise SpecError(
                 f"{p}.combiner: message combining is an engine feature; "
                 f"pick an engine backend ({', '.join(map(repr, BACKENDS.names()))})"
             )
-        if self.hosts is not None:
-            _check_type(self.hosts, (list, tuple), f"{p}.hosts")
-            if self.backend != "rpc":
+        if self.hosts is None:
+            return
+        if self.backend != "rpc":
+            raise SpecError(
+                f"{p}.hosts: only the 'rpc' backend takes worker hosts "
+                f"(got backend {self.backend!r})"
+            )
+        if not self.hosts:
+            raise SpecError(f"{p}.hosts: must list at least one host:port")
+        for i, item in enumerate(self.hosts):
+            _check_type(item, str, f"{p}.hosts[{i}]")
+            host, _, port = item.rpartition(":")
+            port_ok = port.isascii() and port.isdigit() and 1 <= int(port) <= 65535
+            if not host or ":" in host or not port_ok:
                 raise SpecError(
-                    f"{p}.hosts: only the 'rpc' backend takes worker hosts "
-                    f"(got backend {self.backend!r})"
+                    f"{p}.hosts[{i}]: expected 'host:port' with a port in 1-65535, got {item!r}"
                 )
-            for i, item in enumerate(self.hosts):
-                _check_type(item, str, f"{p}.hosts[{i}]")
-                if ":" not in item:
-                    raise SpecError(
-                        f"{p}.hosts[{i}]: expected 'host:port', got {item!r}"
-                    )
-            if not self.hosts:
-                raise SpecError(f"{p}.hosts: must list at least one host:port")
-            if not isinstance(self.hosts, list):
-                object.__setattr__(self, "hosts", list(self.hosts))
-        _check_type(self.connect_timeout, (int, float), f"{p}.connect_timeout")
-        _check_type(self.step_timeout, (int, float), f"{p}.step_timeout")
-        if self.connect_timeout <= 0:
-            raise SpecError(
-                f"{p}.connect_timeout: must be positive, got {self.connect_timeout!r}"
-            )
-        if self.step_timeout <= 0:
-            raise SpecError(
-                f"{p}.step_timeout: must be positive, got {self.step_timeout!r}"
-            )
 
     @property
     def is_local(self) -> bool:
@@ -327,50 +384,45 @@ class PipelineSpec:
     the warm assignment to the distributed engine via ``initial=``.
     """
 
-    warmstart: str = "streaming"
+    warmstart: str = option("streaming", registry=PARTITIONERS)
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        p = "pipeline"
-        _check_registry(self.warmstart, PARTITIONERS, f"{p}.warmstart")
-        _check_type(self.options, Mapping, f"{p}.options")
-        for key in self.options:
-            _check_type(key, str, f"{p}.options key")
-        if not isinstance(self.options, dict):
-            object.__setattr__(self, "options", dict(self.options))
+        check_options(self, "pipeline")
 
 
 @dataclass(frozen=True)
 class ServingSpec:
     """The online serving scenario (kind = 'serving')."""
 
-    servers: int = 16
-    rounds: int = 3
-    queries_per_round: int = 2000
-    skew: float = 0.8
-    churn_fraction: float = 0.05
-    migration_budget: float = 0.10
-    repair_iterations: int = 15
-    method: str = "2"
+    servers: int = option(
+        16, ge=2, flags=("--servers",), help="storage servers (default: {default})"
+    )
+    rounds: int = option(3, ge=1, flags=("--rounds",), help="serving rounds (default: {default})")
+    queries_per_round: int = option(
+        2000, ge=0, flags=("--queries",), help="sampled queries per round (default: {default})"
+    )
+    # skew < 0 is an anti-skewed sample and legal; so is a budget above 1.
+    skew: float = option(0.8, flags=("--skew",), help="Zipf traffic skew (default: {default})")
+    churn_fraction: float = option(
+        0.05, ge=0, le=1, flags=("--churn",),
+        help="fraction of queries rewired per round (default: {default})",
+    )
+    migration_budget: float = option(
+        0.10, ge=0, flags=("--budget",),
+        help="migration budget: max fraction of records moved per repair (default: {default:.2f})",
+    )
+    repair_iterations: int = option(
+        15, ge=0, flags=("--repair-iterations",),
+        help="refinement iterations per incremental repair (default: {default})",
+    )
+    method: str = option(
+        "2", choices=("2", "k"), flags=("--method",),
+        help="incremental repair driver (default: shp-{default})",
+    )
 
     def __post_init__(self) -> None:
-        p = "serving"
-        _check_type(self.servers, int, f"{p}.servers")
-        _check_type(self.rounds, int, f"{p}.rounds")
-        _check_type(self.queries_per_round, int, f"{p}.queries_per_round")
-        _check_type(self.skew, (int, float), f"{p}.skew")
-        _check_type(self.churn_fraction, (int, float), f"{p}.churn_fraction")
-        _check_type(self.migration_budget, (int, float), f"{p}.migration_budget")
-        _check_type(self.repair_iterations, int, f"{p}.repair_iterations")
-        _check_choice(self.method, SERVING_METHODS, f"{p}.method")
-        if self.servers < 2:
-            raise SpecError(f"{p}.servers: must be at least 2, got {self.servers!r}")
-        if self.rounds < 1:
-            raise SpecError(f"{p}.rounds: must be at least 1, got {self.rounds!r}")
-        if not 0.0 <= self.churn_fraction <= 1.0:
-            raise SpecError(
-                f"{p}.churn_fraction: must be in [0, 1], got {self.churn_fraction!r}"
-            )
+        check_options(self, "serving")
 
 
 @dataclass(frozen=True)
@@ -384,23 +436,22 @@ class OutputSpec:
     ``metrics.jsonl`` — the reproducibility record ``load_run`` reads back.
     """
 
-    assignment: str | None = None
-    artifacts: str | None = None
+    assignment: str | None = option(
+        None, flags=("-o", "--output"),
+        help="write assignment (.npz archive, or plain text one bucket per line)",
+    )
+    artifacts: str | None = option(None)
 
     def __post_init__(self) -> None:
-        p = "output"
-        if self.assignment is not None:
-            _check_type(self.assignment, str, f"{p}.assignment")
-        if self.artifacts is not None:
-            _check_type(self.artifacts, str, f"{p}.artifacts")
+        check_options(self, "output")
 
 
 @dataclass(frozen=True)
 class JobSpec:
     """The root of the spec tree: one declarative, reproducible job."""
 
-    kind: str = "partition"
-    seed: int = 0
+    kind: str = option("partition", choices=("partition", "serving", "stream-refine"))
+    seed: int = option(0, flags=("--seed",))
     graph: GraphSpec = field(default_factory=GraphSpec)
     algorithm: AlgorithmSpec = field(default_factory=AlgorithmSpec)
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
@@ -409,8 +460,7 @@ class JobSpec:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def __post_init__(self) -> None:
-        _check_choice(self.kind, JOB_KINDS, "kind")
-        _check_type(self.seed, int, "seed")
+        check_options(self)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -424,30 +474,7 @@ class JobSpec:
         Unknown keys anywhere in the tree raise :class:`SpecError` naming
         the dotted path of the offender.
         """
-        if not isinstance(data, Mapping):
-            raise SpecError(f"job spec: expected a mapping, got {type(data).__name__}")
-        data = dict(data)
-        sections = {
-            "graph": GraphSpec,
-            "algorithm": AlgorithmSpec,
-            "execution": ExecutionSpec,
-            "pipeline": PipelineSpec,
-            "serving": ServingSpec,
-            "output": OutputSpec,
-        }
-        kwargs: dict[str, Any] = {}
-        for name, section_cls in sections.items():
-            if name in data:
-                kwargs[name] = _build(section_cls, data.pop(name), name)
-        for scalar in ("kind", "seed"):
-            if scalar in data:
-                kwargs[scalar] = data.pop(scalar)
-        if data:
-            raise SpecError(
-                f"unknown key {next(iter(data))!r} "
-                f"(top-level keys: kind, seed, {', '.join(sections)})"
-            )
-        return cls(**kwargs)
+        return build_spec(cls, data)
 
     @classmethod
     def from_file(

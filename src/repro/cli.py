@@ -16,7 +16,10 @@ Usage (also via ``python -m repro``):
 Every execution subcommand (``run``, ``partition``, ``compare``,
 ``serve-sim``) builds a :class:`repro.api.JobSpec` and calls the same
 :func:`repro.api.run` runner, so legacy flags and spec files produce
-bitwise-identical assignments per seed.  Input formats are detected from
+bitwise-identical assignments per seed.  The legacy flags are not declared
+here: :data:`SPEC_FLAGS` lists which spec keys each subcommand exposes, and
+spelling, type, default, choices and help are read from the field
+declarations in :mod:`repro.api.spec`.  Input formats are detected from
 the extension: ``.hgr`` (hMetis), ``.tsv`` (query/data edge list), ``.npz``
 (this package's archive format), ``.rgs`` (the mmap-able binary store —
 ``repro convert`` produces it).  Assignments are written as plain text
@@ -28,18 +31,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections.abc import Iterable, Mapping
 from pathlib import Path
+from typing import Any
 
-from .api import (
-    AlgorithmSpec,
-    ExecutionSpec,
-    GraphSpec,
-    JobSpec,
-    OutputSpec,
-    ServingSpec,
-    SpecError,
-)
-from .api.registry import BACKENDS, OBJECTIVES, PARTITIONERS
+from .api import AlgorithmSpec, JobSpec, SpecError
+from .api.spec import build_spec, iter_options, option_choices
 from .bench import format_table
 from .hypergraph import (
     DATASETS,
@@ -51,7 +48,87 @@ from .hypergraph import (
     save_graph,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "build_parser", "add_spec_flags", "spec_from_args"]
+
+_KNOBS = ("algorithm.epsilon", "algorithm.p", "algorithm.objective", "seed")
+_REQUIRED = {"required": True, "default": None}  # no spec default stands in for -k
+#: The spec-backed flags of each legacy subcommand, in ``--help`` order: a
+#: dotted spec key, or ``(key, {argparse overrides})`` where one command
+#: words or requires a flag differently.  Everything else — spelling, type,
+#: default, choices, help — is read from the field's declaration.
+SPEC_FLAGS: dict[str, tuple] = {
+    "partition": (
+        "graph.path", ("algorithm.k", _REQUIRED), "algorithm.name", *_KNOBS,
+        "execution.backend", "execution.workers", "execution.refine_workers",
+        "execution.combiner", "execution.hosts", "output.assignment",
+    ),
+    "compare": (
+        ("graph.path", {"help": "graph file"}),
+        ("algorithm.k", {**_REQUIRED, "help": None}),
+        *_KNOBS,
+    ),
+    "serve-sim": (
+        ("graph.path", {
+            "nargs": "?",
+            "help": "graph file (.hgr / .tsv / .npz); omitted = generate a Darwini workload",
+        }),
+        "graph.users", "graph.avg_degree", "serving.servers", "serving.rounds",
+        "serving.queries_per_round", "serving.skew", "serving.churn_fraction",
+        "serving.migration_budget", "serving.repair_iterations", "serving.method", "seed",
+    ),
+}
+
+#: How a field's type reads on a command line (a ``str`` needs nothing).
+_ARGPARSE: dict[type, dict[str, Any]] = {
+    int: {"type": int}, float: {"type": float}, list: {"action": "append", "default": []},
+}
+
+
+def add_spec_flags(
+    parser: argparse.ArgumentParser, refs: Iterable[Any], root: type = JobSpec
+) -> None:
+    """Add one flag per referenced spec field, derived from its declaration.
+
+    ``refs`` are dotted keys of ``root`` (or ``(key, overrides)`` pairs).
+    The ``dest -> key`` map is left on the parser as the ``spec_keys``
+    default, which is all :func:`spec_from_args` needs.
+    """
+    options = {key: (f, kind) for key, f, kind in iter_options(root)}
+    spec_keys: dict[str, str] = {}
+    for ref in refs:
+        key, overrides = (ref, {}) if isinstance(ref, str) else ref
+        f, kind = options[key]
+        kwargs: dict[str, Any] = {"action": "store_true"} if kind is bool else {
+            "default": f.default, "choices": option_choices(f),
+            "metavar": f.metadata.get("metavar"), **_ARGPARSE.get(kind, {}),
+        }
+        if "help" in f.metadata:
+            kwargs["help"] = f.metadata["help"].format(default=f.default)
+        action = parser.add_argument(*f.metadata["flags"], **{**kwargs, **overrides})
+        spec_keys[action.dest] = key
+    parser.set_defaults(spec_keys=spec_keys)
+
+
+def spec_from_args(
+    args: argparse.Namespace, fixed: Mapping[str, Any] | None = None, root: type = JobSpec
+) -> Any:
+    """The one ``args -> spec`` function: each flag lands on its dotted key.
+
+    ``fixed`` adds keys a subcommand implies rather than exposes (``kind``,
+    ``graph.source``).  A flag that was not given (``None``, or no
+    occurrence of a repeatable one) leaves its key to the spec default.
+    """
+    values = {key: getattr(args, dest) for dest, key in args.spec_keys.items()}
+    data: dict[str, Any] = {}
+    for key, value in {**values, **(fixed or {})}.items():
+        if value is None or value == []:
+            continue
+        section, _, name = key.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[name] = value
+    try:
+        return build_spec(root, data)
+    except SpecError as exc:
+        raise SystemExit(f"error: {exc}") from exc
 
 
 def _api_run(spec: JobSpec, graph=None, smoke: bool = False):
@@ -63,18 +140,6 @@ def _api_run(spec: JobSpec, graph=None, smoke: bool = False):
     except (SpecError, GraphValidationError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         raise SystemExit(f"error: {message}") from exc
-
-
-def _build_spec(build):
-    """Build a JobSpec from legacy flags, exiting cleanly on validation errors."""
-    try:
-        return build()
-    except SpecError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-
-
-def _file_graph_spec(path: str) -> GraphSpec:
-    return GraphSpec(source="file", path=str(path))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -109,30 +174,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    spec = _build_spec(lambda: JobSpec(
-        kind="partition",
-        seed=args.seed,
-        graph=_file_graph_spec(args.input),
-        algorithm=AlgorithmSpec(
-            name=args.algorithm,
-            k=args.k,
-            epsilon=args.epsilon,
-            p=args.p,
-            objective=args.objective,
-        ),
-        execution=ExecutionSpec(
-            backend=args.backend,
-            workers=args.workers,
-            refine_workers=args.refine_workers,
-            combiner=args.combiner,
-            hosts=args.hosts or None,
-        ),
-        output=OutputSpec(assignment=args.output),
-    ))
+    spec = spec_from_args(args)
     report = _api_run(spec)
-    if args.output:
-        print(f"assignment written to {args.output}")
-    print(format_table(report.rows, title=f"{report.graph_name or args.input}"))
+    if spec.output.assignment:
+        print(f"assignment written to {spec.output.assignment}")
+    print(format_table(report.rows, title=f"{report.graph_name or spec.graph.path}"))
     return 0
 
 
@@ -204,21 +250,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     the same JobSpec path as ``partition``, so SHP variants honor them here
     too instead of silently running with defaults.
     """
+    from .api import load_graph_spec
+
     names = args.algorithms or ["random", "label-prop", "shp-2", "shp-k", "mondriaan-like"]
-    base = _build_spec(lambda: JobSpec(
-        kind="partition",
-        seed=args.seed,
-        graph=_file_graph_spec(args.input),
-        algorithm=AlgorithmSpec(
-            k=args.k,
-            epsilon=args.epsilon,
-            p=args.p,
-            objective=args.objective,
-        ),
-    ))
-    # Load (and prune) once; run(graph=...) skips the per-spec file reload.
+    base = spec_from_args(args)
+    # Load (and prune, as graph.remove_small_queries says) once;
+    # run(graph=...) skips the per-spec file reload.
     try:
-        graph = load_graph(args.input).remove_small_queries()
+        graph = load_graph_spec(base)
     except GraphValidationError as exc:
         raise SystemExit(f"error: {exc}") from exc
     rows = []
@@ -236,41 +275,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
     """Run the online serving loop: replay → churn → in-budget repair → replay."""
-    spec = _build_spec(lambda: JobSpec(
-        kind="serving",
-        seed=args.seed,
-        graph=(
-            _file_graph_spec(args.input)
-            if args.input
-            else GraphSpec(
-                source="darwini", users=args.users, avg_degree=args.avg_degree
-            )
-        ),
-        serving=ServingSpec(
-            servers=args.servers,
-            rounds=args.rounds,
-            queries_per_round=args.queries,
-            skew=args.skew,
-            churn_fraction=args.churn,
-            migration_budget=args.budget,
-            repair_iterations=args.repair_iterations,
-            method=args.method,
-        ),
-    ))
+    spec = spec_from_args(
+        args, {"kind": "serving", "graph.source": "file" if args.input else "darwini"}
+    )
     report = _api_run(spec)
+    serving = spec.serving
     if not args.input:
         print(f"generated Darwini-like workload: {report.graph_name or 'workload'}")
     print(
         format_table(
             report.rows,
             title=(
-                f"serving loop on {report.graph_name or 'workload'} — {args.servers} servers, "
-                f"{100 * args.churn:.0f}% churn/round, {100 * args.budget:.0f}% migration budget"
+                f"serving loop on {report.graph_name or 'workload'} — {serving.servers} servers, "
+                f"{100 * serving.churn_fraction:.0f}% churn/round, "
+                f"{100 * serving.migration_budget:.0f}% migration budget"
             ),
         )
     )
     print(
-        f"total records migrated across {args.rounds} rounds: "
+        f"total records migrated across {serving.rounds} rounds: "
         f"{report.meters['total_migrated']} of {report.meters['records']}"
     )
     return 0
@@ -334,16 +357,6 @@ def _cmd_rpc_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_algorithm_knobs(parser: argparse.ArgumentParser) -> None:
-    """Shared algorithm flags (identical semantics in partition and compare)."""
-    parser.add_argument("--epsilon", type=float, default=0.05, help="imbalance bound")
-    parser.add_argument("-p", type=float, default=0.5, help="fanout probability")
-    parser.add_argument(
-        "--objective", default="pfanout", choices=OBJECTIVES.names(),
-    )
-    parser.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree (exposed for docs and tests)."""
     parser = argparse.ArgumentParser(
@@ -372,44 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("partition", help="partition a hypergraph")
-    p.add_argument("input", help="graph file (.hgr / .tsv / .npz)")
-    p.add_argument("-k", type=int, required=True, help="number of buckets")
-    p.add_argument(
-        "--algorithm", default="shp-2", choices=PARTITIONERS.names(),
-        help="partitioner (default: shp-2)",
-    )
-    _add_algorithm_knobs(p)
-    p.add_argument(
-        "--backend", default="local", choices=["local", *BACKENDS.names()],
-        help="execution backend: 'local' (in-process vectorized optimizer), "
-        "'sim' (vertex-centric engine, simulated workers), "
-        "'mp' (vertex-centric engine, one OS process per worker), "
-        "'rpc' (workers over TCP; see docs/running-distributed.md)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=4,
-        help="cluster worker count for engine backends (default: 4)",
-    )
-    p.add_argument(
-        "--refine-workers", type=int, default=1,
-        help="shared-memory gain workers for the local shp-2 refinement "
-        "(--backend local); assignments stay bitwise-identical to serial "
-        "per seed (default: 1)",
-    )
-    p.add_argument(
-        "--combiner", action="store_true",
-        help="combine messages per destination before transmission "
-        "(engine backends; fewer wire bytes, bitwise-identical result)",
-    )
-    p.add_argument(
-        "--hosts", action="append", default=[], metavar="HOST:PORT",
-        help="rpc worker endpoint (repeatable); with --backend rpc and no "
-        "--hosts, localhost workers are spawned automatically",
-    )
-    p.add_argument(
-        "-o", "--output",
-        help="write assignment (.npz archive, or plain text one bucket per line)",
-    )
+    add_spec_flags(p, SPEC_FLAGS["partition"])
     p.set_defaults(func=_cmd_partition)
 
     cv = sub.add_parser(
@@ -436,11 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=_cmd_evaluate)
 
     c = sub.add_parser("compare", help="run several partitioners and rank by fanout")
-    c.add_argument("input", help="graph file")
-    c.add_argument("-k", type=int, required=True)
-    _add_algorithm_knobs(c)
+    add_spec_flags(c, SPEC_FLAGS["compare"])
     c.add_argument(
-        "--algorithms", nargs="*", choices=PARTITIONERS.names(),
+        "--algorithms", nargs="*",
+        choices=option_choices(AlgorithmSpec.__dataclass_fields__["name"]),
         help="subset to compare (default: a representative five)",
     )
     c.set_defaults(func=_cmd_compare)
@@ -456,28 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-sim",
         help="online serving loop: traffic replay + graph churn + incremental repair",
     )
-    s.add_argument(
-        "input", nargs="?", default=None,
-        help="graph file (.hgr / .tsv / .npz); omitted = generate a Darwini workload",
-    )
-    s.add_argument("--users", type=int, default=4000,
-                   help="users in the generated workload (no input file; default: 4000)")
-    s.add_argument("--avg-degree", type=int, default=30,
-                   help="average friend count in the generated workload (default: 30)")
-    s.add_argument("--servers", type=int, default=16, help="storage servers (default: 16)")
-    s.add_argument("--rounds", type=int, default=3, help="serving rounds (default: 3)")
-    s.add_argument("--queries", type=int, default=2000,
-                   help="sampled queries per round (default: 2000)")
-    s.add_argument("--skew", type=float, default=0.8, help="Zipf traffic skew (default: 0.8)")
-    s.add_argument("--churn", type=float, default=0.05,
-                   help="fraction of queries rewired per round (default: 0.05)")
-    s.add_argument("--budget", type=float, default=0.10,
-                   help="migration budget: max fraction of records moved per repair (default: 0.10)")
-    s.add_argument("--repair-iterations", type=int, default=15,
-                   help="refinement iterations per incremental repair (default: 15)")
-    s.add_argument("--method", default="2", choices=["2", "k"],
-                   help="incremental repair driver (default: shp-2)")
-    s.add_argument("--seed", type=int, default=0)
+    add_spec_flags(s, SPEC_FLAGS["serve-sim"])
     s.set_defaults(func=_cmd_serve_sim)
 
     li = sub.add_parser(
@@ -498,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip these rule codes (repeatable)",
     )
     li.add_argument(
-        "--format", default="human", choices=["human", "json"],
+        "--format", default="human", choices=("human", "json"),
         help="output format (default: human)",
     )
     li.add_argument(

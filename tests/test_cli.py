@@ -56,6 +56,15 @@ class TestPartitionCommand:
         with pytest.raises(SystemExit, match="k must be at least 2"):
             main(["partition", str(path), "-k", "1"])  # shp-2 needs k >= 2
 
+    def test_bad_rpc_host_is_a_spec_error_before_anything_spawns(self, graph_file, monkeypatch):
+        """`--hosts h:notaport` used to validate and die at connect time."""
+        import repro.api.runner as runner
+
+        monkeypatch.setattr(runner, "run", lambda *a, **k: pytest.fail("the job started"))
+        path, _ = graph_file
+        with pytest.raises(SystemExit, match=r"^error: execution\.hosts\[0\]: .*'h:notaport'"):
+            main(["partition", str(path), "-k", "4", "--backend", "rpc", "--hosts", "h:notaport"])
+
     def test_k1_allowed_for_trivial_baselines(self, graph_file, capsys):
         path, _ = graph_file
         rc = main(["partition", str(path), "-k", "1", "--algorithm", "random"])
@@ -234,6 +243,23 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         data_rows = [line for line in out.splitlines() if "|" in line][1:]  # skip header
         assert "shp-2" in data_rows[0]  # optimized result listed first
+
+
+class TestServeSimCommand:
+    @pytest.mark.parametrize("flags, message", [
+        (["--queries", "-5"], r"^error: serving\.queries_per_round: must be >= 0; got -5$"),
+        (["--budget", "-1"], r"^error: serving\.migration_budget: must be >= 0; got -1\.0$"),
+        (["--churn", "1.5"], r"^error: serving\.churn_fraction: "),
+    ])
+    def test_out_of_range_flags_are_one_line_spec_errors(self, flags, message, monkeypatch):
+        """They used to surface as numpy's `negative dimensions are not
+        allowed`, or as a pathless `budget must be non-negative` raised
+        after the initial partition had already run."""
+        import repro.api.runner as runner
+
+        monkeypatch.setattr(runner, "run", lambda *a, **k: pytest.fail("the job started"))
+        with pytest.raises(SystemExit, match=message):
+            main(["serve-sim", "--users", "300", *flags])
 
 
 class TestRpcWorkerCommand:

@@ -90,3 +90,23 @@ def test_checker_flags_invalid_example_job(tmp_path):
     problems = check_docs_links.check_example_jobs(repo=tmp_path)
     assert len(problems) == 1
     assert "bad.toml" in problems[0]
+
+
+def test_readme_spec_table_is_the_rendered_one():
+    """The README's job-spec key table is derived, not hand-kept."""
+    assert check_docs_links.check_spec_table() == []
+    table = check_docs_links.render_spec_table()
+    assert len(table.splitlines()) == 2 + 36  # header + one row per key
+    assert "| `serving.queries_per_round` | `int` | `2000` | >= 0 | `--queries` |" in table
+
+
+def test_checker_flags_a_stale_or_missing_spec_table(tmp_path):
+    readme = tmp_path / "README.md"
+    table = check_docs_links.render_spec_table()
+    block = "<!-- spec-table:begin -->\n{}\n<!-- spec-table:end -->\n"
+    readme.write_text(block.format(table))
+    assert check_docs_links.check_spec_table(repo=tmp_path) == []
+    readme.write_text(block.format(table.replace("`2000`", "`1000`")))
+    assert "stale" in check_docs_links.check_spec_table(repo=tmp_path)[0]
+    readme.write_text("# no table here\n")
+    assert "no <!-- spec-table" in check_docs_links.check_spec_table(repo=tmp_path)[0]

@@ -183,11 +183,45 @@ class TestValidationErrors:
             ({"execution": {"workers": 0}}, "execution.workers"),
             ({"serving": {"servers": 1}}, "serving.servers"),
             ({"serving": {"churn_fraction": 1.5}}, "serving.churn_fraction"),
+            # Ranges that used to be checked nowhere (the job ran on a
+            # silently different input) or deep inside the run.
+            ({"serving": {"queries_per_round": -5}}, "serving.queries_per_round"),
+            ({"serving": {"migration_budget": -1}}, "serving.migration_budget"),
+            ({"serving": {"repair_iterations": -1}}, "serving.repair_iterations"),
+            ({"serving": {"rounds": 0}}, "serving.rounds"),
+            ({"graph": {"avg_degree": -1}}, "graph.avg_degree"),
+            ({"graph": {"clustering": 5}}, "graph.clustering"),
+            ({"graph": {"clustering": -1}}, "graph.clustering"),
+            ({"graph": {"users": 0}}, "graph.users"),
+            ({"execution": {"connect_timeout": 0}}, "execution.connect_timeout"),
+            ({"execution": {"step_timeout": -1.0}}, "execution.step_timeout"),
+            ({"algorithm": {"p": float("nan")}}, "algorithm.p"),
+            # execution.hosts entries: 'host:port', non-empty host, port 1-65535.
+            *(
+                ({"execution": {"backend": "rpc", "hosts": [entry]}}, r"^execution.hosts\[0\]")
+                for entry in ("h:notaport", ":7077", "h:", "h:70:71", "h:0", "h:65536", "h")
+            ),
+            ({"execution": {"backend": "rpc", "hosts": ["h:7077", 7078]}}, r"^execution.hosts\[1\]"),
+            ({"execution": {"backend": "rpc", "hosts": []}}, "^execution.hosts"),
+            ({"execution": {"backend": "sim", "hosts": ["h:7077"]}}, "^execution.hosts"),
         ],
     )
     def test_bad_ranges_name_dotted_path(self, data, dotted_path):
         with pytest.raises(SpecError, match=dotted_path.replace(".", r"\.")):
             JobSpec.from_dict(data)
+
+    def test_legal_edge_values_stay_legal(self):
+        """What is meaningful today is not bounded: an anti-skewed sample, a
+        migration budget above 1, zero queries / repairs, the closed ends."""
+        spec = JobSpec.from_dict({
+            "serving": {"skew": -0.5, "migration_budget": 1.5, "queries_per_round": 0,
+                        "repair_iterations": 0, "churn_fraction": 1},
+            "graph": {"clustering": 1.0, "avg_degree": 0, "scale": 2},
+            "algorithm": {"p": 1, "epsilon": 0},
+            "execution": {"backend": "rpc", "hosts": ("10.0.0.1:7077", "node-b:65535")},
+        })
+        assert spec.execution.hosts == ["10.0.0.1:7077", "node-b:65535"]  # tuple -> list
+        assert spec.graph.scale == 2 and spec.serving.churn_fraction == 1  # int passes for float
 
     def test_objective_aliases_resolve(self):
         spec = JobSpec.from_dict({"algorithm": {"objective": "clique-net"}})

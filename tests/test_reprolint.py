@@ -7,15 +7,12 @@ must lint clean — the same gate CI enforces.
 """
 from __future__ import annotations
 
-import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import LINT_CHECKS, lint_paths
-from repro.analysis.checks.rep005 import audit_registry_cli_sync
-from repro.api.registry import Registry
 from repro.cli import main as cli_main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -36,8 +33,10 @@ def codes(report) -> list[str]:
 # ----------------------------------------------------------------------
 
 def test_all_nine_rules_are_registered():
+    # Eight since REP005 (registry-cli-sync) retired with the hand-listed
+    # CLI choices it policed; codes are not re-used, so REP006-REP009 keep theirs.
     assert LINT_CHECKS.names() == [
-        "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
+        "REP001", "REP002", "REP003", "REP004", "REP006",
         "REP007", "REP008", "REP009",
     ]
     # aliases resolve like every other registry
@@ -196,68 +195,6 @@ def test_rep004_flags(tmp_path, bad):
 ])
 def test_rep004_allows(tmp_path, good):
     assert codes(run_lint(tmp_path, good, select=["REP004"])) == []
-
-
-# ----------------------------------------------------------------------
-# REP005 registry-cli-sync (program analysis, injected doubles)
-# ----------------------------------------------------------------------
-
-def _parser_with(choices):
-    parser = argparse.ArgumentParser()
-    sub = parser.add_subparsers()
-    p = sub.add_parser("partition")
-    p.add_argument("--algorithm", choices=choices)
-    p.add_argument("--objective", choices=["pfanout"])
-    p.add_argument("--backend", choices=["local", "sim"])
-    c = sub.add_parser("compare")
-    c.add_argument("--algorithms", nargs="*", choices=choices)
-    c.add_argument("--objective", choices=["pfanout"])
-    return parser
-
-
-def _registries(partitioner_names):
-    parts = Registry("partitioner")
-    for name in partitioner_names:
-        parts.register(name)(lambda: None)
-    objs = Registry("objective")
-    objs.register("pfanout")(lambda: None)
-    backs = Registry("backend")
-    backs.register("sim")(lambda: None)
-    return [
-        ("partitioners", parts),
-        ("objectives", objs),
-        ("backends", backs),
-    ]
-
-
-def test_rep005_clean_when_cli_matches_registries():
-    problems = audit_registry_cli_sync(
-        registries=_registries(["shp-2"]),
-        parser=_parser_with(["shp-2"]),
-    )
-    assert problems == []
-
-
-def test_rep005_flags_choice_drift():
-    problems = audit_registry_cli_sync(
-        registries=_registries(["shp-2", "shp-k"]),
-        parser=_parser_with(["shp-2"]),  # stale: missing shp-k
-    )
-    assert any("--algorithm" == anchor for anchor, _ in problems)
-    assert any("do not match the registry" in msg for _, msg in problems)
-
-
-def test_rep005_flags_broken_lazy_loader():
-    broken = Registry("partitioner", loader="repro.no_such_module")
-    problems = audit_registry_cli_sync(
-        registries=[("partitioners", broken), *_registries([])[1:]],
-        parser=_parser_with([]),
-    )
-    assert any("failed to load" in msg for _, msg in problems)
-
-
-def test_rep005_real_package_is_in_sync():
-    assert audit_registry_cli_sync() == []
 
 
 # ----------------------------------------------------------------------
@@ -695,8 +632,9 @@ def test_cli_clean_file_exits_zero(tmp_path, capsys):
 def test_cli_select_unknown_code_errors(tmp_path):
     good = tmp_path / "good.py"
     good.write_text("x = 1\n")
-    with pytest.raises(SystemExit):
-        cli_main(["lint", "--select", "NOPE", str(good)])
+    for code in ("NOPE", "REP005"):  # a retired code is as unknown as a typo
+        with pytest.raises(SystemExit, match="error: unknown lint check"):
+            cli_main(["lint", "--select", code, str(good)])
 
 
 def test_cli_flags_the_committed_known_bad_fixture(capsys):
@@ -705,7 +643,7 @@ def test_cli_flags_the_committed_known_bad_fixture(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert exit_code > 0
     hit = {f["code"] for f in payload["findings"]}
-    # every per-file rule must fire on the fixture (REP005 is project-wide)
+    # every rule the fixture targets must fire
     assert {"REP001", "REP002", "REP003", "REP004", "REP006"} <= hit
 
 

@@ -13,7 +13,9 @@ every relative target against the working tree:
 
 Also validates that every ``examples/jobs/*.toml`` parses as a
 :class:`repro.api.JobSpec` — a spec file the runner rejects is doc rot
-exactly like a dead link, just harder to spot in review.
+exactly like a dead link, just harder to spot in review — and that the
+README's job-spec key table is the one :func:`render_spec_table` renders
+from the option declarations (``--spec-table`` prints it for pasting).
 
 External schemes (``http://``, ``https://``, ``mailto:``) are skipped —
 this is an offline, deterministic check.  Exit status is the number of
@@ -25,6 +27,7 @@ Used by ``tests/test_docs_links.py`` and the CI ``docs`` step.
 """
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -37,6 +40,7 @@ LINK_RE = re.compile(r"!?\[(?:[^\[\]]|\[[^\]]*\])*\]\(([^)\s]+)(?:\s+\"[^\"]*\")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 FENCE_RE = re.compile(r"^(```|~~~).*?^\1\s*$", re.MULTILINE | re.DOTALL)
 EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+SPEC_TABLE_RE = re.compile(r"<!-- spec-table:begin -->\n(.*?)\n<!-- spec-table:end -->", re.DOTALL)
 
 
 def _slugify(heading: str) -> str:
@@ -91,14 +95,51 @@ def check_file(md_path: Path, repo: Path = REPO) -> list[str]:
     return problems
 
 
+def _import_repro(repo: Path = REPO) -> None:
+    src = repo / "src"
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+
+
+def render_spec_table() -> str:
+    """The README's reference table of every job-spec key, from the
+    declarations in ``repro/api/spec.py`` (one row per ``option(...)``)."""
+    _import_repro()
+    from repro.api import JobSpec
+    from repro.api.spec import iter_options, option_choices, option_range
+
+    rows = ["| Key | Type | Default | Range / choices | Flag(s) |", "|---|---|---|---|---|"]
+    for key, f, _ in iter_options(JobSpec):
+        default = f.default_factory() if callable(f.default_factory) else f.default
+        allowed = option_choices(f)
+        cells = [
+            f"`{key}`",
+            f"`{f.type}`".replace("|", "\\|"),
+            "—" if default is None else f"`{json.dumps(default)}`",
+            option_range(f) or (", ".join(f"`{name}`" for name in allowed) if allowed else ""),
+            ", ".join(f"`{flag}`" for flag in f.metadata.get("flags", ())),
+        ]
+        rows.append("| " + " | ".join(cells) + " |")
+    return "\n".join(rows)
+
+
+def check_spec_table(repo: Path = REPO) -> list[str]:
+    """The committed README key table must equal the rendered one."""
+    match = SPEC_TABLE_RE.search((repo / "README.md").read_text(encoding="utf-8"))
+    if match is None:
+        return ["README.md: no <!-- spec-table:begin/end --> block"]
+    if match.group(1) != render_spec_table():
+        return ["README.md: job-spec key table is stale -> paste the output of "
+                "`python tools/check_docs_links.py --spec-table` between the markers"]
+    return []
+
+
 def check_example_jobs(repo: Path = REPO) -> list[str]:
     """Every ``examples/jobs/*.toml`` must parse as a JobSpec."""
     jobs_dir = repo / "examples" / "jobs"
     if not jobs_dir.is_dir():
         return []
-    src = repo / "src"
-    if str(src) not in sys.path:
-        sys.path.insert(0, str(src))
+    _import_repro(repo)
     from repro.api import JobSpec, SpecError
 
     problems = []
@@ -114,10 +155,14 @@ def check_example_jobs(repo: Path = REPO) -> list[str]:
 
 
 def main() -> int:
+    if sys.argv[1:] == ["--spec-table"]:
+        print(render_spec_table())
+        return 0
     problems = []
     for md_file in iter_markdown_files():
         problems.extend(check_file(md_file))
     problems.extend(check_example_jobs())
+    problems.extend(check_spec_table())
     for line in problems:
         print(line, file=sys.stderr)
     if not problems:
