@@ -60,7 +60,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hypergraph.bipartite import BipartiteGraph, csr_row_positions, ragged_positions
+from ..hypergraph.bipartite import (
+    BipartiteGraph,
+    csr_row_positions,
+    ragged_positions,
+    sorted_unique,
+)
 from .config import SHPConfig
 from .gains import gain_tables, segment_sums
 from .parallel_refine import (
@@ -92,22 +97,6 @@ class LevelGroup:
     right_span: int
     #: filled by :func:`refine_level_fused`: final 0/1 side per vertex.
     final_side: np.ndarray | None = field(default=None, repr=False)
-
-
-def _unique_sorted(values: np.ndarray, upper_bound: int) -> np.ndarray:
-    """Sorted unique values; sort-based with an int32 fast path.
-
-    ~40× faster than ``np.unique``'s hash path on the touched-slot arrays
-    the fused engine dedupes every iteration.
-    """
-    if values.size == 0:
-        return values.astype(np.int64)
-    if upper_bound < 2**31:
-        ordered = np.sort(values.astype(np.int32))
-    else:
-        ordered = np.sort(values)
-    keep = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    return ordered[keep].astype(np.int64)
 
 
 class _LevelTracker:
@@ -450,7 +439,7 @@ def refine_level_fused(
         moved_positions, moved_lengths = csr_row_positions(rank_indptr, moved_ranks)
         touched_slots = np.empty(0, dtype=np.int64)
         if moved_positions.size:
-            touched_slots = _unique_sorted(gm_slot[moved_positions], num_slots)
+            touched_slots = sorted_unique(gm_slot[moved_positions])
             even_before = pc[2 * touched_slots].copy()
             delta = np.repeat(1 - 2 * (new_labels & 1), moved_lengths)
             np.add.at(pc, gm_slot2[moved_positions], delta.astype(np.int32))

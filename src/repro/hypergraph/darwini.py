@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bipartite import BipartiteGraph
+from .bipartite import BipartiteGraph, sorted_unique
 from .generators import power_law_degrees
 
 __all__ = ["darwini_friendship_edges", "darwini_bipartite"]
@@ -87,7 +87,7 @@ def darwini_friendship_edges(
     src, dst = src[keep], dst[keep]
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
-    key = np.unique(lo * num_users + hi)
+    key = sorted_unique(lo * num_users + hi)
     return key // num_users, key % num_users
 
 

@@ -12,7 +12,7 @@ spill-and-merge external CSR construction:
 2. **Scatter** — plan contiguous query-id buckets whose raw edge counts
    fit in one chunk, and re-stream the spill into one file per bucket.
 3. **Merge q-side** — per bucket (ascending), dedupe with the same
-   composite-key ``np.unique`` as ``BipartiteGraph.from_edges`` (all
+   composite-key ``sorted_unique`` as ``BipartiteGraph.from_edges`` (all
    duplicates of a pair share its bucket, so per-bucket dedupe is
    global dedupe) and append the sorted adjacency straight into the
    store's ``q_indices`` section; scatter the surviving pairs into
@@ -37,8 +37,9 @@ from typing import Iterator
 
 import numpy as np
 
-from ..hypergraph.bipartite import GraphValidationError
+from ..hypergraph.bipartite import GraphValidationError, plan_row_ranges, sorted_unique
 from ..hypergraph.io import (
+    TokenLines,
     iter_edge_list_chunks,
     iter_hmetis_edge_chunks,
     read_hmetis_header,
@@ -62,27 +63,23 @@ class _HmetisSource:
     """Streams an ``.hgr`` file; weight sections land on the instance."""
 
     def __init__(self, path: Path, chunk_edges: int):
-        self._handle = path.open("r", encoding="utf-8")
+        self._path = path
         self._chunk_edges = chunk_edges
-        nq, nd, has_qw, self._has_vw = read_hmetis_header(self._handle)
-        self.num_queries: int | None = nq
-        self.num_data: int | None = nd
-        self.query_weights = np.empty(nq, dtype=np.float64) if has_qw else None
+        self.num_queries: int | None = None
+        self.num_data: int | None = None
+        self.query_weights: np.ndarray | None = None
         self.data_weights: np.ndarray | None = None
 
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        yield from iter_hmetis_edge_chunks(
-            self._handle,
-            self.num_queries,
-            self.query_weights is not None,
-            self.query_weights,
-            self._chunk_edges,
-        )
-        if self._has_vw:
-            self.data_weights = read_hmetis_vertex_weights(
-                self._handle, self.num_data
-            )
-        self._handle.close()
+        with self._path.open("rb") as handle:
+            lines = TokenLines(handle, "%", self._chunk_edges)
+            nq, nd, has_qw, has_vw = read_hmetis_header(lines)
+            self.num_queries, self.num_data = nq, nd
+            if has_qw:
+                self.query_weights = np.empty(nq, dtype=np.float64)
+            yield from iter_hmetis_edge_chunks(lines, nq, has_qw, self.query_weights)
+            if has_vw:
+                self.data_weights = read_hmetis_vertex_weights(lines, nd)
 
 
 class _EdgeListSource:
@@ -97,7 +94,7 @@ class _EdgeListSource:
         self.data_weights = None
 
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        with self._path.open("r", encoding="utf-8") as handle:
+        with self._path.open("rb") as handle:
             yield from iter_edge_list_chunks(handle, self._chunk_edges)
 
 
@@ -201,20 +198,9 @@ def _grow_accumulate(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def _plan_buckets(degrees: np.ndarray, cap: int) -> np.ndarray:
-    """Contiguous vertex-range boundaries with ≤ ``cap`` edges per range.
-
-    A single vertex whose degree exceeds ``cap`` gets a range of its own
-    (its bucket transiently holds more than ``cap`` pairs — degree-bounded,
-    the best any contiguous plan can do).
-    """
-    n = degrees.size
+    """Contiguous vertex-range boundaries with ≤ ``cap`` edges per range."""
     cum = np.concatenate(([0], np.cumsum(degrees, dtype=np.int64)))
-    bounds = [0]
-    while bounds[-1] < n:
-        start = bounds[-1]
-        nxt = int(np.searchsorted(cum, cum[start] + cap, side="right")) - 1
-        bounds.append(min(max(nxt, start + 1), n))
-    return np.asarray(bounds, dtype=np.int64)
+    return plan_row_ranges(cum, cap)
 
 
 def _iter_pair_file(path: Path, chunk_edges: int) -> Iterator[np.ndarray]:
@@ -233,10 +219,27 @@ def _scatter(
     bounds: np.ndarray,
     handles: list,
 ) -> None:
-    """Append each pair row to the bucket file its ``column`` id falls in."""
-    bucket = np.searchsorted(bounds, pairs[:, column], side="right") - 1
-    for b in np.unique(bucket):
-        handles[b].write(np.ascontiguousarray(pairs[bucket == b]).tobytes())
+    """Append each pair row to the bucket file its ``column`` id falls in.
+
+    One stable sort of the chunk by bucket, then one contiguous slice per
+    bucket the chunk touches: O(chunk log chunk) whatever the number of
+    buckets, and a chunk that lands in a single bucket is written as it is.
+    """
+    if len(handles) == 1:
+        handles[0].write(pairs)
+        return
+    # The narrowest bucket dtype: numpy's stable sort of <= 16-bit keys is a
+    # radix sort.
+    bucket = (np.searchsorted(bounds, pairs[:, column], side="right") - 1).astype(
+        np.min_scalar_type(len(handles))
+    )
+    counts = np.bincount(bucket, minlength=len(handles))
+    touched = np.flatnonzero(counts)
+    if touched.size > 1:
+        pairs = pairs[np.argsort(bucket, kind="stable")]
+    ends = np.cumsum(counts)
+    for b in touched.tolist():
+        handles[b].write(pairs[ends[b] - counts[b] : ends[b]])
 
 
 def convert_to_store(
@@ -274,7 +277,7 @@ def convert_to_store(
                 pairs = np.empty((q_chunk.size, 2), dtype="<i8")
                 pairs[:, 0] = q_chunk
                 pairs[:, 1] = d_chunk
-                out.write(pairs.tobytes())
+                out.write(pairs)
         seen_q = int(np.flatnonzero(q_deg)[-1]) + 1 if q_deg.any() else 0
         seen_d = int(np.flatnonzero(d_deg)[-1]) + 1 if d_deg.any() else 0
         nq = source.num_queries if source.num_queries is not None else seen_q
@@ -324,9 +327,9 @@ def convert_to_store(
                     raw = np.fromfile(q_path, dtype="<i8").reshape(-1, 2)
                     if raw.size == 0:
                         continue
-                    # Identical canonicalization to from_edges: unique on
-                    # the composite key sorts by (q, d) and drops dupes.
-                    key = np.unique(raw[:, 0] * nd + raw[:, 1])
+                    # The canonicalization from_edges uses: distinct
+                    # composite keys in (q, d) order.
+                    key = sorted_unique(raw[:, 0] * nd + raw[:, 1])
                     q_ids = key // nd
                     d_ids = key % nd
                     writer.append(d_ids)

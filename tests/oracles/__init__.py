@@ -18,6 +18,10 @@
 * :mod:`oracles.replay_loop` — traffic replay one query at a time, with the
   scalar multi-get planner and latency draw; what the batched
   ``replay_traffic`` is checked against.
+* :mod:`oracles.text_parsers` — the ``.hgr`` / ``.tsv`` readers one
+  ``readline()`` / ``split()`` / ``int()`` at a time; what the block
+  tokenizer under ``read_hmetis`` / ``read_edge_list`` / ``convert_to_store``
+  is checked against.
 
 Nothing here is imported by ``src/``, ``benchmarks/`` or ``examples/``.
 """

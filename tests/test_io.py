@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.hypergraph import (
     write_edge_list,
     write_hmetis,
 )
+from repro.hypergraph import io as graph_io
 from repro.hypergraph.io import load_graph, save_graph
 
 
@@ -138,6 +141,40 @@ class TestHMetis:
         with pytest.raises(GraphValidationError, match=r"hyperedge 1: .*'x7'"):
             read_hmetis(io.StringIO("2 4\n1 2\n3 x7\n"))
 
+    @pytest.mark.parametrize("text, where", [
+        # Each of these escaped as a raw OverflowError / IndexError / ValueError.
+        ("1 4\n1 99999999999999999999\n", r"hyperedge 0: .*'99999999999999999999'"),
+        ("1 2 10\n1 2\n\n3\n", r"line 3: missing vertex weight"),
+        ("1 2 10\n1 2\n2\nheavy\n", r"line 4: .*'heavy'"),
+        ("1 4 1\nabc 1 2\n", r"hyperedge 0: .*'abc'"),
+        ("a b\n", r"line 1 \(hMetis header\): .*'a'"),
+        ("2 4\n1 2\n3 1_000\n", r"hyperedge 1: .*'1_000'"),  # int() took this
+    ], ids=["pin-overflow", "blank-vertex-weight", "bad-vertex-weight",
+            "bad-edge-weight", "bad-header", "python-only-spelling"])
+    def test_malformed_text_names_where_and_token(self, text, where):
+        with pytest.raises(GraphValidationError, match=where):
+            read_hmetis(io.StringIO(text))
+
+    def test_percent_comment_lines_are_skipped(self):
+        """hMETIS manual: a line starting with ``%`` is a comment, anywhere;
+        a blank line still is a hyperedge without pins."""
+        text = (
+            "% written by a tool\n%\n3 4 11\n% first\n2 1 2\n  % indented\n"
+            "7\n1.5 3 4\n5\n%\n6\n7\n% done\n8"
+        )
+        loaded = read_hmetis(io.StringIO(text))
+        assert loaded.num_queries == 3 and loaded.num_data == 4
+        assert loaded.query_neighbors(0).tolist() == [0, 1]
+        assert loaded.query_neighbors(1).tolist() == []
+        assert loaded.query_neighbors(2).tolist() == [2, 3]
+        assert loaded.query_weights.tolist() == [2.0, 7.0, 1.5]
+        assert loaded.data_weights.tolist() == [5.0, 6.0, 7.0, 8.0]
+        # A blank line is no comment: here it is the second of two hyperedges.
+        assert read_hmetis(io.StringIO("2 3\n1 2\n\n")).query_degrees.tolist() == [2, 0]
+        # Line numbers in errors count the comment lines.
+        with pytest.raises(GraphValidationError, match=r"line 5: .*'w'"):
+            read_hmetis(io.StringIO("% c\n1 2 10\n% c\n1 2\nw\n1\n"))
+
     def test_file_path_round_trip(self, tiny_graph, tmp_path):
         path = tmp_path / "g.hgr"
         write_hmetis(tiny_graph, path)
@@ -213,10 +250,93 @@ class TestEdgeList:
         ("0 1\n5\n", r"line 2: .*'5'"),            # one field (was IndexError)
         ("# c\n\n0\ta\n", r"line 3: .*'a'"),       # non-integer data id
         ("0 1\nq 2\n", r"line 2: .*'q'"),          # non-integer query id
-    ], ids=["one-field", "bad-data-id", "bad-query-id"])
+        ("0 99999999999999999999\n", r"line 1: .*'99999999999999999999'"),  # was OverflowError
+    ], ids=["one-field", "bad-data-id", "bad-query-id", "id-overflow"])
     def test_malformed_line_names_line_and_token(self, text, where):
         with pytest.raises(GraphValidationError, match=where):
             read_edge_list(io.StringIO(text))
+
+
+def _golden_graph(weighted: bool) -> BipartiteGraph:
+    rng = np.random.default_rng(19)
+    nq, nd, m = 300, 200, 3000
+    q = rng.integers(0, nq, m)
+    d = rng.integers(0, nd, m)
+    q[q % 17 == 3] = 0  # hyperedges 3, 20, 37, ... stay empty; so does the last one
+    q[q == nq - 1] = 1
+    return BipartiteGraph.from_edges(
+        q, d, num_queries=nq, num_data=nd,
+        data_weights=np.round(rng.random(nd) * 8) / 4 if weighted else None,
+        query_weights=np.round(rng.random(nq) * 8) / 2 if weighted else None,
+    )
+
+
+class TestWriters:
+    """The chunked writers emit the bytes the per-row loops emitted: the
+    digests were captured at the parent of PR 19 (19 empty hyperedges,
+    integral and fractional weights, ``"w \\n"`` for a weighted empty one)."""
+
+    GOLDEN = {
+        (write_hmetis, False): "0380a933a80324adf9788f61c9a31a3509ed3158fabd5cb08f180273d9a06e28",
+        (write_hmetis, True): "de391b74b4d80aeb214f0d9071c6cbacadc173dc395443164919bdea7f7e6c32",
+        (write_edge_list, False): "8a3f654f170680227820700608c99a928940756d78b509ffda7a4849b1cb8c72",
+    }
+
+    @pytest.mark.parametrize("chunk_edges", [1 << 18, 64, 1])
+    @pytest.mark.parametrize("writer, weighted", list(GOLDEN), ids=["hgr", "hgr-weighted", "tsv"])
+    def test_output_bytes_are_the_parents(self, monkeypatch, writer, weighted, chunk_edges):
+        monkeypatch.setattr(graph_io, "HMETIS_CHUNK_EDGES", chunk_edges)
+        buffer = io.StringIO()
+        writer(_golden_graph(weighted), buffer)
+        digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+        assert digest == self.GOLDEN[writer, weighted]
+
+
+def _calls(fn) -> int:
+    """Calls made while ``fn()`` runs: Python functions and C builtins alike
+    (``int()``, ``list.append`` and ``str.split`` are ``c_call`` events)."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestNoPerTokenPython:
+    """Ingest cost is per block, not per pin or per line: the number of calls
+    a reader makes is bounded by the number of text blocks the file is,
+    however many tokens they hold.  A ``readline()`` / ``split()`` / ``int()``
+    loop makes two or more calls per pin and fails this by 100x."""
+
+    #: A block costs ~110 calls (numpy's Python wrappers and the ufuncs under
+    #: them), ``from_edges`` about as many once per file.
+    CALLS_PER_BLOCK = 300
+
+    @pytest.mark.parametrize("reader, suffix", [(read_hmetis, ".hgr"), (read_edge_list, ".tsv")])
+    def test_reader_calls_scale_with_blocks_not_pins(self, tmp_path, reader, suffix):
+        block_bytes = graph_io.TEXT_BYTES_PER_EDGE * graph_io.HMETIS_CHUNK_EDGES
+        rng = np.random.default_rng(3)
+        per_block = []
+        for pins in (60_000, 240_000):
+            g = BipartiteGraph.from_edges(
+                rng.integers(0, pins // 5, pins), rng.integers(0, pins // 4, pins)
+            )
+            assert g.num_edges >= 50_000
+            path = tmp_path / f"g{pins}{suffix}"
+            save_graph(g, path)
+            blocks = -(-path.stat().st_size // block_bytes)
+            calls = _calls(lambda: reader(path))
+            assert calls <= self.CALLS_PER_BLOCK * (blocks + 1), (pins, calls, blocks)
+            per_block.append(calls / (blocks + 1))
+        # Four times the pins: no more calls per block.
+        assert per_block[1] <= 1.25 * per_block[0], per_block
 
 
 class TestNpz:

@@ -7,6 +7,7 @@ Mirrors the wire-protocol test style: the format's failure taxonomy
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 
@@ -372,7 +373,16 @@ class TestConverter:
         ("g.tsv", "0 1\n5\n", r"line 2: .*'5'"),
         ("g.tsv", "0\ta\n", r"line 1: .*'a'"),
         ("g.hgr", "2 4\n1 2\n3 x7\n", r"hyperedge 1: .*'x7'"),
-    ], ids=["tsv-one-field", "tsv-bad-id", "hgr-bad-pin"])
+        # Raw OverflowError / IndexError / ValueError until PR 19:
+        ("g.hgr", "1 4\n1 99999999999999999999\n", r"hyperedge 0: .*'99999999999999999999'"),
+        ("g.tsv", "0 99999999999999999999\n", r"line 1: .*'99999999999999999999'"),
+        ("g.hgr", "1 2 10\n1 2\n\n3\n", r"line 3: missing vertex weight"),
+        ("g.hgr", "1 2 10\n1 2\n2\nheavy\n", r"line 4: .*'heavy'"),
+        ("g.hgr", "1 4 1\nabc 1 2\n", r"hyperedge 0: .*'abc'"),
+        ("g.hgr", "a b\n", r"line 1 \(hMetis header\): .*'a'"),
+    ], ids=["tsv-one-field", "tsv-bad-id", "hgr-bad-pin", "hgr-pin-overflow",
+            "tsv-id-overflow", "hgr-blank-vertex-weight", "hgr-bad-vertex-weight",
+            "hgr-bad-edge-weight", "hgr-bad-header"])
     def test_malformed_source_is_a_validation_error(self, tmp_path, name, text, where):
         from repro.hypergraph.bipartite import GraphValidationError
 
@@ -382,6 +392,58 @@ class TestConverter:
             convert_to_store(src, tmp_path / "g.rgs")
         leftovers = [p for p in tmp_path.iterdir() if p.name != name]
         assert leftovers == []  # no half-written store, no spill files
+
+    def test_percent_comments_are_skipped(self, tmp_path):
+        """``%`` lines vanish wherever they stand; a blank line is a hyperedge."""
+        g = _random_graph(16, nq=40, nd=50, m=300)
+        plain = io.StringIO()
+        write_hmetis(g, plain)
+        lines = plain.getvalue().splitlines(keepends=True)
+        commented = ["% made by a tool\n", "%\n"]
+        for i, line in enumerate(lines):
+            commented.append(line)
+            if i % 7 == 0:
+                commented.append(f"  % after line {i}\n")
+        src = tmp_path / "c.hgr"
+        src.write_text("".join(commented))
+        convert_to_store(src, tmp_path / "c.rgs", chunk_edges=32)
+        _assert_same_graph(g, open_store_view(tmp_path / "c.rgs"))
+
+    @pytest.mark.parametrize("order", ["canonical", "shuffled", "duplicated"])
+    def test_edge_order_and_duplicates_do_not_reach_the_store(self, tmp_path, order):
+        """One canonicalization (``sorted_unique``) for ``from_edges`` and the
+        converter: the store bytes depend on the edge *set* only."""
+        rng = np.random.default_rng(17)
+        g = _random_graph(17, weights=False)
+        q, d = g.q_of_edge, g.q_indices
+        if order != "canonical":
+            extra = rng.integers(0, q.size, q.size // 3 if order == "duplicated" else 0)
+            pick = rng.permutation(np.concatenate([np.arange(q.size), extra]))
+            q, d = q[pick], d[pick]
+        src = tmp_path / "g.tsv"
+        src.write_text("".join(f"{a}\t{b}\n" for a, b in zip(q.tolist(), d.tolist())))
+        header = convert_to_store(src, tmp_path / "g.rgs", chunk_edges=200)
+        assert header.num_edges == g.num_edges
+        direct = BipartiteGraph.from_edges(q, d, num_queries=g.num_queries, num_data=g.num_data)
+        view = open_store_view(tmp_path / "g.rgs")
+        for attr in ("q_indptr", "q_indices", "d_indptr", "d_indices"):
+            assert getattr(direct, attr).tobytes() == getattr(g, attr).tobytes(), attr
+            assert getattr(view, attr).tobytes() == getattr(g, attr).tobytes(), attr
+
+    def test_store_bytes_do_not_depend_on_the_bucket_count(self, tmp_path):
+        """``_scatter`` by stable sort: 1 to ~345 buckets per side on a
+        21k-pin graph, one store, byte for byte."""
+        g = _random_graph(18, nq=3000, nd=4000, m=21_000)
+        assert g.num_edges > 20_000
+        src = tmp_path / "g.hgr"
+        write_hmetis(g, src)
+        stores = set()
+        for chunk_edges in (64, 257, 2048, 1 << 20):
+            dst = tmp_path / f"g{chunk_edges}.rgs"
+            convert_to_store(src, dst, chunk_edges=chunk_edges, name="g")
+            stores.add(dst.read_bytes())
+        assert len(stores) == 1
+        _assert_same_graph(g, open_store_view(dst))
 
     def test_unknown_source_suffix_rejected(self, tmp_path):
         from repro.hypergraph.bipartite import GraphValidationError
