@@ -22,15 +22,30 @@ counts pass, one gain kernel, and one matcher invocation per iteration:
   group-sorted *rank space*, so each group touches only its own slot
   range, keeping the working set cache-friendly the same way a per-group
   subgraph's small counts matrix would be.  The general dense layout is
-  ``bucket_counts(graph, labels, 2G)``.
+  ``bucket_counts(graph, labels, 2G)``.  Slots are numbered — ascending
+  (group, query) — by one sort of the level's pins, which come straight off
+  the refinable vertices' rows; the sort need not be stable, because
+  everything read from it is per key and the pins of one slot only ever
+  name the ranks to mark dirty (:func:`_slot_order`).
 * **gains** — every vertex may only move to the sibling column of its own
-  pair, so the |D| × 2G gain matrix collapses to a scalar per vertex,
-  computed from tabulated objective values
-  (:func:`~repro.core.gains.gain_tables`); the readable dense-layout
-  reference of this kernel is ``tests/oracles/level_kernels.py``.  Gains are
-  cached across iterations and recomputed only for vertices that share a
-  query *and group* with a mover — a vertex's gain depends solely on its
-  queries' counts in its own column pair.
+  pair, so the |D| × 2G gain matrix collapses to a scalar per vertex, and
+  that scalar is a *sum of slot values*.  The Eq. 1 term
+  ``removal_gain(n_cur(q)) − insertion_cost(n_sib(q))`` is a function of
+  the query's counts in the pair alone — what §3.1's query vertex sends to
+  all of its data neighbors in superstep 2 — so it is evaluated once per
+  (slot, side) from tabulated objective values
+  (:func:`~repro.core.gains.gain_tables`, as tall as the level's largest
+  slot) into ``slot_value``, and a kept pin is one int, ``2 · slot +
+  side``, that indexes it: a gain is one index gather, one value gather
+  and one segmented sum.  A move updates exactly what it changed — a
+  ``±1`` on its slots' even counts, a flip of the low bit of its own pins'
+  indices, and, after the scatter, fresh values for the touched slots —
+  and only vertices that share a query *and group* with a mover re-sum
+  (a vertex's gain depends solely on its queries' counts in its own
+  column pair).  The same addends in the same order as the readable
+  per-pin dense-layout reference, ``tests/oracles/level_kernels.py``,
+  which ``tests/test_level_fuse.py`` holds the kernel to bitwise at every
+  iteration.
 * **matching** — the matchers' ``decide_paired`` fast path aggregates
   histogram cells in the dense ``source label × bin`` space; because
   sibling pairs are disjoint, best-first matching and ε-extras allocation
@@ -160,6 +175,19 @@ class _LevelTracker:
         return self.value_total / self.norm, self.nonzero_total / self.norm
 
 
+def _slot_order(slot_keys: np.ndarray) -> np.ndarray:
+    """A permutation that sorts the valid pins by raw slot key.
+
+    Need not be stable.  Everything read off it is per key — the compact
+    slot ids, pin totals, even counts and each pin's slot — and the pins
+    of one slot, in whatever order, only name the ranks to mark dirty
+    (``dirty[members] = True``).  A stable sort of these int64 keys costs
+    ~4x the default one; ``test_slot_sort_need_not_be_stable`` reverses
+    the pins inside every slot and finds no bit changed.
+    """
+    return np.argsort(slot_keys)
+
+
 def refine_level_fused(
     graph: BipartiteGraph,
     config: SHPConfig,
@@ -214,8 +242,6 @@ def refine_level_fused(
     )
     rank_labels = 2 * rank_group + rank_side
     rank_weights = None if data_weights is None else data_weights[ordered_vertices]
-    rank_of_vertex = np.full(num_data, -1, dtype=np.int64)
-    rank_of_vertex[ordered_vertices] = np.arange(n_ranks, dtype=np.int64)
 
     caps = np.zeros(num_labels, dtype=np.float64)
     splits = np.ones(num_labels, dtype=np.float64)
@@ -241,127 +267,136 @@ def refine_level_fused(
     track = config.track_metrics
 
     # Pair-compact, group-major counts.  A *slot* is an occupied
-    # (query, group) pair; one argsort of the valid incidences by raw slot
-    # key yields the compact slot ids, the per-slot pin totals, the pruning
-    # mask, and the slot→ranks dirty index in a single pass, so memory stays
-    # O(|E|) instead of the dense O(|Q| · G) slot space.  Each slot stores
-    # the even-side count next to its level-invariant pin total, so one
-    # adjacent gather yields both sides.
-    d_vertex = graph.d_of_edge
-    d_query = graph.d_indices
-    edge_rank = rank_of_vertex[d_vertex]
-    valid_idx = np.flatnonzero(edge_rank >= 0)
-    v_rank = edge_rank[valid_idx]
-    v_query = d_query[valid_idx]
-    v_slot_raw = rank_group[v_rank] * num_queries + v_query
-    valid_order = np.argsort(v_slot_raw, kind="stable")
-    sorted_raw = v_slot_raw[valid_order]
-    slot_first = (
-        np.concatenate(([True], sorted_raw[1:] != sorted_raw[:-1]))
-        if sorted_raw.size
-        else np.empty(0, dtype=bool)
-    )
-    slot_of_sorted = np.cumsum(slot_first) - 1
-    num_slots = int(slot_of_sorted[-1]) + 1 if sorted_raw.size else 0
+    # (query, group) pair.  The valid pins come straight off the refinable
+    # vertices' rows — rank-major, each row in its own order — and one sort
+    # of them by raw slot key yields the compact slot ids (ascending
+    # (group, query)), the per-slot pin totals, the pruning mask and the
+    # slot→ranks dirty index, so memory stays O(|E|) instead of the dense
+    # O(|Q| · G) slot space.  Each slot stores the even-side count next to
+    # its level-invariant pin total, so one adjacent gather yields both
+    # sides.
+    pin_positions, pin_degrees = csr_row_positions(graph.d_indptr, ordered_vertices)
+    v_query = np.asarray(graph.d_indices[pin_positions], dtype=np.int64)
+    v_rank = np.repeat(np.arange(n_ranks, dtype=np.int64), pin_degrees)
+    v_side = np.repeat(rank_side, pin_degrees)
+    v_slot_raw = np.repeat(rank_group * num_queries, pin_degrees) + v_query
+    slot_order = _slot_order(v_slot_raw)
+    sorted_raw = v_slot_raw[slot_order]
+    slot_first = np.empty(sorted_raw.size, dtype=bool)
+    slot_first[:1] = True
+    np.not_equal(sorted_raw[1:], sorted_raw[:-1], out=slot_first[1:])
     slot_ids = sorted_raw[slot_first]
+    num_slots = slot_ids.size
     v_slot = np.empty(v_rank.size, dtype=np.int64)
-    v_slot[valid_order] = slot_of_sorted
+    v_slot[slot_order] = np.cumsum(slot_first) - 1
     slot_total = np.bincount(v_slot, minlength=num_slots)
-    v_even = rank_labels[v_rank] % 2 == 0
     pair_counts = np.empty((num_slots, 2), dtype=np.int32)
-    pair_counts[:, 0] = np.bincount(v_slot[v_even], minlength=num_slots)
+    pair_counts[:, 0] = np.bincount(v_slot[v_side == 0], minlength=num_slots)
     pair_counts[:, 1] = slot_total
     pc = pair_counts.ravel()
     slot_col_even = 2 * (slot_ids // num_queries)
-    slot_query = slot_ids % num_queries
+    slot_qw = None
+    if graph.query_weights is not None:
+        query_weights = np.asarray(graph.query_weights, dtype=np.float64)
+        slot_qw = query_weights[slot_ids % num_queries]
 
     # Level-static edge pruning — the fused analogue of induced_subgraph's
     # min_query_degree drop: a query's pin count inside a group *pair* is
     # invariant while the level runs (moves only flip sides), and a
     # single-pin query nets exactly zero gain, so its edges need never be
-    # gathered.  Kept edges are materialized group-major (rank order).
-    keep_v = slot_total[v_slot] >= 2
-    kept_rank_unordered = v_rank[keep_v]
-    rank_degrees = np.bincount(kept_rank_unordered, minlength=n_ranks)
+    # gathered.  A kept pin is one int, ``2 · slot + side``: the index of
+    # the Eq. 1 term it adds to its vertex's gain (``slot_value`` below).
+    slot_kept = slot_total >= 2
+    keep_v = slot_kept[v_slot]
+    rank_degrees = np.bincount(v_rank[keep_v], minlength=n_ranks)
     rank_indptr = np.concatenate(([0], np.cumsum(rank_degrees)))
-    rank_order = np.argsort(kept_rank_unordered, kind="stable")
-    gm_slot = v_slot[keep_v][rank_order]
-    gm_slot2 = 2 * gm_slot
-    gm_col_even = np.repeat(2 * rank_group, rank_degrees)
-    gm_qw = None
-    if graph.query_weights is not None:
-        gm_qw = np.asarray(graph.query_weights, dtype=np.float64)[
-            v_query[keep_v][rank_order]
-        ]
-    # Kept edges in slot order (a filtered view of the valid-edge sort):
-    # dirty-gain invalidation resolves a touched slot to its member ranks
-    # with two binary searches.
-    keep_sorted = keep_v[valid_order]
-    slot_sorted_keys = slot_of_sorted[keep_sorted]
-    slot_sorted_ranks = v_rank[valid_order][keep_sorted]
+    gm_vidx = 2 * v_slot[keep_v] + v_side[keep_v]
+    # Kept pins in slot order (a filtered view of the slot sort): slot s's
+    # member ranks are slot_sorted_ranks[slot_kept_indptr[s] :
+    # slot_kept_indptr[s + 1]], which is how dirty-gain invalidation
+    # resolves a touched slot.
+    slot_sorted_ranks = v_rank[slot_order[keep_v[slot_order]]]
+    slot_kept_indptr = np.concatenate(([0], np.cumsum(slot_total * slot_kept)))
 
-    max_count = int(graph.query_degrees.max())
+    # Tables as tall as the level needs: no slot holds more than its pair
+    # total (height 2 at least, so f(1) exists on an edgeless level).
+    max_count = int(slot_total.max(initial=1))
     removal_table, insertion_table = gain_tables(objective, max_count, num_labels)
 
-    def pair_gains(ranks):
-        """Sibling-move gain for the listed ranks (group-major gathers).
+    def slot_values(slots):
+        """Eq. 1 terms of the listed slots, one column per side.
 
-        Layout-specialized twin of the dense-layout reference kernel in
-        ``tests/oracles/level_kernels.py``: identical table values per kept
-        edge.  ``test_fused_gains_match_reference`` pins the two — bitwise
-        for the unweighted current-level objective, to rounding (≤ 1e-12)
-        otherwise, because the reference also sums the pruned single-pin
-        edges, whose net contribution is a rounding-level non-zero rather
-        than an exact 0.0.  The full-set fast path skips the position
-        gather; subsets delegate to the shared
+        ``[i, side]`` is what a pin of ``slots[i]`` adds to the gain of a
+        vertex sitting on ``side``: ``removal_gain(n_side) −
+        insertion_cost(n_other)`` at the slot's live counts, times its
+        query's weight.  A function of the slot's counts alone — every pin
+        of the slot on that side reads this one cell.
+        """
+        even = pc[2 * slots]
+        odd = pc[2 * slots + 1] - even
+        col_even = slot_col_even[slots]
+        col_odd = col_even + 1
+        values = np.empty((slots.size, 2), dtype=np.float64)
+        values[:, 0] = removal_table[even, col_even] - insertion_table[odd, col_odd]
+        values[:, 1] = removal_table[odd, col_odd] - insertion_table[even, col_even]
+        if slot_qw is not None:
+            values *= slot_qw[slots, None]
+        return values
+
+    kept_slots = np.flatnonzero(slot_kept)
+    slot_value = np.zeros((num_slots, 2), dtype=np.float64)
+    slot_value[kept_slots] = slot_values(kept_slots)
+
+    def pair_gains(ranks):
+        """Sibling-move gain for the listed ranks: the sum of their kept
+        pins' slot values, in row order.
+
+        The same addends in the same order as the per-pin dense-layout
+        reference in ``tests/oracles/level_kernels.py`` evaluated over the
+        pruned CSR — ``test_fused_gains_match_reference_after_moves`` pins
+        the two bitwise at every iteration.  The full-set fast path skips
+        the position gather; subsets delegate to the shared
         :func:`~repro.core.parallel_refine.block_pair_gains` kernel the
         pool workers run, and per-rank values are bitwise-equal on both
         paths (each rank's segment has identical contents either way —
         pinned by ``test_parallel_refine``).
         """
         if ranks.size != n_ranks:
-            return block_pair_gains(
-                ranks, rank_indptr, rank_side, pc, gm_slot2, gm_col_even,
-                gm_qw, removal_table, insertion_table,
-            )
-        lengths = rank_degrees
-        starts = rank_indptr[:-1]
-        side_edge = np.repeat(rank_side, lengths)
-        even = pc[gm_slot2]
-        total = pc[gm_slot2 + 1]
-        n_cur = np.where(side_edge == 0, even, total - even)
-        n_sib = total - n_cur
-        col_cur = gm_col_even + side_edge
-        value = removal_table[n_cur, col_cur] - insertion_table[n_sib, col_cur ^ 1]
-        if gm_qw is not None:
-            value = value * gm_qw
-        return segment_sums(value, starts, lengths)
+            return block_pair_gains(ranks, rank_indptr, gm_vidx, slot_value)
+        return segment_sums(
+            slot_value.reshape(-1)[gm_vidx], rank_indptr[:-1], rank_degrees
+        )
 
     tracker = None
     if track in ("objective", "full"):
         norm = (
             float(max(1, num_queries))
             if graph.query_weights is None
-            else max(float(np.asarray(graph.query_weights, np.float64).sum()), 1e-300)
+            else max(float(query_weights.sum()), 1e-300)
         )
         tracker = _LevelTracker(objective, num_labels, max_count, norm)
         f1 = float(tracker.table[1, 0])
         if graph.query_weights is None:
             singles = float((~keep_v).sum())
-            static_value = f1 * singles
-            static_nonzero = singles
         else:
-            w_singles = float(
-                np.asarray(graph.query_weights, np.float64)[v_query[~keep_v]].sum()
+            # Summed in edge order (ascending pin position), not rank
+            # order: the static term is part of every reported
+            # objective_value, and a float sum is only as stable as its
+            # order.
+            singles = float(
+                query_weights[graph.d_indices[np.sort(pin_positions[~keep_v])]].sum()
             )
-            static_value = f1 * w_singles
-            static_nonzero = w_singles
-        side_all = np.repeat(rank_side, rank_degrees)
-        even = pc[gm_slot2]
-        total = pc[gm_slot2 + 1]
-        n_all = np.where(side_all == 0, even, total - even)
+        # Seeded per kept pin, in rank order (a per-slot sum would reorder
+        # a reported float sum).
+        gm_slot = gm_vidx >> 1
+        gm_side = gm_vidx & 1
+        even = pc[2 * gm_slot]
         tracker.seed(
-            n_all, gm_col_even + side_all, gm_qw, static_value, static_nonzero,
+            np.where(gm_side == 0, even, pc[2 * gm_slot + 1] - even),
+            slot_col_even[gm_slot] + gm_side,
+            None if slot_qw is None else slot_qw[gm_slot],
+            f1 * singles,
+            singles,
         )
 
     active = np.ones(num_groups, dtype=bool)
@@ -370,41 +405,31 @@ def refine_level_fused(
     gain_cache = np.zeros(n_ranks, dtype=np.float64)
     recompute = active_ranks
 
-    # Block-parallel gains: publish the level's kernel arrays to the pool
-    # workers and rebind the mutable run state (counts, sides, gain cache,
-    # work buffer) to writeable views into the shared segment, so the
-    # master's in-place move updates are visible at every gains barrier.
-    # Levels below the dispatch threshold stay serial — same bits either
-    # way, the segment would be pure overhead.
+    # Block-parallel gains: publish what the kernel reads to the pool
+    # workers and rebind the arrays the master mutates (pin indices, slot
+    # values, gain cache, work buffer) to writeable views into the shared
+    # segment, so its in-place move updates are visible at every gains
+    # barrier.  Counts and tables stay private to the master: workers sum
+    # slot values, they never evaluate one.  Levels below the dispatch
+    # threshold stay serial — same bits either way, the segment would be
+    # pure overhead.
     shared = None
     work_buf = None
     if pool is not None and n_ranks >= PARALLEL_MIN_RANKS:
-        level_arrays = {
+        shared = pool.publish_level({
             "rank_indptr": rank_indptr,
-            "gm_slot2": gm_slot2,
-            "gm_col_even": gm_col_even,
-            "removal_table": removal_table,
-            "insertion_table": insertion_table,
-            "pc": pc,
-            "rank_side": rank_side,
+            "gm_vidx": gm_vidx,
+            "slot_value": slot_value,
             "gain_cache": gain_cache,
             "work_buf": np.zeros(n_ranks, dtype=np.int64),
-        }
-        if gm_qw is not None:
-            level_arrays["gm_qw"] = gm_qw
-        shared = pool.publish_level(level_arrays, has_qw=gm_qw is not None)
-        pc = shared["pc"]
-        rank_side = shared["rank_side"]
+        })
+        gm_vidx = shared["gm_vidx"]
+        slot_value = shared["slot_value"]
         gain_cache = shared["gain_cache"]
         work_buf = shared["work_buf"]
     sizes = np.bincount(rank_labels, weights=rank_weights, minlength=num_labels)
     if data_weights is None:
         sizes = sizes.astype(np.int64)
-    slot_weights = (
-        None
-        if graph.query_weights is None
-        else np.asarray(graph.query_weights, dtype=np.float64)
-    )
     for iteration in range(1, config.iterations_per_bisection + 1):
         if recompute.size:
             if work_buf is not None and recompute.size >= PARALLEL_MIN_RANKS:
@@ -432,17 +457,30 @@ def refine_level_fused(
         old_labels = rank_labels[moved_ranks]
         new_labels = old_labels ^ 1
         rank_labels[moved_ranks] = new_labels
-        rank_side[moved_ranks] ^= 1
 
-        # Apply moves: one ±1 scatter on the even slots, incremental sizes,
-        # exact tracking deltas at the touched (query, group) slots.
-        moved_positions, moved_lengths = csr_row_positions(rank_indptr, moved_ranks)
+        # Apply moves: one ±1 scatter on the even counts, a side flip of the
+        # movers' pins, then — after the scatter, from the counts it left —
+        # fresh slot values and exact tracking deltas at the touched
+        # (query, group) slots.
+        moved_positions, _ = csr_row_positions(rank_indptr, moved_ranks)
         touched_slots = np.empty(0, dtype=np.int64)
         if moved_positions.size:
-            touched_slots = sorted_unique(gm_slot[moved_positions])
-            even_before = pc[2 * touched_slots].copy()
-            delta = np.repeat(1 - 2 * (new_labels & 1), moved_lengths)
-            np.add.at(pc, gm_slot2[moved_positions], delta.astype(np.int32))
+            moved_vidx = gm_vidx[moved_positions]
+            touched_slots = sorted_unique(moved_vidx >> 1)
+            even_before = pc[2 * touched_slots]
+            # A pin leaving side 1 joins the even side: +1; leaving 0: −1.
+            delta = 2 * (moved_vidx & 1) - 1
+            np.add.at(pc, moved_vidx & -2, delta.astype(np.int32))
+            gm_vidx[moved_positions] = moved_vidx ^ 1
+            slot_value[touched_slots] = slot_values(touched_slots)
+            if tracker is not None:
+                tracker.apply_deltas(
+                    even_before,
+                    pc[2 * touched_slots],
+                    pc[2 * touched_slots + 1],
+                    slot_col_even[touched_slots],
+                    None if slot_qw is None else slot_qw[touched_slots],
+                )
         if moved_ranks.size:
             moved_weights = None if rank_weights is None else rank_weights[moved_ranks]
             outflow = np.bincount(old_labels, weights=moved_weights, minlength=num_labels)
@@ -451,15 +489,6 @@ def refine_level_fused(
                 sizes = sizes - outflow.astype(np.int64) + inflow.astype(np.int64)
             else:
                 sizes = sizes - outflow + inflow
-        if tracker is not None and touched_slots.size:
-            tracker.apply_deltas(
-                even_before,
-                pc[2 * touched_slots],
-                pc[2 * touched_slots + 1],
-                slot_col_even[touched_slots],
-                None if slot_weights is None
-                else slot_weights[slot_query[touched_slots]],
-            )
 
         moved = int(moved_ranks.size)
         active_total = int(active_ranks.size)
@@ -500,26 +529,20 @@ def refine_level_fused(
         # neighbors through other groups stay clean.
         recompute = np.empty(0, dtype=np.int64)
         if touched_slots.size:
-            range_start = np.searchsorted(slot_sorted_keys, touched_slots, side="left")
-            range_end = np.searchsorted(
-                slot_sorted_keys, touched_slots + 1, side="left"
-            )
-            members = slot_sorted_ranks[ragged_positions(range_start, range_end - range_start)]
+            member_positions, _ = csr_row_positions(slot_kept_indptr, touched_slots)
             dirty = np.zeros(n_ranks, dtype=bool)
-            dirty[members] = True
+            dirty[slot_sorted_ranks[member_positions]] = True
             dirty &= rank_active
             recompute = np.flatnonzero(dirty)
 
     if shared is not None:
         # Drop every master view into the level segment before the pool
-        # unlinks it (live exported buffers keep the mapping alive);
-        # rank_side survives as a copy for the final_side extraction.
-        rank_side = rank_side.copy()
-        pc = gain_cache = work_buf = shared = None
+        # unlinks it (live exported buffers keep the mapping alive).
+        gm_vidx = slot_value = gain_cache = work_buf = shared = None
         pool.drop_level()
 
     for g, group in enumerate(refinable):
-        group.final_side = rank_side[block_bounds[g] : block_bounds[g + 1]].astype(
-            np.int32
-        )
+        group.final_side = (
+            rank_labels[block_bounds[g] : block_bounds[g + 1]] & 1
+        ).astype(np.int32)
     return history, not active.any()

@@ -2,13 +2,14 @@
 
 The level-fused refiner's hot loop is the sibling-restricted gain kernel
 (:mod:`repro.core.level_fuse`): per iteration it gathers every dirty
-vertex's kept edges, reads the pair-compact counts, and reduces table
-lookups per vertex.  That kernel is embarrassingly parallel over vertices
-— each rank's gain is an independent segment sum over its own edges — so
-this module splits the dirty-rank set into **ascending contiguous blocks**
-(balanced by kept-edge count) and evaluates each block in a worker
-process over shared-memory arrays, reusing the multiprocess backend's
-segment plumbing via :class:`repro.distributed.shared_pool.SharedArrayPool`.
+vertex's kept pins, reads the Eq. 1 term each one indexes in the level's
+slot-value cache, and sums per vertex.  That kernel is embarrassingly
+parallel over vertices — each rank's gain is an independent segment sum
+over its own pins — so this module splits the dirty-rank set into
+**ascending contiguous blocks** (balanced by kept-edge count) and
+evaluates each block in a worker process over shared-memory arrays,
+reusing the multiprocess backend's segment plumbing via
+:class:`repro.distributed.shared_pool.SharedArrayPool`.
 
 Determinism contract (the "deterministic ascending-block merge"):
 
@@ -28,15 +29,22 @@ objective trajectories to the serial path for every seed (pinned by the
 parity grid in ``tests/test_parallel_refine.py``).
 
 The pool is spawned once per ``SHP2Partitioner.partition`` call and
-reused across recursion levels: each level publishes one segment holding
-the level-static kernel inputs (pruned group-major edge arrays, gain
-tables) plus the mutable run state (pair counts, sides, gain cache), and
-per iteration the master ships only two integers per worker — the block
-bounds into the shared work buffer.
+reused across recursion levels.  Each level publishes one segment of five
+arrays: ``rank_indptr`` (level-static CSR bounds of the kept pins),
+``gm_vidx`` (``2 · slot + side`` per kept pin), ``slot_value`` (the Eq. 1
+term per (slot, side)), ``gain_cache`` and ``work_buf``.  Workers sum slot
+values, they never evaluate one: the gain tables, the pair counts and the
+sides stay private to the master.  Between two gains barriers the master
+mutates, in place, ``gm_vidx`` (a mover's pins flip their low bit),
+``slot_value`` (the touched slots, refreshed after the count scatter) and
+``work_buf`` (the next dirty set); workers write nothing but
+``gain_cache[ranks]`` of their own block, and only inside a barrier.  Per
+iteration the master ships two integers per worker — the block bounds
+into the shared work buffer.
 
 The pool is not a worker runtime of its own.  Its workers run the one
 service loop, :func:`repro.distributed.worker.serve`, over three request
-kinds — ``("level", handle, meta)`` attaches the level segment,
+kinds — ``("level", handle)`` attaches the level segment,
 ``("gains", lo, hi)`` evaluates and scatters work-buffer block ``[lo, hi)``
 (its ``ok`` payload is the sanitizer's echo under ``REPRO_SAN``, else
 ``None``), ``("drop",)`` detaches — and its master side is the one pipe
@@ -76,15 +84,16 @@ def _sanitizer():
 def block_pair_gains(
     ranks: np.ndarray,
     rank_indptr: np.ndarray,
-    rank_side: np.ndarray,
-    pc: np.ndarray,
-    gm_slot2: np.ndarray,
-    gm_col_even: np.ndarray,
-    gm_qw: np.ndarray | None,
-    removal_table: np.ndarray,
-    insertion_table: np.ndarray,
+    gm_vidx: np.ndarray,
+    slot_value: np.ndarray,
 ) -> np.ndarray:
     """Sibling-move gains for ``ranks`` (any subset, group-major gathers).
+
+    A gain is the sum of the rank's kept pins' slot values, in row order:
+    ``gm_vidx`` holds ``2 · slot + side`` per pin, ``slot_value`` the
+    Eq. 1 term per (slot, side), refreshed by the master wherever a count
+    changed.  One index gather, one value gather, one segmented sum — no
+    objective is evaluated here.
 
     The single source of truth for the subset gain kernel: the serial
     refiner and every pool worker call this same function over the same
@@ -95,18 +104,7 @@ def block_pair_gains(
     if positions.size == 0:
         return np.zeros(ranks.size, dtype=np.float64)
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    side_edge = np.repeat(rank_side[ranks], lengths)
-    base = gm_slot2[positions]
-    col_even = gm_col_even[positions]
-    even = pc[base]
-    total = pc[base + 1]
-    n_cur = np.where(side_edge == 0, even, total - even)
-    n_sib = total - n_cur
-    col_cur = col_even + side_edge
-    value = removal_table[n_cur, col_cur] - insertion_table[n_sib, col_cur ^ 1]
-    if gm_qw is not None:
-        value = value * gm_qw[positions]
-    return segment_sums(value, starts, lengths)
+    return segment_sums(slot_value.reshape(-1)[gm_vidx[positions]], starts, lengths)
 
 
 def split_ranks_by_edges(
@@ -140,26 +138,16 @@ def _gain_worker_main(conn) -> None:
 
     pack = None
     views: dict | None = None
-    has_qw = False
 
-    def level(handle, meta):
-        nonlocal pack, views, has_qw
+    def level(handle):
+        nonlocal pack, views
         pack = SharedArrayPack.attach(handle)
         views = pack.arrays(writeable=True)
-        has_qw = bool(meta["has_qw"])
 
     def gains(lo, hi):
         ranks = views["work_buf"][lo:hi]
         block = block_pair_gains(
-            ranks,
-            views["rank_indptr"],
-            views["rank_side"],
-            views["pc"],
-            views["gm_slot2"],
-            views["gm_col_even"],
-            views["gm_qw"] if has_qw else None,
-            views["removal_table"],
-            views["insertion_table"],
+            ranks, views["rank_indptr"], views["gm_vidx"], views["slot_value"]
         )
         # The deterministic merge: each worker scatters into its own
         # ascending, disjoint slice of the shared gain cache.
@@ -218,13 +206,11 @@ class ParallelGainPool:
         )
 
     # ------------------------------------------------------------------
-    def publish_level(
-        self, arrays: dict[str, np.ndarray], has_qw: bool
-    ) -> dict[str, np.ndarray]:
+    def publish_level(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Publish one level's kernel arrays; workers attach at the barrier.
 
         Returns the master's **writeable** views into the segment — the
-        refiner rebinds its mutable state (``pc``, ``rank_side``,
+        refiner rebinds what it mutates (``gm_vidx``, ``slot_value``,
         ``gain_cache``, ``work_buf``) to these so its in-place updates are
         visible to every worker at the next gains barrier.
         """
@@ -232,7 +218,7 @@ class ParallelGainPool:
             raise RuntimeError("previous level still loaded; call drop_level first")
         self._check_usable()
         handle = self._pool.publish("level", arrays)
-        self._barrier([("level", handle, {"has_qw": has_qw})] * self.num_workers)
+        self._barrier([("level", handle)] * self.num_workers)
         return self._pool.arrays("level", writeable=True)
 
     def compute_gains(self, bounds: np.ndarray) -> None:

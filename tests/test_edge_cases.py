@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro import SHPConfig, shp_2, shp_k
+from repro.api import JobSpec, run
 from repro.hypergraph import BipartiteGraph
 from repro.objectives import average_fanout, bucket_counts, evaluate_partition
 
@@ -52,6 +54,29 @@ class TestDegenerateGraphs:
         result = shp_k(graph, 4, seed=1)
         sizes = np.bincount(result.assignment, minlength=4)
         assert sizes.tolist() == [5, 5, 5, 5]
+
+    @pytest.mark.parametrize("track_metrics", ["none", "objective", "full"])
+    def test_queries_but_no_edges(self, track_metrics):
+        """Regression: with queries and not one pin the level's tables were
+        one row tall (largest query degree 0) and the tracker's f(1) read
+        raised IndexError; shp-k and untracked shp-2 were fine."""
+        graph = BipartiteGraph.from_edges([], [], num_queries=3, num_data=12)
+        result = shp_2(graph, 4, track_metrics=track_metrics)
+        assert np.bincount(result.assignment, minlength=4).tolist() == [3, 3, 3, 3]
+        assert result.history
+        if track_metrics != "none":
+            assert all(np.isfinite(s.objective_value) for s in result.history)
+
+    def test_queries_but_no_edges_through_a_job_spec(self):
+        graph = BipartiteGraph.from_edges([], [], num_queries=3, num_data=12)
+        spec = JobSpec.from_dict({
+            "graph": {"remove_small_queries": False},
+            "algorithm": {"name": "shp-2", "k": 4},
+        })
+        report = run(spec, graph=graph)
+        assert np.bincount(report.assignment, minlength=4).tolist() == [3, 3, 3, 3]
+        iterations = [r for r in report.metrics if r["record"] == "iteration"]
+        assert iterations and all(np.isfinite(r["objective"]) for r in iterations)
 
     def test_isolated_data_vertices_fill_balance(self):
         # 10 connected vertices + 10 isolated ones.

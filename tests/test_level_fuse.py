@@ -11,16 +11,22 @@ and statistically equivalent otherwise — which is what the parity grid pins.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.level_kernels import sibling_move_gains, update_bucket_counts
 from oracles.shp2_loop import shp_2_loop
 from repro import SHPConfig, shp_2
 from repro.api.registry import MATCHERS
-from repro.core import LevelGroup, SwapDecision, refine_level_fused
+from repro.core import LevelGroup, SwapDecision, level_fuse, refine_level_fused
 from repro.core.gains import move_gains_dense
 from repro.core.refinement import build_objective
 from repro.hypergraph import BipartiteGraph, community_bipartite
@@ -326,6 +332,17 @@ class TestRefineLevelFused:
                 assert stats.fanout is not None
 
 
+@contextlib.contextmanager
+def registered_matcher(name, factory):
+    MATCHERS.register(name)(factory)
+    try:
+        yield
+    finally:
+        # Registry has no unregister (production never needs one).
+        for table in (MATCHERS._entries, MATCHERS._meta, MATCHERS._lookup):
+            del table[name]
+
+
 @pytest.fixture
 def recorded_calls():
     """Registers matcher ``"recording"``: stores what it is asked, moves nothing."""
@@ -339,11 +356,8 @@ def recorded_calls():
             calls.append((src.copy(), gain.copy()))
             return SwapDecision(move=np.zeros(src.size, dtype=bool))
 
-    MATCHERS.register("recording")(RecordingMatcher)
-    yield calls
-    # Registry has no unregister (production never needs one).
-    for table in (MATCHERS._entries, MATCHERS._meta, MATCHERS._lookup):
-        del table["recording"]
+    with registered_matcher("recording", RecordingMatcher):
+        yield calls
 
 
 @pytest.mark.parametrize("use_final_pfanout", [False, True])
@@ -397,3 +411,319 @@ def test_fused_gains_match_reference(recorded_calls, weighted, use_final_pfanout
         # The reference also sums the pruned single-pin edges, whose
         # f(1) - f(0) terms cancel only to rounding.
         np.testing.assert_allclose(gain, expected, rtol=0, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Gains after moves: the slot-value cache against the per-pin reference
+# ----------------------------------------------------------------------
+
+@contextlib.contextmanager
+def recording_histogram():
+    """Registers matcher ``"recorder"``: the real histogram
+    matcher, with ``(src, gain, move)`` of every call stored."""
+    calls = []
+
+    def factory(config):
+        real = MATCHERS.get("histogram")(config)
+
+        class Recorder:
+            def decide_paired(self, src, gain, num_labels, sizes, caps, rng):
+                decision = real.decide_paired(src, gain, num_labels, sizes, caps, rng)
+                calls.append((src.copy(), gain.copy(), decision.move.copy()))
+                return decision
+
+        return Recorder()
+
+    with registered_matcher("recorder", factory):
+        yield calls
+
+
+class LevelReference:
+    """One fused level in the dense layout, replayed from recorded calls.
+
+    Labels are ``2 · group + side`` over the refinable groups (the fused
+    rank space), with one extra column pair for every other vertex; the
+    reference CSR is the graph's minus every pin whose query has fewer
+    than two pins in the vertex's pair — pair totals are level-invariant,
+    so the mask is too.
+    """
+
+    def __init__(self, graph, groups, config):
+        self.graph = graph
+        self.config = config
+        self.refinable = [g for g in groups if g.data_ids.size > 2]
+        self.num_columns = 2 * len(self.refinable)
+        self.num_labels = self.num_columns + 2
+        self.labels = np.full(graph.num_data, self.num_columns, dtype=np.int64)
+        splits = []
+        for g, group in enumerate(self.refinable):
+            self.labels[group.data_ids] = 2 * g + np.asarray(group.side)
+            splits += [group.left_span, group.right_span]
+        self.objective = build_objective(
+            config,
+            splits_ahead=(
+                np.array(splits + [1, 1], dtype=np.float64)
+                if config.use_final_pfanout else None
+            ),
+        )
+        counts = bucket_counts(graph, self.labels, self.num_labels)
+        pair = self.labels[graph.d_of_edge] >> 1
+        keep = counts[graph.d_indices, 2 * pair] + counts[graph.d_indices, 2 * pair + 1] >= 2
+        self.edge_queries = graph.d_indices[keep]
+        self.edge_indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(graph.d_of_edge[keep], minlength=graph.num_data)))
+        )
+        #: group -> (labels, granted moves) of the last call it proposed in.
+        self.last_call = {}
+
+    def check_call(self, src, gain, move):
+        """The recorded gains of one matcher call, bit for bit."""
+        present = np.flatnonzero(np.bincount(src >> 1))  # groups still proposing
+        vertex_ids = np.concatenate([self.refinable[g].data_ids for g in present])
+        self.labels[vertex_ids] = src
+        expected = sibling_move_gains(
+            self.graph, self.labels,
+            bucket_counts(self.graph, self.labels, self.num_labels),
+            self.objective, vertex_ids,
+            edge_indptr=self.edge_indptr, edge_queries=self.edge_queries,
+        )
+        if self.config.move_penalty > 0.0:
+            expected = expected - self.config.move_penalty
+        np.testing.assert_array_equal(gain, expected)
+        offset = 0
+        for g in present:
+            size = self.refinable[g].data_ids.size
+            self.last_call[g] = (src[offset:offset + size], move[offset:offset + size])
+            offset += size
+        return expected
+
+    def check_final(self, history):
+        """``final_side`` is the last recorded labels with the last granted
+        moves applied, and the tracked level metrics are the ones
+        recomputed from it."""
+        for g, group in enumerate(self.refinable):
+            src, move = self.last_call[g]
+            flipped = group.final_side != (src & 1)
+            if self.graph.data_weights is None:
+                np.testing.assert_array_equal(flipped, move)
+            else:  # the weighted-cap pass may cancel granted moves
+                assert not (flipped & ~move).any()
+            self.labels[group.data_ids] = 2 * g + group.final_side
+        counts = bucket_counts(self.graph, self.labels, self.num_labels)
+        counts = counts[:, : self.num_columns]
+        columns = np.broadcast_to(np.arange(self.num_columns), counts.shape)
+        per_query = self.objective.contribution_at(counts, columns).sum(axis=1)
+        spread = (counts > 0).sum(axis=1).astype(np.float64)
+        if self.graph.query_weights is None:
+            norm = max(1, self.graph.num_queries)
+        else:
+            weights = np.asarray(self.graph.query_weights, dtype=np.float64)
+            per_query, spread, norm = per_query * weights, spread * weights, weights.sum()
+        assert abs(history[-1].objective_value - per_query.sum() / norm) <= 1e-9
+        assert abs(history[-1].fanout - spread.sum() / norm) <= 1e-9
+
+
+def four_group_level(weighted):
+    """The 4-bisection / unequal-span level of the iteration-1 test."""
+    graph = community_bipartite(400, 600, 4000, num_communities=8, seed=3)
+    rng = np.random.default_rng(12)
+    if weighted:
+        graph = dataclasses.replace(
+            graph, query_weights=rng.uniform(0.2, 5.0, graph.num_queries)
+        )
+    order = rng.permutation(graph.num_data)
+    bounds = [0, 200, 290, 420, 550]
+    spans = [(3, 2), (2, 1), (1, 1), (4, 3)]
+    groups = [
+        LevelGroup(
+            np.sort(order[lo:hi]).astype(np.int64),
+            rng.integers(0, 2, hi - lo).astype(np.int32),
+            left, right,
+        )
+        for lo, hi, (left, right) in zip(bounds[:-1], bounds[1:], spans)
+    ]
+    return graph, groups
+
+
+@pytest.mark.parametrize("move_penalty", [0.0, 0.01])
+@pytest.mark.parametrize("use_final_pfanout", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fused_gains_match_reference_after_moves(weighted, use_final_pfanout, move_penalty):
+    """Every gain vector the matcher is handed, at every iteration, is the
+    per-pin reference kernel over the pruned CSR at the labels of that
+    iteration — ``assert_array_equal``, no tolerance: the same addends in
+    the same order.  This is the direct test of the dirty-set invalidation
+    and of the slot-value cache (the iteration-1 test above never sees a
+    move).  Mutation-checked: each of dropping the ``slot_value`` refresh,
+    dropping the ``gm_vidx`` flip, refreshing before the ``±1`` scatter,
+    and dropping a rank from ``recompute`` fails every cell."""
+    graph, groups = four_group_level(weighted)
+    with recording_histogram() as calls:
+        config = SHPConfig(
+            k=17, matcher="recorder", iterations_per_bisection=8,
+            use_final_pfanout=use_final_pfanout, move_penalty=move_penalty,
+            track_metrics="full",
+        )
+        reference = LevelReference(graph, groups, config)
+        history, _ = refine_level_fused(
+            graph, config, groups, 0.05, np.random.default_rng(0)
+        )
+    assert len(calls) >= 6 and len(calls) == len(history)
+    for (src, gain, move), stats in zip(calls, history):
+        expected = reference.check_call(src, gain, move)
+        assert np.abs(expected).max() > 0.1  # not vacuous
+    assert sum(stats.moved for stats in history[:-1]) > 100  # gains were stale
+    reference.check_final(history)
+
+
+@st.composite
+def small_levels(draw):
+    """A small graph and one level over it: 1-5 groups with unequal spans
+    over shuffled vertices, some of size ≤ 2 (never in the rank space),
+    some vertices in no group, degree-0 vertices, optionally a query
+    spanning every vertex and one inside the first group, optional
+    query / data weights."""
+    num_data = draw(st.integers(6, 40))
+    num_queries = draw(st.integers(1, 14))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, num_queries - 1), st.integers(0, num_data - 1)),
+        max_size=120,
+    ))
+    order = np.array(draw(st.permutations(range(num_data))), dtype=np.int64)
+    cuts = sorted(draw(st.lists(st.integers(0, num_data), min_size=1, max_size=5)))
+    blocks = [order[lo:hi] for lo, hi in zip([0] + cuts[:-1], cuts)]
+    if draw(st.booleans()):
+        edges += [(num_queries, d) for d in range(num_data)]
+        num_queries += 1
+    if draw(st.booleans()) and blocks[0].size >= 2:
+        edges += [(num_queries, int(d)) for d in blocks[0]]
+        num_queries += 1
+    weight = st.floats(0.25, 4.0)
+    graph = BipartiteGraph.from_edges(
+        [q for q, _ in edges], [d for _, d in edges],
+        num_queries=num_queries, num_data=num_data,
+        query_weights=draw(st.none() | st.lists(
+            weight, min_size=num_queries, max_size=num_queries).map(np.array)),
+        data_weights=draw(st.none() | st.lists(
+            weight, min_size=num_data, max_size=num_data).map(np.array)),
+    )
+    groups = [
+        LevelGroup(
+            block,
+            np.array(draw(st.lists(
+                st.integers(0, 1), min_size=block.size, max_size=block.size
+            )), dtype=np.int32),
+            draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+        )
+        for block in blocks
+    ]
+    options = dict(
+        k=sum(g.left_span + g.right_span for g in groups),
+        iterations_per_bisection=6,
+        use_final_pfanout=draw(st.booleans()),
+        move_penalty=draw(st.sampled_from([0.0, 0.01])),
+        track_metrics="full",
+    )
+    return graph, groups, options, draw(st.integers(0, 2**16))
+
+
+def copy_groups(groups):
+    return [
+        LevelGroup(g.data_ids.copy(), g.side.copy(), g.left_span, g.right_span)
+        for g in groups
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_levels())
+def test_level_properties(level):
+    """Per-iteration gains == the per-pin reference (bitwise), final sides
+    == the recorded moves applied, tracked metrics == recomputed ones."""
+    graph, groups, options, seed = level
+    with recording_histogram() as calls:
+        config = SHPConfig(matcher="recorder", **options)
+        reference = LevelReference(graph, groups, config)
+        history, _ = refine_level_fused(
+            graph, config, groups, 0.25, np.random.default_rng(seed)
+        )
+    assert len(calls) == len(history)
+    for src, gain, move in calls:
+        reference.check_call(src, gain, move)
+    for group in groups:
+        if group.data_ids.size <= 2:
+            np.testing.assert_array_equal(group.final_side, group.side)
+    if history:
+        reference.check_final(history)
+
+
+def reversed_within_slots(slot_keys):
+    """A sort by slot key with the pins inside every slot in *descending*
+    position: the opposite of what a stable sort returns."""
+    return slot_keys.size - 1 - np.argsort(slot_keys[::-1], kind="stable")
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_levels())
+def test_slot_sort_need_not_be_stable(level):
+    """Nothing reads the order of pins inside a slot: final sides and the
+    ``moved`` / ``objective_value`` / ``fanout`` histories are the same
+    bits under a stable slot sort and under its within-slot reverse."""
+    graph, groups, options, seed = level
+    config = SHPConfig(**options)
+    outcomes = []
+    for slot_order in (lambda keys: np.argsort(keys, kind="stable"), reversed_within_slots):
+        run_groups = copy_groups(groups)
+        with mock.patch.object(level_fuse, "_slot_order", slot_order):
+            history, converged = refine_level_fused(
+                graph, config, run_groups, 0.25, np.random.default_rng(seed)
+            )
+        outcomes.append((
+            [g.final_side.tolist() for g in run_groups],
+            [(s.moved, s.objective_value, s.fanout) for s in history],
+            converged,
+        ))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_reversed_within_slots_reverses():
+    keys = np.array([5, 2, 5, 2, 9, 5])
+    assert reversed_within_slots(keys).tolist() == [3, 1, 5, 2, 0, 4]
+
+
+# ----------------------------------------------------------------------
+# Gain tables are as tall as the level, not as the largest query
+# ----------------------------------------------------------------------
+
+GIANT_QUERY_K64 = "e65a198952857095b2707b971ca9f69178a745653bc55cd69993d35b778b47c8"
+
+
+def test_tables_sized_by_level_not_by_largest_query():
+    """One query spans all 20 000 vertices.  Tables ``max degree + 1`` tall
+    are 3 x 20 001 x 2G float64 rebuilt per level — 31 MB at G = 32 for a
+    100 k-pin graph — although no slot of the last level holds more than
+    a 64th of the query.  The parent of this test peaked at 45.0 MiB
+    (tracemalloc) on this job and 15.5 MiB with level-sized tables; same
+    cells, same bits, so the assignment is the one captured there."""
+    num_data = 20_000
+    rng = np.random.default_rng(5)
+    background_q = rng.integers(1, num_data // 2 + 1, 4 * num_data)
+    background_d = rng.integers(0, num_data, 4 * num_data)
+    graph = BipartiteGraph.from_edges(
+        np.concatenate([np.zeros(num_data, dtype=np.int64), background_q]),
+        np.concatenate([np.arange(num_data, dtype=np.int64), background_d]),
+        num_queries=num_data // 2 + 1, num_data=num_data,
+    )
+    assert graph.query_degrees.max() == num_data
+    tracemalloc.start()
+    try:
+        result = shp_2(
+            graph, 64, seed=2, iterations_per_bisection=3, track_metrics="none"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
+    digest = hashlib.sha256(
+        np.ascontiguousarray(result.assignment, dtype="<i4").tobytes()
+    ).hexdigest()
+    assert digest == GIANT_QUERY_K64

@@ -78,6 +78,24 @@ class TestParallelParityGrid:
         assert serial.converged == parallel.converged
 
 
+    def test_level_segment_holds_five_arrays(self, monkeypatch):
+        """Workers sum slot values; tables, counts and sides stay on the
+        master and must not drift back into the published segment."""
+        published = []
+        publish_level = ParallelGainPool.publish_level
+
+        def spy(pool, arrays):
+            published.append(set(arrays))
+            return publish_level(pool, arrays)
+
+        monkeypatch.setattr(ParallelGainPool, "publish_level", spy)
+        shp_2(random_bipartite(self.SEED, weighted=True), 4, seed=self.SEED, refine_workers=2)
+        assert published and all(
+            keys == {"rank_indptr", "gm_vidx", "slot_value", "gain_cache", "work_buf"}
+            for keys in published
+        )
+
+
 class TestRefineWorkersValidation:
     def test_config_rejects_non_positive(self):
         for bad in (0, -1):
@@ -180,12 +198,8 @@ def _zero_degree_level(num_ranks: int) -> dict[str, np.ndarray]:
     return {
         "work_buf": np.arange(num_ranks, dtype=np.int64),
         "rank_indptr": np.zeros(num_ranks + 1, dtype=np.int64),
-        "rank_side": np.zeros(num_ranks, dtype=np.int8),
-        "pc": np.zeros(2, dtype=np.int64),
-        "gm_slot2": np.zeros(0, dtype=np.int64),
-        "gm_col_even": np.zeros(0, dtype=np.int64),
-        "removal_table": np.zeros((1, 2), dtype=np.float64),
-        "insertion_table": np.zeros((1, 2), dtype=np.float64),
+        "gm_vidx": np.zeros(0, dtype=np.int64),
+        "slot_value": np.zeros((1, 2), dtype=np.float64),
         "gain_cache": np.zeros(num_ranks, dtype=np.float64),
     }
 
@@ -200,7 +214,7 @@ class TestWorkerDeath:
 
         pool = ParallelGainPool(2, step_timeout=60.0)
         try:
-            pool.publish_level(_zero_degree_level(16), has_qw=False)
+            pool.publish_level(_zero_degree_level(16))
             victim = pool._group.procs[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
@@ -218,7 +232,7 @@ class TestWorkerDeath:
 
         pool = ParallelGainPool(2)
         try:
-            pool.publish_level(_zero_degree_level(8), has_qw=False)
+            pool.publish_level(_zero_degree_level(8))
             victim = pool._group.procs[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
@@ -236,7 +250,7 @@ class TestWorkerDeath:
 
         pool = ParallelGainPool(2)
         try:
-            pool.publish_level(_zero_degree_level(8), has_qw=False)
+            pool.publish_level(_zero_degree_level(8))
             os.kill(pool._group.procs[0].pid, signal.SIGKILL)
             pool._group.procs[0].join(timeout=10)
             with pytest.raises((RuntimeError, TimeoutError)):

@@ -178,12 +178,8 @@ def _level_arrays(work_buf: np.ndarray) -> dict[str, np.ndarray]:
     return {
         "work_buf": work_buf.astype(np.int64),
         "rank_indptr": np.zeros(n + 1, dtype=np.int64),
-        "rank_side": np.zeros(n, dtype=np.int8),
-        "pc": np.zeros(2, dtype=np.int64),
-        "gm_slot2": np.zeros(0, dtype=np.int64),
-        "gm_col_even": np.zeros(0, dtype=np.int64),
-        "removal_table": np.zeros((1, 2), dtype=np.float64),
-        "insertion_table": np.zeros((1, 2), dtype=np.float64),
+        "gm_vidx": np.zeros(0, dtype=np.int64),
+        "slot_value": np.zeros((1, 2), dtype=np.float64),
         "gain_cache": np.zeros(n, dtype=np.float64),
     }
 
@@ -196,7 +192,7 @@ class TestSeededRace:
         with sanitized(strict=True):
             pool = ParallelGainPool(2)
             try:
-                pool.publish_level(_level_arrays(work_buf), has_qw=False)
+                pool.publish_level(_level_arrays(work_buf))
                 with pytest.raises(SanitizerError, match="write-write race"):
                     pool.compute_gains(np.array([0, 8, 16], dtype=np.int64))
                 # The violation fires at the barrier, after the protocol
@@ -211,7 +207,7 @@ class TestSeededRace:
         with sanitized(strict=True):
             pool = ParallelGainPool(2)
             try:
-                pool.publish_level(_level_arrays(work_buf), has_qw=False)
+                pool.publish_level(_level_arrays(work_buf))
                 pool.compute_gains(np.array([0, 8, 16], dtype=np.int64))
                 pool.drop_level()
             finally:
