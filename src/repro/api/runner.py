@@ -196,13 +196,7 @@ def _run_engine(
     from ..distributed_shp import DistributedSHP
 
     alg, execution = spec.algorithm, spec.execution
-    mode = PARTITIONERS.meta(alg.name).get("engine_mode")
-    if mode is None:
-        raise SpecError(
-            f"execution.backend: {execution.backend!r} supports "
-            f"{', '.join(n for n in PARTITIONERS.names() if PARTITIONERS.meta(n).get('engine_mode'))} "
-            f"(got algorithm.name = {alg.name!r}); other algorithms need backend 'local'"
-        )
+    mode = PARTITIONERS.meta(alg.name)["engine_mode"]  # JobSpec validated the pairing
     config_kwargs: dict = {
         "k": alg.k,
         "p": alg.p,
@@ -330,14 +324,7 @@ def _run_stream_refine(spec: JobSpec, graph: BipartiteGraph, report: RunReport) 
             "vertex-centric engine; pick one of "
             f"{', '.join(map(repr, BACKENDS.names()))}"
         )
-    mode = PARTITIONERS.meta(alg.name).get("engine_mode")
-    if mode is None:
-        raise SpecError(
-            f"algorithm.name: kind 'stream-refine' needs an engine-capable "
-            f"refinement algorithm "
-            f"({', '.join(n for n in PARTITIONERS.names() if PARTITIONERS.meta(n).get('engine_mode'))}); "
-            f"got {alg.name!r}"
-        )
+    mode = PARTITIONERS.meta(alg.name)["engine_mode"]  # JobSpec validated the pairing
     warm_k = 2 if mode == "2" else alg.k
     warmstart = PARTITIONERS.get(pipe.warmstart)
     start = time.perf_counter()

@@ -461,6 +461,24 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         check_options(self)
+        # The vertex-centric engine runs the algorithms whose registry entry
+        # names an ``engine_mode``; both ways of reaching it need one.
+        refines = self.kind == "stream-refine"
+        on_engine = self.kind == "partition" and not self.execution.is_local
+        name = self.algorithm.name
+        if (refines or on_engine) and not PARTITIONERS.meta(name).get("engine_mode"):
+            capable = ", ".join(
+                n for n in PARTITIONERS.names() if PARTITIONERS.meta(n).get("engine_mode")
+            )
+            if refines:
+                raise SpecError(
+                    f"algorithm.name: kind 'stream-refine' needs an engine-capable "
+                    f"refinement algorithm ({capable}); got {name!r}"
+                )
+            raise SpecError(
+                f"execution.backend: {self.execution.backend!r} supports {capable} "
+                f"(got algorithm.name = {name!r}); other algorithms need backend 'local'"
+            )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -66,3 +66,20 @@ class GainBinning:
 
     def key_to_bin(self, keys: np.ndarray) -> np.ndarray:
         return np.asarray(keys, dtype=np.int64) - self.num_bins
+
+    def cell_keys(self, src, dst, bins, stride: int) -> np.ndarray:
+        """The int64 key of each ``(source, target, gain bin)`` cell.
+
+        ``stride`` is the number of target ids.  Ascending keys order cells
+        source-major, then by target, then by bin — the order every matcher
+        and the engine master see cells in.  This and
+        :meth:`split_cell_keys` are the only cell-key arithmetic there is.
+        """
+        pair = np.asarray(src, dtype=np.int64) * stride + dst
+        return pair * self.num_bin_ids + self.bin_key(bins)
+
+    def split_cell_keys(self, keys: np.ndarray, stride: int):
+        """Inverse of :meth:`cell_keys`: ``(source, target, signed bin)``."""
+        pair, key = np.divmod(np.asarray(keys, dtype=np.int64), self.num_bin_ids)
+        src, dst = np.divmod(pair, stride)
+        return src, dst, self.key_to_bin(key)

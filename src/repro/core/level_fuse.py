@@ -46,10 +46,10 @@ counts pass, one gain kernel, and one matcher invocation per iteration:
   per-pin dense-layout reference, ``tests/oracles/level_kernels.py``,
   which ``tests/test_level_fuse.py`` holds the kernel to bitwise at every
   iteration.
-* **matching** — the matchers' ``decide_paired`` fast path aggregates
-  histogram cells in the dense ``source label × bin`` space; because
-  sibling pairs are disjoint, best-first matching and ε-extras allocation
-  decompose per group exactly as separate per-group calls would.
+* **matching** — one ``decide_paired`` call per iteration for the whole
+  level (the matcher's sibling front-end: cells keyed ``label × bin``);
+  sibling pairs are disjoint, so best-first matching and ε-extras
+  allocation decompose per group exactly as per-group calls would.
 
 Two level-static structures make deep levels cheap: *edge pruning* drops
 every edge whose query has fewer than two pins inside the vertex's group

@@ -91,7 +91,16 @@ def _histogram_matcher(config: SHPConfig) -> HistogramMatcher:
 
 
 def build_matcher(config: SHPConfig):
-    """Instantiate the configured swap matcher (any registered name)."""
+    """Instantiate the configured swap matcher (any registered name).
+
+    A :data:`MATCHERS` entry is a factory ``fn(config) -> matcher``.  A
+    matcher implements ``decide(src, dst, gain, k, sizes, caps, rng)`` —
+    what :func:`refine` (SHP-k) calls — and ``decide_paired(src, gain,
+    num_labels, sizes, caps, rng)`` — what the level-fused SHP-2 refiner
+    calls, every proposal targeting its sibling ``src ^ 1``.  Both return a
+    :class:`~repro.core.swaps.SwapDecision`, of which callers read ``move``;
+    the built-in matchers make the two front-ends of one pipeline.
+    """
     return MATCHERS.get(config.matcher)(config)
 
 

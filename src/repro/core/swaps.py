@@ -4,28 +4,43 @@ This module plays the role of the *master* machine (Figure 3, supersteps 3
 and 4): it aggregates how many vertices in bucket ``i`` want to move to
 bucket ``j`` and decides who actually moves while preserving balance.
 
-Two matchers are provided:
+One matcher, and what crosses between "who proposes" and "who decides" is
+*cells*: int64 keys of ``(source, target, gain bin)`` triples under
+:meth:`GainBinning.cell_keys`, ascending (source-major, then target, then
+bin), with a count each.  Three stages, each written once:
 
-* :class:`UniformMatcher` — Algorithm 1 verbatim: only positive-gain
-  proposals count, ``S[i][j]`` is their number, and each such vertex moves
-  with probability ``min(S_ij, S_ji) / S_ij`` so the expected flow is equal
-  in both directions.
-* :class:`HistogramMatcher` — the Section 3.4 refinement: per (i, j) pair
-  the master receives two exponential gain histograms and pairs bins
-  best-first, so the highest gains move first; a positive and a negative bin
-  may be paired when their summed expected gain is positive; leftover
-  positive-gain movers may relocate without a partner as long as the
-  ε-imbalance capacity allows.
+* **aggregate** (:func:`aggregate_cells`) — per-proposal keys to cells,
+  counts and each proposal's cell: one dense ``bincount`` when the key
+  space is small against the input, one sort otherwise, same arrays.
+* **match** (:func:`match_histogram_cells`) — the Section 3.4 master: per
+  bucket pair two exponential gain histograms paired best-first (a negative
+  bin may pair with a larger positive one), leftovers relocated into ε room.
+  The distributed master (``repro.distributed_shp``) runs the same function
+  on the histogram its workers aggregated.
+* **select** (:func:`select_movers`) — a quota per cell to a mask over
+  proposals: ``strict`` moves exactly the quota (the paper's ideal serial
+  implementation; bucket sizes are preserved exactly), ``bernoulli`` moves
+  each proposal with probability ``quota / count`` (what a distributed
+  implementation must do; sizes hold in expectation).
 
-The cell-level matching lives in :func:`match_histogram_cells` so that the
-distributed master (``repro.distributed_shp``) can run the identical logic
-on aggregated histograms.
+:class:`HistogramMatcher` is that pipeline over ``2·num_bins + 1`` bins;
+:class:`UniformMatcher` — Algorithm 1 verbatim: positive gains only, each
+moving with probability ``min(S_ij, S_ji) / S_ij`` — is its one-bin,
+no-extras case.  ``decide(src, dst, ...)`` and ``decide_paired(src, ...)``
+(``dst = src ^ 1``, the level-fused refiner's sibling pairs) are two
+front-ends of the one pipeline: same proposals, same bytes, same draws.
 
-Both matchers support two execution modes: ``strict`` moves exactly the
-matched count per cell (what the paper's ideal serial implementation would
-do — bucket sizes are preserved exactly), and ``bernoulli`` applies the
-broadcast probabilities independently per vertex (what a distributed
-implementation must do — sizes are preserved in expectation).
+**RNG contract** (pinned by the golden histories).  With ``damping = 1``
+only select draws: ``strict`` one uniform per proposal of a *partially*
+granted cell, in proposal order — none when every cell is granted in full
+or not at all; ``bernoulli`` one per participating proposal.
+``damping < 1`` first draws one uniform per unordered pair, then one per cell.
+
+**Damping rounds per pair.**  Rounding ``damping · allowed`` cell by cell
+rounds the i→j and j→i sides of a pair independently and drifts bucket
+sizes past the ε cap.  So a pair's damped swap quota is rounded once and
+spent best-bin-first in both directions; ε extras are one-directional and
+already inside the destination's room, so they round per cell.
 """
 
 from __future__ import annotations
@@ -40,93 +55,62 @@ __all__ = [
     "SwapDecision",
     "UniformMatcher",
     "HistogramMatcher",
+    "aggregate_cells",
     "match_histogram_cells",
+    "select_movers",
 ]
+
+#: Aggregate with one dense ``bincount`` while the key space has at most
+#: this many slots per proposal (a scan of the slots is then cheaper than
+#: sorting the keys); with one sort beyond.
+DENSE_SLOTS_PER_KEY = 16
+
+
+def _no_cells() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
 
 
 @dataclass
 class SwapDecision:
-    """Outcome of one matching round.
+    """Outcome of one matching round: the mask, and the cells behind it.
 
-    ``matched_swaps`` counts moves granted through pairwise (bidirectional)
-    matching; ``extra_moves`` counts the one-directional relocations granted
-    out of the ε-imbalance capacity.  Both are the master's *grants* — with
-    ``damping < 1`` or ``swap_mode="bernoulli"`` the realized ``move`` mask
-    may contain fewer moves.
+    The cell arrays are aligned, one entry per non-empty cell in ascending
+    key order.  ``allowed`` and ``extras`` are the matcher's *grants*
+    (pairwise swaps plus ε-capacity extras, and the extras among them);
+    ``quota`` is what is left of ``allowed`` after damping — ``strict``
+    moves exactly that many, ``bernoulli`` moves each proposal with
+    probability ``quota / cell_count`` (the table a master would broadcast).
     """
 
     move: np.ndarray  # bool per proposal, aligned with the inputs
-    matched_swaps: int = 0
-    extra_moves: int = 0
-    #: per-cell broadcast table (what the master would send in superstep 4):
-    #: arrays src, dst, bin, probability.
-    table: dict[str, np.ndarray] = field(default_factory=dict)
+    cell_src: np.ndarray = field(default_factory=_no_cells)
+    cell_dst: np.ndarray = field(default_factory=_no_cells)
+    cell_bin: np.ndarray = field(default_factory=_no_cells)
+    cell_count: np.ndarray = field(default_factory=_no_cells)
+    allowed: np.ndarray = field(default_factory=_no_cells)
+    extras: np.ndarray = field(default_factory=_no_cells)
+    quota: np.ndarray = field(default_factory=_no_cells)
 
 
-def _stochastic_round(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Round to integers, up with probability equal to the fractional part."""
-    floor = np.floor(values)
-    frac = values - floor
-    return (floor + (rng.random(values.shape) < frac)).astype(np.int64)
+def aggregate_cells(keys: np.ndarray, key_space: int):
+    """Stage 1: per-proposal keys in ``[0, key_space)`` to ``(cells, count,
+    cell_of)`` — the distinct keys ascending, how many proposals hold each,
+    and every proposal's index into ``cells``."""
+    if key_space <= DENSE_SLOTS_PER_KEY * keys.size:
+        dense = np.bincount(keys, minlength=key_space)
+        cells = np.flatnonzero(dense)
+        slot = np.empty(key_space, dtype=np.int64)
+        slot[cells] = np.arange(cells.size, dtype=np.int64)
+        return cells, dense[cells], slot[keys]
+    cells, cell_of, count = np.unique(keys, return_inverse=True, return_counts=True)
+    return cells, count, cell_of
 
 
-def _select_per_cell(
-    cell_of_mover: np.ndarray,
-    quota_per_cell: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Pick exactly ``quota[c]`` random movers from each cell ``c``.
-
-    Returns a boolean mask over movers.  Uniform-random within a cell: all
-    movers of a cell share a gain bin, so the paper pairs them
-    probabilistically; a random subset realizes the same distribution with
-    exact counts.
-
-    Randomness is only consumed for *partially* granted cells — cells whose
-    quota covers every mover (or none) need no tie-breaking, which keeps the
-    sort small when one matcher call spans a whole recursion level.
-    """
-    n = cell_of_mover.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    num_cells = quota_per_cell.size
-    count = np.bincount(cell_of_mover, minlength=num_cells)
-    quota = np.minimum(quota_per_cell, count)
-    full = quota >= count
-    move = full[cell_of_mover] & (quota[cell_of_mover] > 0)
-    partial_cell = (quota > 0) & (quota < count)
-    if partial_cell.any():
-        movers = np.flatnonzero(partial_cell[cell_of_mover])
-        sub_cells = cell_of_mover[movers]
-        order = np.lexsort((rng.random(movers.size), sub_cells))
-        sorted_cells = sub_cells[order]
-        # Rank of each mover inside its cell after the random shuffle.
-        boundary = np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1]))
-        group_start = np.flatnonzero(boundary)
-        group_sizes = np.diff(np.concatenate((group_start, [movers.size])))
-        rank = np.arange(movers.size, dtype=np.int64) - np.repeat(
-            group_start, group_sizes
-        )
-        move[movers[order]] = rank < quota[sorted_cells]
-    return move
-
-
-# ----------------------------------------------------------------------
-# Cell-level histogram matching (shared with the distributed master)
-# ----------------------------------------------------------------------
 def match_histogram_cells(
-    cell_src: np.ndarray,
-    cell_dst: np.ndarray,
-    cell_bin: np.ndarray,
-    cell_count: np.ndarray,
-    k: int,
-    sizes: np.ndarray,
-    caps: np.ndarray,
-    binning: GainBinning,
-    include_extras: bool = True,
-    return_extras: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Decide how many movers of each histogram cell may relocate.
+    cell_src: np.ndarray, cell_dst: np.ndarray, cell_bin: np.ndarray, cell_count: np.ndarray,
+    k: int, sizes: np.ndarray, caps: np.ndarray, binning: GainBinning,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 2: how many movers of each histogram cell may relocate.
 
     A *cell* is a (source bucket, target bucket, gain bin) triple with the
     number of data vertices proposing that move.  Matching is best-first per
@@ -135,14 +119,13 @@ def match_histogram_cells(
     two bins is positive.  Leftover positive-gain movers may additionally
     move one-directionally into buckets with spare ε capacity.
 
-    Returns the allowed move count per cell, aligned with the input order.
-    With ``return_extras=True`` additionally returns the per-cell count of
-    ε-capacity extras (a subset of the allowed counts), same alignment.
+    Returns ``(allowed, extras)`` per cell, aligned with the input, whose
+    order does not matter: the allowed move count and the part of it
+    granted out of ε capacity.
     """
     num_cells = cell_src.size
     if num_cells == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return (empty, empty.copy()) if return_extras else empty
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     cell_src = np.asarray(cell_src, dtype=np.int64)
     cell_dst = np.asarray(cell_dst, dtype=np.int64)
     cell_bin = np.asarray(cell_bin, dtype=np.int64)
@@ -177,48 +160,25 @@ def match_histogram_cells(
 
     matched_per_seg = np.zeros(seg_pair_dir.size, dtype=np.int64)
     if both.size:
-        m = _match_ranks(
-            binning,
-            cum,
-            s_bin,
-            seg_base[both],
-            seg_total[both],
-            seg_base[both + 1],
-            seg_total[both + 1],
+        matched_per_seg[both] = matched_per_seg[both + 1] = _match_ranks(
+            binning, cum, s_bin,
+            seg_base[both], seg_total[both], seg_base[both + 1], seg_total[both + 1],
         )
-        matched_per_seg[both] = m
-        matched_per_seg[both + 1] = m
 
     cell_rank_start = np.concatenate(([0], cum[:-1])) - seg_base[seg_of_cell]
     matched_cell = np.clip(matched_per_seg[seg_of_cell] - cell_rank_start, 0, s_count)
 
-    extra_cell = np.zeros(num_cells, dtype=np.int64)
-    if include_extras:
-        leftovers = np.flatnonzero((s_bin > 0) & (s_count > matched_cell))
-        if leftovers.size:
-            extra_cell = _allocate_extras(
-                leftovers, s_pair_dir, s_bin, s_count, matched_cell, k, sizes, caps
-            )
-
-    allowed_sorted = matched_cell + extra_cell
+    extra_cell = _allocate_extras(
+        cell_src[order], cell_dst[order], s_bin, s_count - matched_cell, sizes, caps
+    )
     allowed = np.empty(num_cells, dtype=np.int64)
-    allowed[order] = allowed_sorted
-    if return_extras:
-        extras = np.empty(num_cells, dtype=np.int64)
-        extras[order] = extra_cell
-        return allowed, extras
-    return allowed
+    allowed[order] = matched_cell + extra_cell
+    extras = np.empty(num_cells, dtype=np.int64)
+    extras[order] = extra_cell
+    return allowed, extras
 
 
-def _match_ranks(
-    binning: GainBinning,
-    cum: np.ndarray,
-    s_bin: np.ndarray,
-    base_f: np.ndarray,
-    total_f: np.ndarray,
-    base_b: np.ndarray,
-    total_b: np.ndarray,
-) -> np.ndarray:
+def _match_ranks(binning, cum, s_bin, base_f, total_f, base_b, total_b) -> np.ndarray:
     """Vectorized best-first matching cutoff per bucket pair.
 
     Because each direction is sorted by gain descending, the summed
@@ -247,304 +207,184 @@ def _match_ranks(
     return lo
 
 
-def _allocate_extras(
-    leftovers: np.ndarray,
-    s_pair_dir: np.ndarray,
-    s_bin: np.ndarray,
-    s_count: np.ndarray,
-    matched_cell: np.ndarray,
-    k: int,
-    sizes: np.ndarray,
-    caps: np.ndarray,
-) -> np.ndarray:
+def _allocate_extras(s_src, s_dst, s_bin, spare, sizes, caps) -> np.ndarray:
     """Greedy one-directional moves into under-capacity buckets.
 
-    Processes leftover positive-gain cells best-bin-first, so the ε budget
-    is spent on the most valuable moves (Section 3.4).
-
+    Processes leftover (``spare``) positive-gain cells best-bin-first, so
+    the ε budget is spent on the most valuable moves (Section 3.4).
     ``sizes``/``caps`` may be real-valued (weight units, when the graph
     carries ``data_weights``); room is floored to a whole mover count, and
     the weighted post-check in the refinement loop handles any residual
     heterogeneous-weight overshoot.
     """
-    extra = np.zeros(s_count.size, dtype=np.int64)
+    extra = np.zeros(spare.size, dtype=np.int64)
     work_sizes = np.asarray(sizes, dtype=np.float64).copy()
+    leftovers = np.flatnonzero((s_bin > 0) & (spare > 0))
     by_gain = leftovers[np.argsort(-s_bin[leftovers], kind="stable")]
-    for cell in by_gain.tolist():
-        pd = int(s_pair_dir[cell])
-        pair, direction = pd // 2, pd % 2
-        lo_b, hi_b = pair // k, pair % k
-        src_b, dst_b = (lo_b, hi_b) if direction == 0 else (hi_b, lo_b)
+    for cell, src_b, dst_b in zip(
+        by_gain.tolist(), s_src[by_gain].tolist(), s_dst[by_gain].tolist()
+    ):
         room = int(np.floor(caps[dst_b] - work_sizes[dst_b]))
         if room <= 0:
             continue
-        amount = min(room, int(s_count[cell] - matched_cell[cell]))
-        if amount <= 0:
-            continue
-        extra[cell] = amount
+        extra[cell] = amount = min(room, int(spare[cell]))
         work_sizes[dst_b] += amount
         work_sizes[src_b] -= amount
     return extra
 
 
+def _stochastic_round(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Round to integers, up with probability equal to the fractional part."""
+    floor = np.floor(values)
+    frac = values - floor
+    return (floor + (rng.random(values.shape) < frac)).astype(np.int64)
+
+
+def _damped_quota(cell_src, cell_dst, k, allowed, extras, damping, rng) -> np.ndarray:
+    """``damping`` × the grant in whole movers, still balanced (cells
+    ascending; the module docstring says why pairs round once)."""
+    matched = allowed - extras
+    # Cells are source-major, so a directed pair is one run of cells with
+    # bins ascending: the movers in better bins are the rest of the run.
+    directed = cell_src * k + cell_dst
+    first = np.flatnonzero(np.concatenate(([True], directed[1:] != directed[:-1])))
+    last = np.append(first[1:], directed.size) - 1
+    run_of = np.repeat(np.arange(first.size), last - first + 1)
+    cum = np.cumsum(matched)
+    run_end = cum[last]
+    low, high = np.minimum(cell_src, cell_dst)[first], np.maximum(cell_src, cell_dst)[first]
+    pairs, _, pair_of = aggregate_cells(low * k + high, k * k)
+    # Both directions of a pair were matched the same total (0 if one-sided).
+    pair_quota = np.zeros(pairs.size, dtype=np.float64)
+    pair_quota[pair_of] = np.diff(run_end, prepend=0)
+    pair_quota = _stochastic_round(pair_quota * damping, rng)
+    better = run_end[run_of] - cum
+    spent = np.clip(pair_quota[pair_of][run_of] - better, 0, matched)
+    return spent + _stochastic_round(extras * damping, rng)
+
+
+def select_movers(cell_of, count, quota, strict: bool, rng: np.random.Generator) -> np.ndarray:
+    """Stage 3: the proposals that move, given each cell's quota.
+
+    ``strict`` picks exactly ``quota[c]`` of cell ``c``'s ``count[c]``
+    proposals, uniformly at random: all movers of a cell share a gain bin,
+    so the paper pairs them probabilistically, and a random subset realizes
+    the same distribution with exact counts.  Randomness is only consumed
+    for *partially* granted cells — cells whose quota covers every mover
+    (or none) need no tie-breaking, which keeps the sort small when one
+    call spans a whole recursion level.  Otherwise every proposal moves
+    independently with probability ``quota / count`` of its cell.
+    """
+    if not strict:
+        return rng.random(cell_of.size) < (quota / count)[cell_of]
+    quota = np.minimum(quota, count)
+    move = (quota >= count)[cell_of] & (quota[cell_of] > 0)
+    partial_cell = (quota > 0) & (quota < count)
+    if partial_cell.any():
+        movers = np.flatnonzero(partial_cell[cell_of])
+        sub_cells = cell_of[movers]
+        order = np.lexsort((rng.random(movers.size), sub_cells))
+        sorted_cells = sub_cells[order]
+        # Rank of each mover inside its cell after the random shuffle: a
+        # partial cell's proposals are all here, ``count`` of them in a row.
+        cell_start = np.cumsum(np.where(partial_cell, count, 0)) - count
+        rank = np.arange(movers.size, dtype=np.int64) - cell_start[sorted_cells]
+        move[movers[order]] = rank < quota[sorted_cells]
+    return move
+
+
 # ----------------------------------------------------------------------
-# Matchers
+# Matchers: the pipeline and its two configurations
 # ----------------------------------------------------------------------
-class UniformMatcher:
-    """Algorithm 1's move probabilities: ``min(S_ij, S_ji) / S_ij``."""
+class _CellMatcher:
+    """Aggregate → match → select over one round's proposals.
+
+    A subclass fixes the binning, which proposals take part
+    (``allow_negative``: all of them, else only positive bins) and whether
+    ε-capacity extras are granted; its ``decide`` / ``decide_paired`` are
+    the two front-ends of :meth:`_decide`.
+    """
+
+    binning: GainBinning
+    allow_negative: bool
+    grant_extras: bool
+    swap_mode: str
+    damping: float
+
+    def _bins(self, gain: np.ndarray) -> np.ndarray:
+        return self.binning.bin_of(gain)
+
+    def _decide(self, src, dst, gain, k: int, sizes, caps, rng) -> SwapDecision:
+        """``dst = None``: every proposal targets its sibling ``src ^ 1``."""
+        bins = self._bins(gain)
+        move = np.zeros(bins.size, dtype=bool)
+        keep = slice(None) if self.allow_negative else np.flatnonzero(bins > 0)
+        src = np.asarray(src, dtype=np.int64)[keep]
+        if src.size == 0:
+            return SwapDecision(move=move)
+        # A sibling target is implied by the source, so the key carries no
+        # target digit: the cells live in the dense ``label × bin`` space.
+        stride = 1 if dst is None else k
+        keys = self.binning.cell_keys(
+            src, 0 if dst is None else np.asarray(dst)[keep], bins[keep], stride
+        )
+        cells, count, cell_of = aggregate_cells(keys, k * stride * self.binning.num_bin_ids)
+        cell_src, cell_dst, cell_bin = self.binning.split_cell_keys(cells, stride)
+        if dst is None:
+            cell_dst = cell_src ^ 1
+        allowed, extras = match_histogram_cells(
+            cell_src, cell_dst, cell_bin, count, k, sizes,
+            caps if self.grant_extras else sizes, self.binning,
+        )
+        quota = allowed
+        if self.damping < 1.0:
+            quota = _damped_quota(cell_src, cell_dst, k, allowed, extras, self.damping, rng)
+        move[keep] = select_movers(cell_of, count, quota, self.swap_mode == "strict", rng)
+        return SwapDecision(move, cell_src, cell_dst, cell_bin, count, allowed, extras, quota)
+
+
+class UniformMatcher(_CellMatcher):
+    """Algorithm 1's move probabilities: ``min(S_ij, S_ji) / S_ij`` — one
+    bin holding the positive gains, no ε extras."""
+
+    binning = GainBinning(num_bins=1)
+    allow_negative = False
+    grant_extras = False
 
     def __init__(self, swap_mode: str = "strict", damping: float = 1.0):
         self.swap_mode = swap_mode
         self.damping = damping
 
-    def decide(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        gain: np.ndarray,
-        k: int,
-        sizes: np.ndarray,
-        caps: np.ndarray,
-        rng: np.random.Generator,
-    ) -> SwapDecision:
+    def _bins(self, gain: np.ndarray) -> np.ndarray:
+        return (np.asarray(gain) > 0).astype(np.int64)
+
+    def decide(self, src, dst, gain, k, sizes, caps, rng) -> SwapDecision:
         """Match positive-gain proposals pairwise per bucket pair."""
-        n = src.size
-        move = np.zeros(n, dtype=bool)
-        positive = gain > 0
-        if not positive.any():
-            return SwapDecision(move=move)
-        idx = np.flatnonzero(positive)
-        fwd_key = src[idx].astype(np.int64) * k + dst[idx]
-        unique_keys, cell_of, counts = np.unique(
-            fwd_key, return_inverse=True, return_counts=True
-        )
-        reverse_key = (unique_keys % k) * k + unique_keys // k
-        pos = np.searchsorted(unique_keys, reverse_key)
-        pos_clip = np.minimum(pos, unique_keys.size - 1)
-        pos_valid = (pos < unique_keys.size) & (unique_keys[pos_clip] == reverse_key)
-        reverse_counts = np.where(pos_valid, counts[pos_clip], 0)
-        matched = np.minimum(counts, reverse_counts).astype(np.float64) * self.damping
-        if self.swap_mode == "strict":
-            # Round once per unordered pair and reuse the quota in both
-            # directions: rounding the i→j and j→i quotas independently
-            # drifts bucket sizes whenever damping < 1.
-            forward = unique_keys <= reverse_key
-            quota = np.zeros(unique_keys.size, dtype=np.int64)
-            quota[forward] = _stochastic_round(matched[forward], rng)
-            mirror = ~forward & pos_valid
-            quota[mirror] = quota[pos_clip[mirror]]
-            chosen = _select_per_cell(cell_of, quota, rng)
-        else:
-            prob = matched / counts
-            chosen = rng.random(idx.size) < prob[cell_of]
-        move[idx] = chosen
-        table = {
-            "src": (unique_keys // k).astype(np.int32),
-            "dst": (unique_keys % k).astype(np.int32),
-            "bin": np.zeros(unique_keys.size, dtype=np.int32),
-            "probability": matched / counts,
-        }
-        return SwapDecision(move=move, matched_swaps=int(move.sum()), table=table)
+        return self._decide(src, dst, gain, k, sizes, caps, rng)
 
-    def decide_paired(
-        self,
-        src: np.ndarray,
-        gain: np.ndarray,
-        num_labels: int,
-        sizes: np.ndarray,
-        caps: np.ndarray,
-        rng: np.random.Generator,
-    ) -> SwapDecision:
-        """:meth:`decide` specialized to sibling pairs (``dst = src ^ 1``).
-
-        The level-fused engine proposes every vertex toward the other side
-        of its own bisection, so the directed cell is fully determined by
-        the source label and the aggregation collapses to one dense
-        ``bincount`` — no sort.  Semantically identical to ``decide`` with
-        ``dst = src ^ 1``.
-        """
-        n = src.size
-        move = np.zeros(n, dtype=bool)
-        positive = gain > 0
-        if not positive.any():
-            return SwapDecision(move=move)
-        idx = np.flatnonzero(positive)
-        fwd = np.asarray(src, dtype=np.int64)[idx]
-        counts_dir = np.bincount(fwd, minlength=num_labels)
-        pair_ids = np.arange(num_labels, dtype=np.int64)
-        sibling_counts = counts_dir[pair_ids ^ 1] if num_labels % 2 == 0 else None
-        if sibling_counts is None:
-            # Odd label count (a parked column): sibling it with itself so
-            # the xor stays in range; it never holds proposals anyway.
-            safe_sibling = np.minimum(pair_ids ^ 1, num_labels - 1)
-            sibling_counts = counts_dir[safe_sibling]
-        matched = np.minimum(counts_dir, sibling_counts).astype(np.float64) * self.damping
-        if self.swap_mode == "strict":
-            quota = np.zeros(num_labels, dtype=np.int64)
-            even = pair_ids[(pair_ids % 2 == 0) & (pair_ids ^ 1 < num_labels)]
-            quota[even] = _stochastic_round(matched[even], rng)
-            odd = even + 1
-            quota[odd[odd < num_labels]] = quota[even[odd < num_labels]]
-            chosen = _select_per_cell(fwd, quota, rng)
-        else:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                prob = np.where(counts_dir > 0, matched / np.maximum(counts_dir, 1), 0.0)
-            chosen = rng.random(idx.size) < prob[fwd]
-        move[idx] = chosen
-        present = np.flatnonzero(counts_dir)
-        table = {
-            "src": present.astype(np.int32),
-            "dst": (present ^ 1).astype(np.int32),
-            "bin": np.zeros(present.size, dtype=np.int32),
-            "probability": matched[present] / counts_dir[present],
-        }
-        return SwapDecision(move=move, matched_swaps=int(move.sum()), table=table)
+    def decide_paired(self, src, gain, num_labels, sizes, caps, rng) -> SwapDecision:
+        """:meth:`decide` with ``dst = src ^ 1`` (sibling pairs)."""
+        return self._decide(src, None, gain, num_labels, sizes, caps, rng)
 
 
-class HistogramMatcher:
+class HistogramMatcher(_CellMatcher):
     """Best-first bin matching with negative-bin pairing and ε extras."""
 
+    grant_extras = True
+
     def __init__(
-        self,
-        binning: GainBinning,
-        allow_negative: bool = True,
-        swap_mode: str = "strict",
-        damping: float = 1.0,
+        self, binning: GainBinning, allow_negative: bool = True,
+        swap_mode: str = "strict", damping: float = 1.0,
     ):
         self.binning = binning
         self.allow_negative = allow_negative
         self.swap_mode = swap_mode
         self.damping = damping
 
-    def decide(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        gain: np.ndarray,
-        k: int,
-        sizes: np.ndarray,
-        caps: np.ndarray,
-        rng: np.random.Generator,
-    ) -> SwapDecision:
+    def decide(self, src, dst, gain, k, sizes, caps, rng) -> SwapDecision:
         """Histogram-match all proposals; returns per-proposal move mask."""
-        n = src.size
-        move = np.zeros(n, dtype=bool)
-        if n == 0:
-            return SwapDecision(move=move)
-        bins = self.binning.bin_of(gain)
-        keep = np.ones(n, dtype=bool) if self.allow_negative else bins > 0
-        idx = np.flatnonzero(keep)
-        if idx.size == 0:
-            return SwapDecision(move=move)
+        return self._decide(src, dst, gain, k, sizes, caps, rng)
 
-        src_i = src[idx].astype(np.int64)
-        dst_i = dst[idx].astype(np.int64)
-        bin_i = bins[idx].astype(np.int64)
-        num_ids = self.binning.num_bin_ids
-        cell_key = (src_i * k + dst_i) * num_ids + self.binning.bin_key(bin_i)
-        unique_cells, cell_of, cell_count = np.unique(
-            cell_key, return_inverse=True, return_counts=True
-        )
-        pair_part = unique_cells // num_ids
-        cell_src = pair_part // k
-        cell_dst = pair_part % k
-        cell_bin = self.binning.key_to_bin(unique_cells % num_ids)
-
-        allowed, extras = match_histogram_cells(
-            cell_src, cell_dst, cell_bin, cell_count, k, sizes, caps, self.binning,
-            return_extras=True,
-        )
-        matched_total = int(allowed.sum())
-        extras_total = int(extras.sum())
-        if self.damping < 1.0:
-            allowed = _stochastic_round(allowed * self.damping, rng)
-
-        if self.swap_mode == "strict":
-            chosen = _select_per_cell(cell_of, allowed, rng)
-        else:
-            prob = allowed / cell_count
-            chosen = rng.random(idx.size) < prob[cell_of]
-        move[idx] = chosen
-
-        table = {
-            "src": cell_src.astype(np.int32),
-            "dst": cell_dst.astype(np.int32),
-            "bin": cell_bin.astype(np.int32),
-            "probability": allowed / cell_count,
-        }
-        return SwapDecision(
-            move=move,
-            matched_swaps=matched_total - extras_total,
-            extra_moves=extras_total,
-            table=table,
-        )
-
-    def decide_paired(
-        self,
-        src: np.ndarray,
-        gain: np.ndarray,
-        num_labels: int,
-        sizes: np.ndarray,
-        caps: np.ndarray,
-        rng: np.random.Generator,
-    ) -> SwapDecision:
-        """:meth:`decide` specialized to sibling pairs (``dst = src ^ 1``).
-
-        With the target implied by the source label, cells live in the dense
-        ``source label × gain bin`` space, so the aggregation is one
-        ``bincount`` plus a nonzero scan instead of a sort over composite
-        keys.  Cell ordering matches :meth:`decide` (source-major, then
-        bin), so on a level holding a single bucket pair the RNG stream and
-        therefore the selection are bitwise identical — the property the
-        k ≤ 3 fused-vs-oracle parity tests pin.
-        """
-        n = src.size
-        move = np.zeros(n, dtype=bool)
-        if n == 0:
-            return SwapDecision(move=move)
-        bins = self.binning.bin_of(gain)
-        num_ids = self.binning.num_bin_ids
-        src = np.asarray(src, dtype=np.int64)
-        if self.allow_negative:
-            idx = np.arange(n, dtype=np.int64)
-            compact = src * num_ids + self.binning.bin_key(bins)
-        else:
-            idx = np.flatnonzero(bins > 0)
-            if idx.size == 0:
-                return SwapDecision(move=move)
-            compact = src[idx] * num_ids + self.binning.bin_key(bins[idx])
-        dense_count = np.bincount(compact, minlength=num_labels * num_ids)
-        cells = np.flatnonzero(dense_count)
-        cell_src = cells // num_ids
-        cell_dst = cell_src ^ 1
-        cell_bin = self.binning.key_to_bin(cells % num_ids)
-        cell_count = dense_count[cells]
-        allowed, extras = match_histogram_cells(
-            cell_src, cell_dst, cell_bin, cell_count, num_labels, sizes, caps,
-            self.binning, return_extras=True,
-        )
-        matched_total = int(allowed.sum())
-        extras_total = int(extras.sum())
-        if self.damping < 1.0:
-            allowed = _stochastic_round(allowed * self.damping, rng)
-        lookup = np.zeros(num_labels * num_ids, dtype=np.int64)
-        lookup[cells] = np.arange(cells.size, dtype=np.int64)
-        cell_of = lookup[compact]
-        if self.swap_mode == "strict":
-            chosen = _select_per_cell(cell_of, allowed, rng)
-        else:
-            prob = allowed / cell_count
-            chosen = rng.random(idx.size) < prob[cell_of]
-        move[idx] = chosen
-        table = {
-            "src": cell_src.astype(np.int32),
-            "dst": cell_dst.astype(np.int32),
-            "bin": cell_bin.astype(np.int32),
-            "probability": allowed / cell_count,
-        }
-        return SwapDecision(
-            move=move,
-            matched_swaps=matched_total - extras_total,
-            extra_moves=extras_total,
-            table=table,
-        )
+    def decide_paired(self, src, gain, num_labels, sizes, caps, rng) -> SwapDecision:
+        """:meth:`decide` with ``dst = src ^ 1`` (sibling pairs)."""
+        return self._decide(src, None, gain, num_labels, sizes, caps, rng)

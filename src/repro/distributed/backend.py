@@ -71,6 +71,7 @@ class WorkerStepResult:
     #: outbound hops, keyed by destination worker id; each hop is a list
     #: of ``MessageBatch`` in send order.
     batches: dict[int, list] = field(default_factory=dict)
+    #: ``{name: (keys ascending, summed values)}`` — see :func:`merge_aggregates`.
     aggregates: dict = field(default_factory=dict)
     ops: float = 0.0
     active: int = 0
@@ -132,7 +133,7 @@ def execute_worker_superstep_batch(
 
     result = WorkerStepResult(
         worker_id=worker_id,
-        aggregates=ctx._aggregates,
+        aggregates=merge_aggregates(ctx._aggregates),
         # One op per local vertex, on top of what the kernels charged.
         ops=float(ctx._ops) + float(len(vids)),
         active=ctx._active,
@@ -206,14 +207,23 @@ def assemble_superstep_metrics(
     )
 
 
-def merge_aggregates(target: dict, parts: list[dict]) -> dict:
-    """Fold per-worker aggregator dicts into ``target`` (worker-id order)."""
-    for part in parts:
-        for name, bucket in sorted(part.items()):
-            merged = target.setdefault(name, {})
-            for key, value in sorted(bucket.items()):
-                merged[key] = merged.get(key, 0.0) + value
-    return target
+def merge_aggregates(parts: list[dict]) -> dict:
+    """Fold ``{name: (int64 keys, int64 values)}`` parts into one: per name
+    the distinct keys ascending and the sum of the values under each.
+
+    Parts are concatenated in the order given (ascending worker id at the
+    barrier) and stably sorted by key, so each sum runs in that order —
+    integer sums are exact in any order; the order is kept anyway."""
+    merged = {}
+    for name in sorted({name for part in parts for name in part}):
+        keys = np.concatenate([part[name][0] for part in parts if name in part])
+        values = np.concatenate([part[name][1] for part in parts if name in part])
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        # Where each run of equal keys starts (none in an empty column).
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.size])
+        merged[name] = (keys[starts], np.add.reduceat(values, starts))
+    return merged
 
 
 class Backend(ABC):
@@ -268,9 +278,7 @@ class Backend(ABC):
                         halted = True
                         break
                 results = self._execute_superstep(superstep, broadcasts or {})
-                aggregates = merge_aggregates(
-                    {}, [res.aggregates for res in results]
-                )
+                aggregates = merge_aggregates([res.aggregates for res in results])
                 step = assemble_superstep_metrics(
                     results, superstep, program.phase_name(superstep), num_workers
                 )

@@ -125,7 +125,11 @@ class MasterProgram(Protocol):
     """Code run on the master between barriers."""
 
     def compute(self, superstep: int, aggregates: dict) -> dict | None:
-        """Return broadcast values for the next superstep, or ``None`` to halt."""
+        """Return broadcast values for the next superstep, or ``None`` to halt.
+
+        ``aggregates`` is the previous superstep's ``{name: (keys, values)}``:
+        per aggregator the distinct int64 keys any worker reported,
+        ascending, and the int64 sum of what was reported under each."""
         ...  # pragma: no cover - protocol
 
 
@@ -170,7 +174,7 @@ class BatchContext:
     """Per-superstep API handed to :class:`BatchVertexProgram` kernels.
 
     Sends are whole :class:`~repro.distributed.messages.MessageBatch`
-    columns, aggregations are bulk dict merges, and randomness is drawn per
+    columns, aggregations are ``(keys, values)`` arrays, and randomness is drawn per
     vertex-id array from the counter-based stream.  Op accounting is
     explicit (``charge``) plus one op per sent message (and one per local
     vertex, added at the barrier).
@@ -184,7 +188,7 @@ class BatchContext:
     _active: int = 0
     _transient_bytes: int = 0
     _outbox: list = field(default_factory=list, repr=False)
-    _aggregates: dict = field(default_factory=dict, repr=False)
+    _aggregates: list = field(default_factory=list, repr=False)
 
     def send_batch(self, batch) -> None:
         """Queue a typed message batch (delivered next superstep)."""
@@ -192,11 +196,11 @@ class BatchContext:
             self._outbox.append(batch)
             self._ops += len(batch)
 
-    def aggregate_items(self, name: str, items: dict) -> None:
-        """Merge ``{key: value}`` sums into the named global aggregator."""
-        bucket = self._aggregates.setdefault(name, {})
-        for key, value in sorted(items.items()):
-            bucket[key] = bucket.get(key, 0.0) + value
+    def aggregate(self, name: str, keys, values) -> None:
+        """Add ``values[i]`` under ``keys[i]`` to the named global aggregator
+        (int64 both; a scalar aggregator is one value under key 0)."""
+        columns = (np.asarray(column, dtype=np.int64).ravel() for column in (keys, values))
+        self._aggregates.append({name: tuple(columns)})
 
     def charge(self, ops: float) -> None:
         """Account ``ops`` units of compute work."""

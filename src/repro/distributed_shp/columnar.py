@@ -555,24 +555,11 @@ class SHPColumnarProgram:
         part.target[rows] = best_bucket
         part.gain[rows] = gain
         part.bin[rows] = self.binning.bin_of(gain)
-        ctx.aggregate_items("recomputed", {"count": float(nrows)})
+        ctx.aggregate("recomputed", 0, nrows)
 
-        num_bins = self.binning.num_bins
-        num_bin_ids = self.binning.num_bin_ids
-        encoded = (part.bucket * level_k + part.target) * num_bin_ids + (
-            part.bin + num_bins
-        )
-        uniq, counts = np.unique(encoded, return_counts=True)
-        hist = {}
-        for e, c in zip(uniq.tolist(), counts.tolist()):
-            pair, key = divmod(e, num_bin_ids)
-            src, dst = divmod(pair, level_k)
-            hist[(src, dst, key - num_bins)] = float(c)
-        ctx.aggregate_items("hist", hist)
-        sizes = np.bincount(part.bucket, minlength=level_k)
-        ctx.aggregate_items(
-            "sizes", {b: float(c) for b, c in enumerate(sizes.tolist()) if c}
-        )
+        cells = self.binning.cell_keys(part.bucket, part.target, part.bin, level_k)
+        ctx.aggregate("hist", *np.unique(cells, return_counts=True))
+        ctx.aggregate("sizes", np.arange(level_k), np.bincount(part.bucket, minlength=level_k))
         # Ops are a *logical* meter: they price the per-vertex execution
         # (every data vertex folds every cached entry of every adjacent
         # query, then makes 2 aggregate calls), whatever subset ran here —
@@ -751,28 +738,12 @@ class SHPColumnarProgram:
     # S4: coin-flip moves under the master's per-bin probabilities
     # ------------------------------------------------------------------
     def _s4_move(self, ctx, part: _Partition) -> None:
-        probs = ctx.broadcasts.get("probs")
-        nloc = part.dvids.size
-        if not probs or nloc == 0:
+        keys, values = ctx.broadcasts["probs"]
+        if keys.size == 0 or part.dvids.size == 0:
             return
         level_k = int(ctx.broadcasts.get("level_k", self.config.k))
-        num_bins = self.binning.num_bins
-        num_bin_ids = self.binning.num_bin_ids
-        keys = np.array(
-            [
-                (src * level_k + dst) * num_bin_ids + (gbin + num_bins)
-                for (src, dst, gbin) in probs.keys()
-            ],
-            dtype=np.int64,
-        )
-        values = np.array(list(probs.values()), dtype=np.float64)
-        order = np.argsort(keys)
-        keys, values = keys[order], values[order]
-
         valid = part.target >= 0
-        encoded = (part.bucket * level_k + part.target) * num_bin_ids + (
-            part.bin + num_bins
-        )
+        encoded = self.binning.cell_keys(part.bucket, part.target, part.bin, level_k)
         idx = np.minimum(np.searchsorted(keys, encoded), keys.size - 1)
         found = (keys[idx] == encoded) & valid
         cand = np.flatnonzero(found)
@@ -788,6 +759,6 @@ class SHPColumnarProgram:
         part.delta_old[movers] = old
         part.has_delta[movers] = True
         part.stale[movers] = True
-        ctx.aggregate_items("moved", {"count": float(movers.size)})
+        ctx.aggregate("moved", 0, movers.size)
         ctx.charge(float(movers.size))
         ctx.add_active(int(movers.size))

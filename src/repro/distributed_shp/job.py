@@ -11,11 +11,13 @@ One refinement iteration is four supersteps:
   by ``fanout(q) · |N(q)|`` entries per query.
 * **S3 propose** — data vertices recompute move gains from cached neighbor
   data, pick the best target bucket, and aggregate a
-  ``(src, dst, gain-bin) → count`` histogram plus bucket sizes to the master.
-* **S4 move** — the master matches histograms (the same
-  :func:`repro.core.swaps.match_histogram_cells` logic as the in-process
-  optimizer) and broadcasts per-bin move probabilities; each data vertex
-  flips a coin and moves.
+  ``(src, dst, gain-bin) → count`` histogram — cell keys under
+  :meth:`~repro.core.histograms.GainBinning.cell_keys` and their counts —
+  plus bucket sizes to the master.
+* **S4 move** — the master matches the histogram (the same
+  :func:`repro.core.swaps.match_histogram_cells` as the in-process
+  optimizer) and broadcasts ``probs``: the keys of the cells that may move,
+  ascending, and a probability each; each data vertex flips a coin and moves.
 
 Two modes: ``"k"`` (direct k-way) and ``"2"`` (recursive bisection run
 level-synchronously inside one job, the way the open-sourced Giraph SHP-2
@@ -96,9 +98,7 @@ class _SHPMaster:
         if phase == 0:
             if self.total_cycles:
                 # No movement aggregate at all means nothing moved last cycle.
-                self.moved_history.append(
-                    int(aggregates.get("moved", {}).get("count", 0))
-                )
+                self.moved_history.append(self._total(aggregates, "moved"))
             if self.pending_advance:
                 broadcasts["advance"] = True
                 self.pending_advance = False
@@ -118,9 +118,7 @@ class _SHPMaster:
             broadcasts["reset"] = True
             self.pending_reset = False
         elif phase == 3:
-            self.recomputed_history.append(
-                int(aggregates.get("recomputed", {}).get("count", 0))
-            )
+            self.recomputed_history.append(self._total(aggregates, "recomputed"))
             broadcasts["probs"] = self._match(aggregates)
             self.cycle_in_level += 1
             self.total_cycles += 1
@@ -151,32 +149,32 @@ class _SHPMaster:
         return False
 
     # ------------------------------------------------------------------
-    def _match(self, aggregates: dict) -> dict:
-        """Run the shared histogram matching on the aggregated proposals."""
-        hist: dict = aggregates.get("hist", {})
-        if not hist:
-            return {}
-        keys = list(hist.keys())
-        src = np.array([key[0] for key in keys], dtype=np.int64)
-        dst = np.array([key[1] for key in keys], dtype=np.int64)
-        bins = np.array([key[2] for key in keys], dtype=np.int64)
-        counts = np.array([hist[key] for key in keys], dtype=np.int64)
+    @staticmethod
+    def _total(aggregates: dict, name: str) -> int:
+        """A scalar aggregator's value (0 when no worker reported it)."""
+        return int(aggregates[name][1].sum()) if name in aggregates else 0
+
+    def _match(self, aggregates: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Run the shared histogram matching on the aggregated proposals:
+        decode the cell keys, match, return ``(keys, probabilities)`` of
+        the cells that may move (keys still ascending)."""
+        keys, counts = aggregates.get("hist", (np.zeros(0, dtype=np.int64),) * 2)
+        k_now = self.level_k
+        src, dst, bins = self.binning.split_cell_keys(keys, k_now)
         if not self.config.allow_negative_gains:
             keep = bins > 0
-            src, dst, bins, counts = src[keep], dst[keep], bins[keep], counts[keep]
-            keys = [key for key, flag in zip(keys, keep.tolist()) if flag]
-            if not keys:
-                return {}
-        k_now = self.level_k
-        size_agg = aggregates.get("sizes", {})
+            keys, counts = keys[keep], counts[keep]
+            src, dst, bins = src[keep], dst[keep], bins[keep]
         sizes = np.zeros(k_now, dtype=np.int64)
-        for bucket, count in size_agg.items():
-            sizes[int(bucket)] = int(count)
-        allowed = match_histogram_cells(
+        if "sizes" in aggregates:
+            buckets, members = aggregates["sizes"]
+            sizes[buckets] = members
+        allowed, _ = match_histogram_cells(
             src, dst, bins, counts, k_now, sizes, self._caps(), self.binning
         )
         probability = self.config.move_damping * allowed / np.maximum(counts, 1)
-        return {key: float(prob) for key, prob in zip(keys, probability) if prob > 0.0}
+        may_move = probability > 0.0
+        return keys[may_move], probability[may_move]
 
 
 @dataclass

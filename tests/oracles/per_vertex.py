@@ -94,7 +94,8 @@ class VertexContext:
         self._ops += 1
 
     def aggregate(self, name: str, key: object, value: float = 1.0) -> None:
-        """Add ``value`` under ``key`` to the named global aggregator."""
+        """Add ``value`` under ``key`` to the named global aggregator (an int
+        key, or anything the program's ``aggregate_key`` maps to one)."""
         bucket = self._aggregates.setdefault(name, {})
         bucket[key] = bucket.get(key, 0.0) + value
         self._ops += 1
@@ -180,8 +181,14 @@ class PerVertexAdapter:
         for batch in inbox:
             for dst, payload in _pairs(batch):
                 mailboxes.setdefault(dst, []).append(payload)
+        # The engine speaks arrays: int64-keyed aggregators out, whatever the
+        # master broadcast in.  A per-vertex program keeps hashable keys and
+        # dict broadcasts by declaring the two conversions.
+        decode = getattr(self.program, "decode_broadcasts", lambda broadcasts: broadcasts)
+        encode = getattr(self.program, "aggregate_key", lambda name, key, broadcasts: key)
         scalar = VertexContext(
-            ctx.superstep, ctx.worker_id, ctx.broadcasts, ctx.seed, partition.worker_state
+            ctx.superstep, ctx.worker_id, decode(ctx.broadcasts), ctx.seed,
+            partition.worker_state,
         )
         active = 0
         for vid, state in partition.states.items():
@@ -195,7 +202,8 @@ class PerVertexAdapter:
                 active += 1
         ctx.add_active(active)
         for name, items in scalar._aggregates.items():
-            ctx.aggregate_items(name, items)
+            keys = [encode(name, key, ctx.broadcasts) for key in items]
+            ctx.aggregate(name, keys, list(items.values()))
         ctx.send_batch(_object_batch(scalar._outbox))
         # The engine adds one op per vertex and one per sent message; both
         # are already in the scalar count.

@@ -53,6 +53,24 @@ class _SHPVertexProgram:
         self._graph = graph
         self._adj_cache = {}
 
+    # -- the adapter boundary: cells cross the engine as int64 keys ----------
+    def aggregate_key(self, name: str, key, broadcasts: dict) -> int:
+        """``(src, dst, bin)`` histogram keys through the one codec; the
+        ``"count"`` scalars are key 0; bucket ids are themselves."""
+        if name == "hist":
+            level_k = int(broadcasts.get("level_k", self.config.k))
+            return int(self.binning.cell_keys(*key, level_k))
+        return 0 if key == "count" else key
+
+    def decode_broadcasts(self, broadcasts: dict) -> dict:
+        """``probs`` back to the ``{(src, dst, bin): probability}`` dict."""
+        if "probs" not in broadcasts:
+            return broadcasts
+        keys, values = broadcasts["probs"]
+        level_k = int(broadcasts.get("level_k", self.config.k))
+        cells = zip(*(col.tolist() for col in self.binning.split_cell_keys(keys, level_k)))
+        return {**broadcasts, "probs": dict(zip(cells, values.tolist()))}
+
     def __getstate__(self) -> dict:
         # Programs travel graph-free (the RPC backend pickles them to remote
         # workers, which bind their own graph copy); the adjacency cache is

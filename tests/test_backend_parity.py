@@ -43,7 +43,7 @@ class RingProgram:
     def compute(self, ctx, vid, state, messages):
         state["sum"] = state.get("sum", 0) + sum(messages)
         state["coin"] = ctx.random()
-        ctx.aggregate("seen", "count", 1.0)
+        ctx.aggregate("seen", 0, 1)
         ctx.send((vid + 1) % self.n, vid)
 
 

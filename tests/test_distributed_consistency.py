@@ -76,23 +76,22 @@ class TestMasterMatching:
         decision = matcher.decide(
             src, dst, gain, 2, sizes, caps, np.random.default_rng(0)
         )
-        table = {
-            (int(s), int(d), int(b)): float(p)
-            for s, d, b, p in zip(
-                decision.table["src"], decision.table["dst"],
-                decision.table["bin"], decision.table["probability"],
-            )
-        }
+        # Both sides speak cells: ascending keys under the one codec.
+        local_keys = binning.cell_keys(
+            decision.cell_src, decision.cell_dst, decision.cell_bin, 2
+        )
+        local_probs = decision.quota / decision.cell_count
 
         master = _SHPMaster(10, config, binning, mode="k", max_cycles=10)
         bin_id = int(binning.bin_of(gain[:1])[0])
+        forward, backward = binning.cell_keys([0, 1], [1, 0], bin_id, 2).tolist()
         aggregates = {
-            "hist": {(0, 1, bin_id): 6.0, (1, 0, bin_id): 4.0},
-            "sizes": {0: 6.0, 1: 4.0},
+            "hist": (np.array([forward, backward]), np.array([6, 4])),
+            "sizes": (np.array([0, 1]), np.array([6, 4])),
         }
-        probs = master._match(aggregates)
-        assert probs[(0, 1, bin_id)] == pytest.approx(table[(0, 1, bin_id)])
-        assert probs[(1, 0, bin_id)] == pytest.approx(table[(1, 0, bin_id)])
+        keys, probs = master._match(aggregates)
+        assert keys.dtype == np.int64 and probs.dtype == np.float64
+        assert keys.tolist() == local_keys.tolist() == [forward, backward]
+        assert probs.tobytes() == local_probs.tobytes()
         # 4 matched swaps + 1 ε extra into bucket 1 -> 5/6; backward all move.
-        assert probs[(0, 1, bin_id)] == pytest.approx(5 / 6)
-        assert probs[(1, 0, bin_id)] == pytest.approx(1.0)
+        assert probs.tolist() == pytest.approx([5 / 6, 1.0])

@@ -183,3 +183,20 @@ class TestZeroMoveCycle:
         # deviation of a bucket's size over the (1 + epsilon) cap.
         target = graph.num_data / 8
         assert sizes.max() <= (1 + config.epsilon) * target + np.sqrt(target)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 5(a): the engine's Bernoulli swaps keep balance in "
+    "expectation only — this job leaves a bucket of 1053 against a cap of 1050. "
+    "The PR that makes S4 respect the cap removes this marker.",
+)
+def test_engine_respects_the_epsilon_cap():
+    from repro.hypergraph import darwini_bipartite
+
+    graph = darwini_bipartite(8000, avg_degree=10, seed=7).remove_small_queries()
+    config = SHPConfig(k=8, epsilon=0.05, p=0.5, seed=7)
+    run = DistributedSHP(config, ClusterSpec(num_workers=2), mode="2").run(graph)
+    cap = int(np.floor((1 + config.epsilon) * graph.num_data / config.k))
+    assert np.bincount(run.assignment, minlength=config.k).max() <= cap

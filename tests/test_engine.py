@@ -110,14 +110,14 @@ class TestMaster:
                 return "agg"
 
             def compute(self, ctx, vid, state, messages):
-                ctx.aggregate("total", "sum", float(vid))
+                ctx.aggregate("total", 0, vid)
 
         class Recorder:
             def __init__(self):
                 self.seen = []
 
             def compute(self, superstep, aggregates):
-                self.seen.append(dict(aggregates.get("total", {})))
+                self.seen.append(aggregates.get("total"))
                 if superstep >= 2:
                     return None
                 return {}
@@ -129,7 +129,9 @@ class TestMaster:
             master=recorder, max_supersteps=10,
         )
         # Aggregates from superstep 0 are visible at superstep 1's master call.
-        assert recorder.seen[1] == {"sum": 6.0}
+        # ... as (keys, values): one int64 sum under key 0.
+        keys, values = recorder.seen[1]
+        assert (keys.tolist(), values.tolist()) == ([0], [6])
 
     def test_broadcasts_reach_vertices(self):
         class BroadcastReader:
@@ -150,6 +152,62 @@ class TestMaster:
             engine, BroadcastReader(), {0: {}}, master=Broadcaster(), max_supersteps=10
         )
         assert result.states[0]["seen"] == [0, 10]
+
+
+class TestMergeAggregates:
+    """``merge_aggregates`` — the barrier's fold of per-worker ``{name: (keys,
+    values)}`` reports — against a plain dict fold of the same items."""
+
+    #: per case, per worker, ``{name: [(key, value), ...]}``.
+    CASES = {
+        "one worker, repeated keys": [{"hist": [(7, 2), (3, 1), (7, 5)]}],
+        "overlapping": [
+            {"hist": [(3, 1), (9, 4)], "sizes": [(0, 10), (1, 12)]},
+            {"hist": [(9, 6), (3, 2), (4, 1)], "sizes": [(1, 3), (0, 1)]},
+            {"hist": [(4, 4)], "sizes": [(1, 1)]},
+        ],
+        "disjoint": [{"hist": [(key, 1 + key)]} for key in (5, 2, 8, 0)],
+        "empty and absent": [
+            {"hist": [], "moved": [(0, 4)]},
+            {"moved": [(0, 0)]},
+            {},
+            {"hist": [(1 << 40, 2)], "moved": []},
+        ],
+        "nobody reports": [{}, {}],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_a_dict_fold(self, case):
+        from repro.distributed.backend import merge_aggregates
+
+        workers = self.CASES[case]
+        expected: dict = {}
+        for report in workers:
+            for name, items in report.items():
+                bucket = expected.setdefault(name, {})
+                for key, value in items:
+                    bucket[key] = bucket.get(key, 0) + value
+        parts = [
+            {
+                name: (
+                    np.array([key for key, _ in items], dtype=np.int64),
+                    np.array([value for _, value in items], dtype=np.int64),
+                )
+                for name, items in report.items()
+            }
+            for report in workers
+        ]
+        merged = merge_aggregates(parts)
+        assert merged.keys() == expected.keys()
+        for name, (keys, values) in merged.items():
+            assert keys.dtype == values.dtype == np.int64
+            assert keys.tolist() == sorted(expected[name])
+            assert dict(zip(keys.tolist(), values.tolist())) == expected[name]
+        # Folding the fold changes nothing (a worker pre-reduces its own calls).
+        again = merge_aggregates([merged])
+        for name in merged:
+            for ours, theirs in zip(merged[name], again[name], strict=True):
+                assert np.array_equal(ours, theirs)
 
 
 VALUE_SCHEMA = MessageSchema("value", (("v", "<f8"),))
@@ -261,7 +319,7 @@ class TestActiveVertices:
                 return "agg"
 
             def compute(self, ctx, vid, state, messages):
-                ctx.aggregate("seen", "count", 1.0)
+                ctx.aggregate("seen", 0, 1)
 
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=0)
         result = run_per_vertex(

@@ -6,7 +6,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -79,6 +79,12 @@ class TestRoundTrip:
         source,
     ):
         """from_dict(to_dict(s)) == s over the whole enum/range grid."""
+        # An engine partition job needs an engine-capable algorithm: that
+        # pairing is rejected at construction (tested on its own below).
+        assume(
+            kind == "serving" or backend == "local"
+            or PARTITIONERS.meta(name).get("engine_mode")
+        )
         spec = JobSpec(
             kind=kind,
             seed=seed,
@@ -209,6 +215,36 @@ class TestValidationErrors:
     def test_bad_ranges_name_dotted_path(self, data, dotted_path):
         with pytest.raises(SpecError, match=dotted_path.replace(".", r"\.")):
             JobSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # Both rules used to fire only once the job ran, after the graph
+            # was loaded; they are one JobSpec check now.
+            (
+                {"algorithm": {"name": "random"}, "execution": {"backend": "sim"}},
+                r"^execution\.backend: 'sim' supports shp-k, shp-2 "
+                r"\(got algorithm\.name = 'random'\); other algorithms need backend 'local'$",
+            ),
+            (
+                {"kind": "stream-refine", "algorithm": {"name": "label-prop"},
+                 "execution": {"backend": "mp"}},
+                r"^algorithm\.name: kind 'stream-refine' needs an engine-capable "
+                r"refinement algorithm \(shp-k, shp-2\); got 'label-prop'$",
+            ),
+        ],
+    )
+    def test_engine_needs_an_engine_mode_algorithm(self, data, message):
+        with pytest.raises(SpecError, match=message):
+            JobSpec.from_dict(data)
+
+    def test_engine_mode_rule_leaves_other_pairings_alone(self):
+        # serving replays locally whatever the backend says; engine-capable
+        # algorithms pass on every backend.
+        JobSpec.from_dict({"kind": "serving", "algorithm": {"name": "random"},
+                           "execution": {"backend": "sim"}})
+        JobSpec.from_dict({"algorithm": {"name": "shp-k"}, "execution": {"backend": "rpc"}})
+        JobSpec.from_dict({"algorithm": {"name": "random"}})
 
     def test_legal_edge_values_stay_legal(self):
         """What is meaningful today is not bounded: an anti-skewed sample, a

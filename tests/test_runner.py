@@ -97,11 +97,10 @@ class TestEngineRuns:
 
     def test_engine_rejects_non_shp(self, graph_file):
         path, _ = graph_file
-        spec = _file_spec(path, name="random", k=4).with_(
-            execution=ExecutionSpec(backend="sim")
-        )
+        spec = _file_spec(path, name="random", k=4)
+        # Rejected when the spec is built: no graph is loaded, nothing runs.
         with pytest.raises(SpecError, match="backend"):
-            run(spec)
+            spec.with_(execution=ExecutionSpec(backend="sim"))
 
 
 class TestServingRuns:

@@ -71,7 +71,7 @@ def _drive(program_cls, graph, config, mode, combiner=False):
         results = backend._commit(
             host.step(superstep, broadcasts, dict(enumerate(backend._inboxes)))
         )
-        aggregates = merge_aggregates({}, [r.aggregates for r in results])
+        aggregates = merge_aggregates([r.aggregates for r in results])
         yield superstep, program, partitions, results
 
 
@@ -308,3 +308,47 @@ def test_whatever_full_recompute_changes_was_stale(sparse_graph):
             previous[wid] = now
         cycles += 1
     assert cycles == len(RECOMPUTED) and skipped > 0
+
+
+# ----------------------------------------------------------------------
+# Cells are the interface: what the master broadcasts and who moves on it
+# ----------------------------------------------------------------------
+
+#: cell -> SHA-256 over every cycle's ``probs`` (int64 keys ascending, then
+#: float64 probabilities) and each worker's S4 movers (ascending worker id).
+#: Captured at the last commit whose aggregates and broadcasts were dicts
+#: of ``(src, dst, bin)`` tuples, by encoding its keys with the same formula.
+PARENT_SHA = {
+    "2": (13, "d45cadfc0527ba99a7ae9ca15374e8fb64a564a9be80da7339b6cb95d90ad9f9"),
+    "k-dense": (8, "4aa7aa06e11607aaead28efefdbcd7f12edfd464fa1ddf85c7227f66bfa8eeb7"),
+}
+
+
+@pytest.mark.parametrize("cell", PARENT_SHA)
+def test_master_probs_and_s4_movers_are_bitwise_the_dict_era(graph, monkeypatch, cell):
+    import hashlib
+
+    mode, k, combiner, _, extra = CELLS[cell]
+    config = SHPConfig(
+        k=k, seed=5, iterations_per_bisection=6, max_iterations=8,
+        swap_mode="bernoulli", **extra,
+    )
+    broadcast = []
+    real_match = _SHPMaster._match
+    monkeypatch.setattr(
+        _SHPMaster, "_match",
+        lambda self, aggregates: broadcast.append(real_match(self, aggregates)) or broadcast[-1],
+    )
+    digest, cycles = hashlib.sha256(), 0
+    for superstep, _, parts, _ in _drive(SHPColumnarProgram, graph, config, mode, combiner):
+        if superstep % 4 != 3:
+            continue
+        keys, probabilities = broadcast[-1]
+        assert keys.dtype == np.int64 and probabilities.dtype == np.float64
+        assert np.all(np.diff(keys) > 0) and np.all(probabilities > 0)
+        digest.update(keys.tobytes())
+        digest.update(probabilities.tobytes())
+        for wid in sorted(parts):
+            digest.update(parts[wid].dvids[parts[wid].has_delta].astype(np.int64).tobytes())
+        cycles += 1
+    assert (cycles, digest.hexdigest()) == PARENT_SHA[cell]

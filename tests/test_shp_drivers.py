@@ -90,6 +90,20 @@ class TestSHPK:
         with pytest.raises(ValueError):
             SHPKPartitioner(cfg).partition(medium_graph, initial=bad)
 
+    @pytest.mark.parametrize("epsilon", [0.05, 0.0])
+    @pytest.mark.parametrize("driver", [shp_2, shp_k], ids=["shp_2", "shp_k"])
+    def test_damped_moves_stay_under_the_cap(self, driver, epsilon):
+        """Regression: with ``move_damping < 1`` the default (strict,
+        histogram) matcher rounded each cell's damped quota on its own, the
+        two directions of a pair drifted apart, and the largest bucket ended
+        at 529 / 533 (cap 525) and 506 / 516 (cap 500) on this input."""
+        from repro.hypergraph import darwini_bipartite
+
+        graph = darwini_bipartite(4000, avg_degree=10, seed=1).remove_small_queries()
+        result = driver(graph, 8, seed=3, epsilon=epsilon, move_damping=0.5)
+        cap = int(np.floor((1 + epsilon) * graph.num_data / 8))
+        assert np.bincount(result.assignment, minlength=8).max() <= cap
+
     def test_uniform_matcher_also_optimizes(self, medium_graph):
         result = shp_k(medium_graph, 8, seed=1, matcher="uniform")
         rng = np.random.default_rng(0)

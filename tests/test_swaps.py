@@ -69,8 +69,8 @@ class TestUniformMatcher:
         decision = matcher.decide(
             src, dst, gain, 2, np.array([100, 50]), np.array([200, 200]), rng
         )
-        table = decision.table
-        prob_fwd = table["probability"][(table["src"] == 0) & (table["dst"] == 1)][0]
+        forward = (decision.cell_src == 0) & (decision.cell_dst == 1)
+        prob_fwd = (decision.quota / decision.cell_count)[forward][0]
         assert np.isclose(prob_fwd, 0.5)  # min(100,50)/100
 
     def test_damping_halves_moves(self, rng):
@@ -114,7 +114,7 @@ class TestUniformMatcher:
 class TestMatchHistogramCells:
     def test_equal_bins_fully_matched(self, binning):
         # 3 movers each way in the same positive bin -> all matched.
-        allowed = match_histogram_cells(
+        allowed, _ = match_histogram_cells(
             np.array([0, 1]), np.array([1, 0]), np.array([5, 5]),
             np.array([3, 3]), 2, np.array([3, 3]), np.array([3, 3]), binning,
         )
@@ -123,7 +123,7 @@ class TestMatchHistogramCells:
     def test_best_bins_matched_first(self, binning):
         # forward: 2 movers bin 10, 2 movers bin 2; backward: 2 movers bin 1.
         # Only 2 ranks available backward -> the bin-10 movers match first.
-        allowed = match_histogram_cells(
+        allowed, _ = match_histogram_cells(
             np.array([0, 0, 1]),
             np.array([1, 1, 0]),
             np.array([10, 2, 1]),
@@ -138,7 +138,7 @@ class TestMatchHistogramCells:
     def test_positive_negative_pairing_accepted(self, binning):
         # forward bin 10 (large positive) vs backward bin -2 (small negative):
         # summed expectation positive -> swap allowed (Section 3.4).
-        allowed = match_histogram_cells(
+        allowed, _ = match_histogram_cells(
             np.array([0, 1]), np.array([1, 0]), np.array([10, -2]),
             np.array([1, 1]), 2, np.array([1, 1]), np.array([1, 1]), binning,
         )
@@ -146,14 +146,14 @@ class TestMatchHistogramCells:
 
     def test_positive_negative_pairing_rejected(self, binning):
         # forward bin 2 vs backward bin -10: summed expectation negative.
-        allowed = match_histogram_cells(
+        allowed, _ = match_histogram_cells(
             np.array([0, 1]), np.array([1, 0]), np.array([2, -10]),
             np.array([1, 1]), 2, np.array([1, 1]), np.array([1, 1]), binning,
         )
         assert allowed.tolist() == [0, 0]
 
     def test_zero_bins_never_swap(self, binning):
-        allowed = match_histogram_cells(
+        allowed, _ = match_histogram_cells(
             np.array([0, 1]), np.array([1, 0]), np.array([0, 0]),
             np.array([5, 5]), 2, np.array([5, 5]), np.array([5, 5]), binning,
         )
@@ -161,14 +161,14 @@ class TestMatchHistogramCells:
 
     def test_extras_use_capacity(self, binning):
         # One-sided positive movers + spare capacity at the destination.
-        allowed = match_histogram_cells(
+        allowed, _ = match_histogram_cells(
             np.array([0]), np.array([1]), np.array([4]), np.array([10]),
             2, np.array([20, 4]), np.array([20, 9]), binning,
         )
         assert allowed.tolist() == [5]  # room = 9 - 4
 
     def test_extras_respect_full_destination(self, binning):
-        allowed = match_histogram_cells(
+        allowed, _ = match_histogram_cells(
             np.array([0]), np.array([1]), np.array([4]), np.array([10]),
             2, np.array([10, 10]), np.array([10, 10]), binning,
         )
@@ -176,7 +176,7 @@ class TestMatchHistogramCells:
 
     def test_extras_prefer_best_bins(self, binning):
         # Two one-sided cells to the same destination; only 3 slots free.
-        allowed = match_histogram_cells(
+        allowed, _ = match_histogram_cells(
             np.array([0, 0]), np.array([1, 1]), np.array([9, 2]),
             np.array([2, 5]), 2, np.array([10, 0]), np.array([10, 3]), binning,
         )
@@ -184,7 +184,7 @@ class TestMatchHistogramCells:
 
     def test_multiple_pairs_independent(self, binning):
         # pairs (0,1) and (2,3) matched independently.
-        allowed = match_histogram_cells(
+        allowed, _ = match_histogram_cells(
             np.array([0, 1, 2, 3]),
             np.array([1, 0, 3, 2]),
             np.array([5, 5, 7, 7]),
@@ -198,10 +198,10 @@ class TestMatchHistogramCells:
 
     def test_empty_input(self, binning):
         empty = np.array([], dtype=np.int64)
-        out = match_histogram_cells(
+        allowed, extras = match_histogram_cells(
             empty, empty, empty, empty, 2, np.zeros(2), np.zeros(2), binning
         )
-        assert out.size == 0
+        assert allowed.size == 0 and extras.size == 0
 
     def test_return_extras_alignment(self, binning):
         # One paired cell (no extras) and one one-sided cell (pure extras).
@@ -214,18 +214,9 @@ class TestMatchHistogramCells:
             np.array([20, 3, 4]),
             np.array([20, 3, 9]),
             binning,
-            return_extras=True,
         )
         assert allowed.tolist() == [3, 3, 5]
         assert extras.tolist() == [0, 0, 5]  # only the 0→2 cell used ε room
-
-    def test_return_extras_empty(self, binning):
-        empty = np.array([], dtype=np.int64)
-        allowed, extras = match_histogram_cells(
-            empty, empty, empty, empty, 2, np.zeros(2), np.zeros(2), binning,
-            return_extras=True,
-        )
-        assert allowed.size == 0 and extras.size == 0
 
 
 class TestHistogramMatcher:
@@ -279,8 +270,8 @@ class TestHistogramMatcher:
         decision = HistogramMatcher(binning, swap_mode="strict").decide(
             src, dst, gain, 2, np.array([20, 4]), np.array([20, 9]), rng
         )
-        assert decision.extra_moves == 5
-        assert decision.matched_swaps == 0  # nothing was pairwise-matched
+        assert decision.extras.sum() == 5
+        assert (decision.allowed - decision.extras).sum() == 0  # nothing pairwise-matched
         assert decision.move.sum() == 5
 
     def test_matched_swaps_excludes_extras(self, binning, rng):
@@ -290,8 +281,8 @@ class TestHistogramMatcher:
         decision = HistogramMatcher(binning, swap_mode="strict").decide(
             src, dst, gain, 2, np.array([8, 4]), np.array([8, 6]), rng
         )
-        assert decision.matched_swaps == 8  # 4 each way, pairwise
-        assert decision.extra_moves == 2  # leftover 0→1 movers into ε room
+        assert (decision.allowed - decision.extras).sum() == 8  # 4 each way, pairwise
+        assert decision.extras.sum() == 2  # leftover 0→1 movers into ε room
         assert decision.move.sum() == 10
 
     def test_table_probabilities_bounded(self, binning, rng):
@@ -299,5 +290,62 @@ class TestHistogramMatcher:
         decision = HistogramMatcher(binning, swap_mode="strict").decide(
             src, dst, gain, 2, np.array([10, 3]), np.array([12, 12]), rng
         )
-        probs = decision.table["probability"]
+        probs = decision.quota / decision.cell_count
         assert np.all(probs >= 0) and np.all(probs <= 1)
+
+
+class TestDampingRoundsPerPair:
+    """``move_damping < 1`` scales the grant without unbalancing it: the
+    damped quota of a bucket pair is rounded once, not per cell and
+    direction (which let the largest bucket drift past the ε cap)."""
+
+    MATCHERS = {
+        "uniform": lambda binning: UniformMatcher(swap_mode="strict", damping=0.5),
+        "histogram": lambda binning: HistogramMatcher(
+            binning, swap_mode="strict", damping=0.5
+        ),
+    }
+
+    @pytest.mark.parametrize("front_end", ["decide", "decide_paired"])
+    @pytest.mark.parametrize("name", MATCHERS)
+    def test_no_net_flow_without_room(self, binning, name, front_end):
+        matcher = self.MATCHERS[name](binning)
+        population = np.random.default_rng(0)
+        src = population.integers(0, 2, 2000)
+        # Many bins each way, a third of them negative.
+        gain = population.exponential(0.05, 2000) * population.choice([1, 1, -1], 2000)
+        sizes = np.bincount(src, minlength=2)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            if front_end == "decide":
+                decision = matcher.decide(src, src ^ 1, gain, 2, sizes, sizes, rng)
+            else:
+                decision = matcher.decide_paired(src, gain, 2, sizes, sizes, rng)
+            moved = np.bincount(src[decision.move], minlength=2)
+            assert moved[0] == moved[1] > 0, (seed, moved)
+            # Roughly half of what an undamped round grants.
+            assert 0.4 < decision.quota.sum() / decision.allowed.sum() < 0.6
+
+    def test_damped_quota_is_spent_best_bin_first(self, binning):
+        src, dst, gain = make_movers(
+            [(0, 1, 2.0, 10), (0, 1, 0.01, 10), (1, 0, 2.0, 10), (1, 0, 0.01, 10)]
+        )
+        sizes = np.array([20, 20])
+        decision = HistogramMatcher(binning, swap_mode="strict", damping=0.5).decide(
+            src, dst, gain, 2, sizes, sizes, np.random.default_rng(0)
+        )
+        assert decision.allowed.tolist() == [10, 10, 10, 10]
+        # 20 matched each way, damped to 10: the high-gain bin takes them all.
+        assert decision.quota.tolist() == [0, 10, 0, 10]
+        assert gain[decision.move].min() == 2.0
+
+    def test_extras_round_per_cell_inside_the_room(self, binning):
+        src, dst, gain = make_movers([(0, 1, 4.0, 10)])  # one-sided, room for 5
+        matcher = HistogramMatcher(binning, swap_mode="strict", damping=0.5)
+        for seed in range(20):
+            decision = matcher.decide(
+                src, dst, gain, 2, np.array([20, 4]), np.array([20, 9]),
+                np.random.default_rng(seed),
+            )
+            assert decision.extras.tolist() == [5]
+            assert decision.move.sum() == decision.quota.sum() in (2, 3)

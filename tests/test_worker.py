@@ -53,7 +53,7 @@ class RingProgram:
     def compute(self, ctx, vid, state, messages):
         state["sum"] = state.get("sum", 0) + sum(messages)
         state["coin"] = ctx.random()
-        ctx.aggregate("seen", "count", 1.0)
+        ctx.aggregate("seen", 0, 1)
         ctx.send((vid + 1) % self.n, vid)
 
 
@@ -222,7 +222,7 @@ def test_snapshot_is_the_mutable_state_and_a_fresh_host_resumes_from_it():
     for superstep in range(5):  # one full S1-S4 cycle, then the next S1
         replies, _ = step(host, superstep, aggregates, (0, 1), True)
         results = backend._commit(replies)
-        aggregates = merge_aggregates({}, [r.aggregates for r in results])
+        aggregates = merge_aggregates([r.aggregates for r in results])
 
     static = {"dvids", "d_adj_indptr", "d_adj_q", "qvids", "q_weight", "q_adj_indptr", "q_adj_d"}
     derived = {"pin_row", "row_refs", "_rem_table", "_ins_table"}
@@ -258,9 +258,13 @@ def test_snapshot_is_the_mutable_state_and_a_fresh_host_resumes_from_it():
     adopted = fresh.step(5, broadcasts, {1: backend._inboxes[1]}, False)
     (report, hops, _), (report2, hops2, _) = kept[1], adopted[1]
     assert report.messages_sent == report2.messages_sent > 0
-    assert (report.ops, report.active, report.aggregates, report.state_bytes) == (
-        report2.ops, report2.active, report2.aggregates, report2.state_bytes
+    assert (report.ops, report.active, report.state_bytes) == (
+        report2.ops, report2.active, report2.state_bytes
     )
+    assert report.aggregates.keys() == report2.aggregates.keys()
+    for name, columns in report.aggregates.items():
+        for ours, theirs in zip(columns, report2.aggregates[name], strict=True):
+            assert ours.dtype == theirs.dtype == np.int64 and np.array_equal(ours, theirs)
     assert np.array_equal(report.remote_row, report2.remote_row)
     assert hops.keys() == hops2.keys()
     for dst in hops:
