@@ -7,15 +7,12 @@ loader module).  One module per rule, named after its code.
 
 from __future__ import annotations
 
-from . import rep001, rep002, rep003, rep004, rep006, rep007, rep008, rep009
+from . import rep001, rep002, rep004, rep006, rep007
 
 __all__ = [
     "rep001",
     "rep002",
-    "rep003",
     "rep004",
     "rep006",
     "rep007",
-    "rep008",
-    "rep009",
 ]

@@ -16,7 +16,7 @@ Flagged (in ``distributed/`` and ``distributed_shp/``):
 * a ``class`` defined inside a function — its instances cannot be
   unpickled on a worker;
 * a lambda passed directly into a send (``ctx.send(dst, {"fn": lambda
-  ...})``, ``send_obj(sock, lambda ...)``).
+  ...})``, or as an argument of ``send_obj``).
 
 Not flagged: ``field(default_factory=lambda: ...)`` (the factory runs at
 construction time and is not part of the pickled instance) and transient

@@ -1,8 +1,8 @@
-"""Runtime sanitizers ("reprosan"): TSan-lite for the parallel refiner + wire.
+"""Runtime sanitizer ("reprosan"): TSan-lite for the parallel refiner.
 
-The static rules (REP007–REP009) prove the *source* respects the
-disjoint-ascending-slice merge invariant and the framed wire protocol;
-this module checks the same invariants on *live runs*.  Two probes:
+The static rule REP007 proves the *source* respects the
+disjoint-ascending-slice merge invariant; this module checks the same
+invariant on *live runs*.  One probe:
 
 * **Shared-write disjointness** — at every ``ParallelGainPool.compute_gains``
   dispatch the master validates the block bounds (ascending, covering),
@@ -12,36 +12,33 @@ this module checks the same invariants on *live runs*.  Two probes:
   against the dispatched bounds, pairwise disjointness across workers,
   and full coverage of the dirty set — any overlap is a write-write race
   that would silently corrupt gains.
-* **Wire frame state machine** — every ``send_frame``/``recv_frame``
-  transition per connection: a frame must run header→payload to
-  completion; reusing a connection whose previous frame aborted
-  mid-transfer (the stream is desynchronized) or re-entering a
-  connection with a frame in flight is a violation.
+
+(The wire needs no probe: :mod:`repro.distributed.wire` closes a socket
+whose frame stopped part-way, so a desynchronized stream cannot be read
+again whether or not a sanitizer is on.)
 
 Activation: the ``REPRO_SAN=1`` environment variable (read at import, so
 spawned workers inherit it), or :func:`enable` / ``repro run --sanitize``
 / ``repro lint --san``.  When disabled, :func:`current` returns ``None``
-and every instrumented call site takes a single-branch early exit — the
+and the instrumented call site takes a single-branch early exit — the
 default path carries no sanitizer work at all (asserted by the overhead
 guard in ``benchmarks/bench_shp2_levels.py``).
 
 Violations are recorded as :class:`~repro.analysis.core.Finding`-compatible
-records (codes ``SAN007``/``SAN008``, mirroring their static twins) and
-rendered through the ordinary :class:`~repro.analysis.core.LintReport`,
-so static and runtime findings share one report surface; in strict mode
-(the default) they also raise :class:`SanitizerError` at the violation
-site.
+records (code ``SAN007``, mirroring its static twin) and rendered through
+the ordinary :class:`~repro.analysis.core.LintReport`, so static and
+runtime findings share one report surface; in strict mode (the default)
+they also raise :class:`SanitizerError` at the violation site.
 
 This module stays import-light on purpose (stdlib only at module level;
-``Finding`` is imported lazily) so the hot modules that hook into it —
-``core/parallel_refine.py``, ``distributed/wire.py`` — can reach it
-without dragging the analysis framework into their import graph.
+``Finding`` is imported lazily) so the hot module that hooks into it —
+``core/parallel_refine.py`` — can reach it without dragging the analysis
+framework into its import graph.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,13 +58,12 @@ __all__ = [
 
 ENV_FLAG = "REPRO_SAN"
 
-#: Runtime-finding codes; the numeric suffix names the static twin.
+#: Runtime-finding code; the numeric suffix names the static twin.
 SAN_SHARED_WRITE = ("SAN007", "san-shared-write")
-SAN_WIRE_STATE = ("SAN008", "san-wire-state")
 
 #: Instrumentation counters, advanced only inside an active sanitizer —
 #: the overhead guard asserts they stay zero on sanitizer-off runs.
-_PROBES = {"gain_dispatch": 0, "wire_frame": 0}
+_PROBES = {"gain_dispatch": 0}
 
 
 class SanitizerError(AssertionError):
@@ -75,24 +71,17 @@ class SanitizerError(AssertionError):
 
 
 class Sanitizer:
-    """One process's sanitizer state: findings + per-connection frame states.
+    """One process's sanitizer state: the findings so far.
 
-    Master-side gain checks run at the ``compute_gains`` merge barrier;
-    wire checks run inline in ``send_frame``/``recv_frame``.  ``strict``
-    (the default) raises :class:`SanitizerError` at the violation site;
-    either way the finding is recorded for :func:`sanitizer_report`.
+    Master-side gain checks run at the ``compute_gains`` merge barrier.
+    ``strict`` (the default) raises :class:`SanitizerError` at the
+    violation site; either way the finding is recorded for
+    :func:`sanitizer_report`.
     """
 
     def __init__(self, strict: bool = True):
         self.strict = strict
         self.findings: list[Finding] = []
-        # Frame state per connection: "idle" | "send" | "recv" | "broken".
-        # Keyed weakly so a dead socket cannot bequeath its state to an
-        # unrelated object reusing its id; objects that refuse weakrefs
-        # fall back to an id-keyed map.
-        self._frame_states: weakref.WeakKeyDictionary[Any, str]
-        self._frame_states = weakref.WeakKeyDictionary()
-        self._frame_states_by_id: dict[int, str] = {}
 
     # -- reporting -----------------------------------------------------
     def _violation(self, code_name: tuple[str, str], where: str, message: str) -> None:
@@ -176,47 +165,6 @@ class Sanitizer:
                 "ranks: blocks must partition the dirty set exactly",
             )
 
-    # -- wire frame state machine --------------------------------------
-    def _get_state(self, conn: Any) -> str:
-        try:
-            return self._frame_states.get(conn, "idle")
-        except TypeError:  # unweakrefable connection object
-            return self._frame_states_by_id.get(id(conn), "idle")
-
-    def _set_state(self, conn: Any, state: str) -> None:
-        try:
-            self._frame_states[conn] = state
-        except TypeError:
-            self._frame_states_by_id[id(conn)] = state
-
-    def frame_begin(self, conn: Any, op: str) -> None:
-        """A send_frame/recv_frame is starting on ``conn`` (op: send|recv)."""
-        _PROBES["wire_frame"] += 1
-        state = self._get_state(conn)
-        if state == "broken":
-            self._violation(
-                SAN_WIRE_STATE, "<REPRO_SAN:wire>",
-                f"{op}_frame on a connection whose previous frame aborted "
-                "mid-transfer: the byte stream is desynchronized from the "
-                "frame boundaries — close the socket and reconnect",
-            )
-        elif state != "idle":
-            self._violation(
-                SAN_WIRE_STATE, "<REPRO_SAN:wire>",
-                f"{op}_frame re-entered while a {state} frame is still in "
-                "flight on the same connection (no interleaving within a "
-                "frame: header and payload must travel atomically)",
-            )
-        self._set_state(conn, op)
-
-    def frame_end(self, conn: Any) -> None:
-        """The in-flight frame on ``conn`` completed header+payload."""
-        self._set_state(conn, "idle")
-
-    def frame_break(self, conn: Any) -> None:
-        """The in-flight frame on ``conn`` aborted mid-transfer."""
-        self._set_state(conn, "broken")
-
 
 # ----------------------------------------------------------------------
 # Module-level switch
@@ -283,7 +231,7 @@ def sanitizer_report() -> LintReport:
     return LintReport(
         findings=findings,
         files_checked=0,
-        checks_run=(SAN_SHARED_WRITE[0], SAN_WIRE_STATE[0]),
+        checks_run=(SAN_SHARED_WRITE[0],),
     )
 
 
@@ -333,5 +281,5 @@ def merge_runtime_findings(report: LintReport) -> LintReport:
     return LintReport(
         findings=list(report.findings) + runtime,
         files_checked=report.files_checked,
-        checks_run=tuple(report.checks_run) + (SAN_SHARED_WRITE[0], SAN_WIRE_STATE[0]),
+        checks_run=tuple(report.checks_run) + (SAN_SHARED_WRITE[0],),
     )

@@ -315,16 +315,9 @@ def _run_stream_refine(spec: JobSpec, graph: BipartiteGraph, report: RunReport) 
     instead of a random one.  Both stages are metered separately; the
     whole pipeline is deterministic per seed.
     """
-    from ..api.registry import BACKENDS
-
-    alg, execution, pipe = spec.algorithm, spec.execution, spec.pipeline
-    if execution.is_local:
-        raise SpecError(
-            "execution.backend: kind 'stream-refine' refines on the "
-            "vertex-centric engine; pick one of "
-            f"{', '.join(map(repr, BACKENDS.names()))}"
-        )
-    mode = PARTITIONERS.meta(alg.name)["engine_mode"]  # JobSpec validated the pairing
+    alg, pipe = spec.algorithm, spec.pipeline
+    # JobSpec validated both pairings: an engine backend, an engine_mode algorithm.
+    mode = PARTITIONERS.meta(alg.name)["engine_mode"]
     warm_k = 2 if mode == "2" else alg.k
     warmstart = PARTITIONERS.get(pipe.warmstart)
     start = time.perf_counter()

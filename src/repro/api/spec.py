@@ -357,14 +357,16 @@ class ExecutionSpec:
             )
         if not self.hosts:
             raise SpecError(f"{p}.hosts: must list at least one host:port")
+        # The rule is the dialling code's own (imported here: the backends
+        # load lazily, and ``distributed`` imports this package's registry).
+        from ..distributed.backend_rpc import parse_endpoint
+
         for i, item in enumerate(self.hosts):
             _check_type(item, str, f"{p}.hosts[{i}]")
-            host, _, port = item.rpartition(":")
-            port_ok = port.isascii() and port.isdigit() and 1 <= int(port) <= 65535
-            if not host or ":" in host or not port_ok:
-                raise SpecError(
-                    f"{p}.hosts[{i}]: expected 'host:port' with a port in 1-65535, got {item!r}"
-                )
+            try:
+                parse_endpoint(item)
+            except ValueError as exc:
+                raise SpecError(f"{p}.hosts[{i}]: {exc}") from None
 
     @property
     def is_local(self) -> bool:
@@ -461,9 +463,15 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         check_options(self)
+        refines = self.kind == "stream-refine"
+        if refines and self.execution.is_local:
+            raise SpecError(
+                "execution.backend: kind 'stream-refine' refines on the "
+                "vertex-centric engine; pick one of "
+                f"{', '.join(map(repr, BACKENDS.names()))}"
+            )
         # The vertex-centric engine runs the algorithms whose registry entry
         # names an ``engine_mode``; both ways of reaching it need one.
-        refines = self.kind == "stream-refine"
         on_engine = self.kind == "partition" and not self.execution.is_local
         name = self.algorithm.name
         if (refines or on_engine) and not PARTITIONERS.meta(name).get("engine_mode"):

@@ -379,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     r.add_argument(
         "--sanitize", action="store_true",
-        help="enable the runtime sanitizer (shared-write disjointness + wire "
-        "state machine; equivalent to REPRO_SAN=1) and fail on violations",
+        help="enable the runtime sanitizer (shared-write disjointness; "
+        "equivalent to REPRO_SAN=1) and fail on violations",
     )
     r.set_defaults(func=_cmd_run)
 

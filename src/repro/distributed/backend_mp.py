@@ -97,6 +97,13 @@ class PipeWorkers:
     ``REPRO_MP_CONTEXT``); a spawn that fails part-way leaves no child
     running.  ``label`` names a worker in every error (``worker 1 exited
     unexpectedly (exitcode -9)``); ``step_timeout`` bounds each wait.
+
+    The whole dispatch surface is :meth:`barrier` — a request to every
+    worker, then a reply from every worker — and :meth:`gather`, its
+    second half alone, for the one reply a ``target`` sends unasked when it
+    starts.  There is no per-worker send or receive to call, so an owner
+    (the mp backend, the refine pool, the rpc auto-spawn) cannot dispatch
+    a request whose reply is never read.
     """
 
     def __init__(self, mp_context, target, worker_args, label: str, step_timeout: float):
@@ -122,7 +129,7 @@ class PipeWorkers:
             self.close(grace=0.0)
             raise
 
-    def send(self, worker_id: int, request: tuple) -> None:
+    def _send(self, worker_id: int, request: tuple) -> None:
         """Dispatch one request; a dead worker's pipe is a named error."""
         try:
             self.conns[worker_id].send(request)
@@ -134,7 +141,7 @@ class PipeWorkers:
                 f"dispatch {request[0]!r} failed: {exc}"
             ) from exc
 
-    def recv(self, worker_id: int):
+    def _recv(self, worker_id: int):
         """One reply payload from a worker, surfacing its death, its hang
         or the error it shipped (re-raised with its traceback chained)."""
         conn, proc = self.conns[worker_id], self.procs[worker_id]
@@ -161,11 +168,17 @@ class PipeWorkers:
         return Backend._payload(reply, who)
 
     def barrier(self, requests: list[tuple]) -> list:
-        """Send worker ``i`` ``requests[i]``, then gather every reply
-        payload in worker order."""
+        """Send worker ``i`` ``requests[i]`` (one per worker), then
+        :meth:`gather` the replies."""
+        if len(requests) != len(self.procs):
+            raise ValueError(f"{len(requests)} requests for {len(self.procs)} {self.label}s")
         for worker_id, request in enumerate(requests):
-            self.send(worker_id, request)
-        return [self.recv(worker_id) for worker_id in range(len(requests))]
+            self._send(worker_id, request)
+        return self.gather()
+
+    def gather(self) -> list:
+        """One reply payload from every worker, in worker order."""
+        return [self._recv(worker_id) for worker_id in range(len(self.procs))]
 
     def close(self, grace: float = 30.0) -> None:
         """``exit`` every worker, give each ``grace`` seconds to leave,
@@ -300,8 +313,7 @@ class MultiprocessBackend(Backend):
         self._group = PipeWorkers(
             self.mp_context, _worker_main, inits, "worker", self.step_timeout
         )
-        for worker_id in range(self._num_workers):
-            self._group.recv(worker_id)  # the init reply: partitions are built
+        self._group.gather()  # the init replies: partitions are built
 
     def _execute_superstep(self, superstep: int, broadcasts: dict):
         requests = [

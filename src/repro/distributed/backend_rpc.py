@@ -20,7 +20,12 @@ backend's split of responsibilities:
   :mod:`repro.distributed.wire`: length-prefixed frames carrying pickled
   column batches, with per-superstep accounting of real bytes-on-wire and
   barrier round-trip time (``SuperstepMetrics.wire_bytes`` /
-  ``round_trip_seconds``).
+  ``round_trip_seconds``).  The master touches the wire in two places,
+  :meth:`RpcBackend._send` and :meth:`RpcBackend._recv`, each adding the
+  bytes it moved to the meter in the statement that moves them, and they
+  meet in one function, :meth:`RpcBackend._round` — init, every barrier,
+  every re-homing and the final ``exit`` go through them, so no byte is
+  unmetered and no request is sent whose reply is not awaited.
 
 Peers run the one :class:`~repro.distributed.worker.WorkerHost` every
 backend runs, keyed by *logical* worker id — so for a given seed the
@@ -60,7 +65,7 @@ from .shared_pool import default_mp_context
 from .wire import WireError, recv_obj, send_obj
 from .worker import WorkerHost
 
-__all__ = ["RpcBackend", "serve_worker"]
+__all__ = ["RpcBackend", "parse_endpoint", "serve_worker"]
 
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
@@ -71,18 +76,18 @@ _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 class _SocketChannel:
     """Worker end of a master connection, as :func:`serve` sees it: one
     framed object per request and per reply (a dead master surfaces as
-    :class:`WireError`, an ``OSError``)."""
+    :class:`WireError`, an ``OSError``).  Un-metered by design: the master
+    meters each request as it sends it and each reply on receipt."""
 
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
 
     def recv(self):
-        msg, _ = recv_obj(self._sock)  # reprolint: disable=REP009 -- worker side: the master meters each request when it sends it
-        return msg
+        return recv_obj(self._sock)[0]
 
     def send(self, reply) -> None:
-        send_obj(self._sock, reply)  # reprolint: disable=REP009 -- worker side: the master meters each reply on receipt
+        send_obj(self._sock, reply)
 
 
 def serve_worker(
@@ -134,6 +139,18 @@ def _spawned_worker_main(conn) -> None:
 # ----------------------------------------------------------------------
 # Master side
 # ----------------------------------------------------------------------
+def parse_endpoint(text: str) -> tuple[str, int]:
+    """``"host:port"`` as ``(host, port)``: a non-empty host without a
+    colon and an ASCII-decimal port in 1-65535 — anything else is a
+    ``ValueError`` here, not a wrapped or transliterated port at connect
+    (``socket`` dials 99999 as 34463 and ``int`` reads ``"٣٣٣٣"``)."""
+    host, _, port = text.rpartition(":")
+    port_ok = port.isascii() and port.isdigit() and len(port) <= 5 and 1 <= int(port) <= 65535
+    if not host or ":" in host or not port_ok:
+        raise ValueError(f"{text!r} is not of the form 'host:port' with a port in 1-65535")
+    return host, int(port)
+
+
 class _Peer:
     """One TCP connection to a worker process (possibly auto-spawned)."""
 
@@ -182,6 +199,8 @@ class RpcBackend(Backend):
         chaos_kill: tuple[int, int] | None = None,
     ):
         self.hosts = list(hosts) if hosts else None
+        for spec in self.hosts or ():
+            parse_endpoint(spec)  # a bad entry fails here, not at connect
         self.connect_timeout = float(connect_timeout)
         self.step_timeout = float(step_timeout)
         self.mp_context = mp_context or default_mp_context()
@@ -198,12 +217,12 @@ class RpcBackend(Backend):
         #: broadcasts, inboxes)``, fewer than ``_cycle`` entries, each a
         #: reference to blobs the master forwarded anyway.
         self._log: list[tuple] = []
-        #: bytes on the wire and barrier latency of the current superstep
-        #: (after the last one: of the final collect).
+        #: the meter: every byte :meth:`_send` / :meth:`_recv` moved since
+        #: it was last zeroed (per superstep; then for the final collect) ...
         self._wire = 0
         self._rtt = 0.0
-        #: bytes moved during the init handshake (graph + program shipping);
-        #: not part of any superstep's meter but still real traffic.
+        #: ... and its reading after the init handshake (graph + program
+        #: shipping): in no superstep's meter but still real traffic.
         self._setup_wire_bytes = 0
 
     # ------------------------------------------------------------------
@@ -224,39 +243,35 @@ class RpcBackend(Backend):
             pickle.dumps(snapshot, protocol=_PICKLE_PROTO) for snapshot in snapshots
         ]
         self._log = []
-        for peer_idx, peer in enumerate(self._peers):
-            hosted = {
-                wid: self._checkpoints[wid]
-                for wid in range(num_workers)
-                if self._wid_peer[wid] == peer_idx
-            }
-            self._setup_wire_bytes += send_obj(peer.sock, ("init", shared, hosted))
-        for peer in self._peers:
-            reply, nbytes = recv_obj(peer.sock)
-            self._setup_wire_bytes += nbytes
-            self._payload(reply, f"rpc worker {peer.label} (init)")
+        self._wire = 0
+        inits = {
+            peer_idx: (
+                "init", shared,
+                {wid: self._checkpoints[wid] for wid in range(num_workers)
+                 if self._wid_peer[wid] == peer_idx},
+            )
+            for peer_idx in range(num_peers)
+        }
+        for peer_idx, hosted in self._round(inits, "init").items():
+            if hosted is None:  # nothing to fail over from yet
+                raise ConnectionError(
+                    f"rpc worker {self._peers[peer_idx].label} hung up during init"
+                )
+        self._setup_wire_bytes = self._wire
 
     def _connect_peers(self, num_workers: int) -> None:
         self._peers = []
         if self.hosts is not None:
             for spec in self.hosts:
-                host, _, port = spec.rpartition(":")
-                if not host or not port.isdecimal():
-                    raise ValueError(
-                        f"execution host {spec!r} is not of the form 'host:port'"
-                    )
-                self._peers.append(
-                    _Peer(self._connect(host, int(port)), None, spec)
-                )
+                self._peers.append(_Peer(self._connect(*parse_endpoint(spec)), None, spec))
             return
         # Auto-spawn one localhost worker process per cluster worker; each
-        # reports the port it bound as its one reply.
+        # reports the port it bound as its start-up reply.
         self._spawned = PipeWorkers(
             self.mp_context, _spawned_worker_main, [()] * num_workers,
             "spawned rpc worker", self.connect_timeout,
         )
-        for i, proc in enumerate(self._spawned.procs):
-            port = self._spawned.recv(i)
+        for proc, port in zip(self._spawned.procs, self._spawned.gather()):
             self._peers.append(
                 _Peer(self._connect("127.0.0.1", port), proc, f"localhost:{port}")
             )
@@ -312,13 +327,8 @@ class RpcBackend(Backend):
             by_peer: dict[int, list[int]] = {}
             for wid in sorted(pending):
                 by_peer.setdefault(self._wid_peer[wid], []).append(wid)
-            dispatched = [
-                peer_idx
-                for peer_idx, wids in by_peer.items()
-                if self._send(peer_idx, request_for(wids))
-            ]
-            for peer_idx in dispatched:
-                payload = self._recv(peer_idx, what)
+            requests = {peer_idx: request_for(wids) for peer_idx, wids in by_peer.items()}
+            for peer_idx, payload in self._round(requests, what).items():
                 if payload is not None:
                     replies.update((wid, payload[wid]) for wid in by_peer[peer_idx])
             pending -= replies.keys()
@@ -349,13 +359,25 @@ class RpcBackend(Backend):
                     for superstep, broadcasts, inboxes in self._log
                 ),
             ]
+            what = f"re-homing workers {wids}"
             if all(
-                self._send(peer_idx, request)
-                and self._recv(peer_idx, f"re-homing workers {wids}") is not None
+                self._round({peer_idx: request}, what)[peer_idx] is not None
                 for request in requests
             ):
                 for wid in wids:
                     self._wid_peer[wid] = peer_idx
+
+    def _round(self, requests: dict[int, tuple], what: str) -> dict[int, object]:
+        """The one exchange: send each listed peer its request, then
+        receive one reply from each peer that took it.  Returns ``peer ->
+        reply payload``, ``None`` for a peer that died on either leg (it is
+        marked dead and its connection closed, so a failed exchange is
+        never resumed)."""
+        took = [peer_idx for peer_idx, request in requests.items() if self._send(peer_idx, request)]
+        return {
+            peer_idx: self._recv(peer_idx, what) if peer_idx in took else None
+            for peer_idx in requests
+        }
 
     def _send(self, peer_idx: int, request: tuple) -> bool:
         """Send one metered request; a peer that cannot take it is dead."""
@@ -371,12 +393,11 @@ class RpcBackend(Backend):
         timed out, now marked dead; a shipped worker error is re-raised."""
         peer = self._peers[peer_idx]
         try:
-            reply, nbytes = recv_obj(peer.sock)
+            self._wire += (received := recv_obj(peer.sock))[1]
         except (WireError, OSError):
             self._mark_dead(peer_idx)
             return None
-        self._wire += nbytes
-        return self._payload(reply, f"rpc worker {peer.label} ({what})")
+        return self._payload(received[0], f"rpc worker {peer.label} ({what})")
 
     def _mark_dead(self, peer_idx: int) -> None:
         peer = self._peers[peer_idx]
@@ -416,12 +437,9 @@ class RpcBackend(Backend):
         metrics.collect_wire_bytes = self._wire
 
     def _close(self) -> None:
-        for peer in self._peers:
-            if peer.alive:
-                try:
-                    send_obj(peer.sock, ("exit",))  # reprolint: disable=REP009 -- fire-and-forget teardown; the run's meters are already finalized
-                except (WireError, OSError):  # pragma: no cover - racing death
-                    pass
+        for peer_idx, peer in enumerate(self._peers):
+            # ``exit`` is the one kind serve() answers with nothing.
+            if peer.alive and self._send(peer_idx, ("exit",)):
                 try:
                     peer.sock.close()
                 except OSError:  # pragma: no cover - teardown race

@@ -8,7 +8,11 @@ the paper's complexity accounting (Section 3.3: superstep 2 sends at most
 Messages only ever travel as :class:`MessageBatch` columns typed by a
 :class:`MessageSchema` — a fixed-dtype wire format: every message is a
 struct of named numpy fields plus an optional variable-length entry
-section, and its size is *exactly* the dtype byte widths.
+section, and its size is *exactly* the dtype byte widths.  "Exactly" is a
+property of the constructor: a schema whose column declares a native-order
+(``"f8"``, ``"int"``) or ``object`` dtype — one that would meter, or
+pickle, differently per host — cannot be built, so a bad schema fails at
+import of the module that declares it, on every backend and in every test.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hypergraph.bipartite import ragged_positions
+from ..storage.format import is_exact_dtype
 
 __all__ = [
     "Combiner",
@@ -36,12 +41,26 @@ class MessageSchema:
     a message carries ``n`` entries, each a struct of the entry fields.
 
     A message's wire size is exactly ``fixed_nbytes + n * entry_nbytes``:
-    sized by dtype, not by Python object structure.
+    sized by dtype, not by Python object structure.  Every dtype must be
+    fixed-width and explicit-endian (or single-byte) — the store format's
+    :func:`~repro.storage.format.is_exact_dtype` — or construction raises
+    ``ValueError`` naming the column.
     """
 
     name: str
     fields: tuple[tuple[str, str], ...]
     entry_fields: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        for section in ("fields", "entry_fields"):
+            for column, dtype in getattr(self, section):
+                if not is_exact_dtype(dtype):
+                    raise ValueError(
+                        f"schema {self.name!r}: {section} column {column!r} declares "
+                        f"dtype {dtype!r}; wire dtypes must be fixed-width and "
+                        "explicit-endian (e.g. '<i8', '<f8') so a message meters "
+                        "and decodes the same on every host"
+                    )
 
     @property
     def fixed_nbytes(self) -> int:

@@ -8,6 +8,12 @@ how many bytes the next message occupies, so batches of any size (the
 a connection that dies mid-message is detected as a
 :class:`TruncatedFrameError` instead of a silent short read.
 
+A frame that fails closes its socket before the :class:`WireError`
+propagates: once a frame stopped part-way the stream is no longer at a
+frame boundary (the next read would take payload bytes for a header), so
+the one thing left to do with the connection — on the master and on a
+worker alike — is what this module has already done.
+
 Every send/receive helper returns the number of bytes it moved, which is
 how :class:`~repro.distributed.backend_rpc.RpcBackend` meters real
 bytes-on-wire per superstep (``SuperstepMetrics.wire_bytes``) — actual
@@ -24,10 +30,6 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..analysis.sanitizers import Sanitizer
 
 __all__ = [
     "WireError",
@@ -104,32 +106,15 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(parts)
 
 
-def _sanitizer() -> "Sanitizer | None":
-    """The active runtime sanitizer, or ``None`` (the default path).
-
-    Imported lazily so the wire module never drags the analysis framework
-    into its import graph; when ``REPRO_SAN`` is off this is one cached
-    module lookup and a ``None`` return per frame.
-    """
-    from ..analysis.sanitizers import current
-
-    return current()
-
-
 def send_frame(sock: socket.socket, payload: bytes) -> int:
-    """Send one framed payload; returns total bytes written."""
+    """Send one framed payload; returns total bytes written.  A failed
+    send closes ``sock`` (how much of the frame left is unknowable)."""
     frame = encode_frame(payload)
-    san = _sanitizer()
-    if san is not None:
-        san.frame_begin(sock, "send")
     try:
         sock.sendall(frame)
     except OSError as exc:
-        if san is not None:
-            san.frame_break(sock)
+        sock.close()
         raise WireError(f"send failed: {exc}") from exc
-    if san is not None:
-        san.frame_end(sock)
     return len(frame)
 
 
@@ -137,23 +122,18 @@ def recv_frame(sock: socket.socket) -> tuple[bytes, int]:
     """Receive one frame; returns ``(payload, total bytes read)``.
 
     Raises :class:`TruncatedFrameError` on EOF/timeout mid-frame and
-    :class:`FrameProtocolError` on a malformed header.  A clean EOF before
-    any header byte also raises :class:`TruncatedFrameError` — the caller
-    decides whether "peer hung up between frames" is an error.
+    :class:`FrameProtocolError` on a malformed header, with ``sock``
+    closed either way.  A clean EOF before any header byte also raises
+    :class:`TruncatedFrameError` — the caller decides whether "peer hung up
+    between frames" is an error.
     """
-    san = _sanitizer()
-    if san is not None:
-        san.frame_begin(sock, "recv")
     try:
         header = _recv_exact(sock, HEADER.size)
         length = decode_header(header)
         payload = _recv_exact(sock, length)
     except WireError:
-        if san is not None:
-            san.frame_break(sock)
+        sock.close()
         raise
-    if san is not None:
-        san.frame_end(sock)
     return payload, HEADER.size + length
 
 

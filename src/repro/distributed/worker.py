@@ -29,8 +29,10 @@ the once-per-hop pickle), cross-backend bitwise parity holds by
 construction rather than by keeping three loops in step.
 
 Engine protocol (the master sends a request tuple, ``serve`` answers each
-with exactly one reply; ``exit`` is the only fire-and-forget kind — ``repro
-lint`` REP008 reads this table where :meth:`WorkerHost.serve` passes it):
+with exactly one reply; ``exit`` is the only fire-and-forget kind — on the
+master side a request and its reply are paired by the one function that
+can dispatch: ``PipeWorkers.barrier`` on pipes, ``RpcBackend._round`` on
+sockets):
 
 ====================================================================  =========================================
 request                                                               reply payload (``("ok", payload)``)

@@ -11,9 +11,9 @@ weight columns — behind a fixed-size header block::
     byte  4096..  section data, 64-byte aligned, in catalogue order
 
 Every section's dtype is declared in :data:`STORE_SCHEMA` as a fixed-width,
-explicit-endian dtype string (``"<i8"``, ``"<f8"``) — the same wire-dtype
-exactness contract ``MessageSchema`` obeys (reprolint REP003 audits both),
-so a store written on any host mmap-loads bit-identically on any other.
+explicit-endian dtype string (``"<i8"``, ``"<f8"``) — :func:`is_exact_dtype`,
+the one predicate ``MessageSchema`` validates its columns against too — so
+a store written on any host mmap-loads bit-identically on any other.
 The header JSON records, per section, the dtype *actually on disk*; a
 mismatch against the schema is a format error, never a silent reinterpret.
 
@@ -43,6 +43,7 @@ __all__ = [
     "StorageError",
     "StoreFormatError",
     "TruncatedStoreError",
+    "is_exact_dtype",
     "StoreSchema",
     "STORE_SCHEMA",
     "StoreHeader",
@@ -60,9 +61,18 @@ SECTION_ALIGN = 64
 #: magic + <u4 version + <u8 header-JSON length.
 PREAMBLE = struct.Struct("<4sIQ")
 
-#: explicit-endian multibyte, or order-free single-byte, dtype strings —
-#: the same acceptance set as the wire schemas (REP003).
-_DTYPE_RE = re.compile(r"^(?:[<>][iufc](?:2|4|8|16)|\|?[iub]1|\|?\?)$")
+#: explicit-endian multibyte, or order-free single-byte, dtype strings.
+_EXACT_DTYPE = re.compile(r"(?:[<>][iufc](?:2|4|8|16)|\|?[iub]1|\|?\?)")
+
+
+def is_exact_dtype(dtype: object) -> bool:
+    """Whether ``dtype`` is a dtype string that means the same bytes on
+    every host: fixed-width with explicit byte order (``"<i8"``, ``">f4"``)
+    or single-byte (``"u1"``, ``"?"``).  The acceptance set of every column
+    that crosses a disk or host boundary — :class:`StoreSchema` here,
+    ``MessageSchema`` on the wire — defined once; ``S<n>`` / ``V<n>`` are
+    out (no schema carries raw bytes)."""
+    return isinstance(dtype, str) and _EXACT_DTYPE.fullmatch(dtype) is not None
 
 
 class StorageError(ValueError):
@@ -80,17 +90,15 @@ class TruncatedStoreError(StorageError):
 class StoreSchema:
     """The column catalogue of the store format: ``(name, dtype)`` pairs.
 
-    Dtypes must be fixed-width and explicit-endian (or single-byte), the
-    REP003 wire-exactness contract — a platform-native dtype here would
-    make the same file read differently across hosts.  Validated both
-    statically (reprolint audits literal ``StoreSchema(...)`` calls) and
-    at construction time.
+    Dtypes must pass :func:`is_exact_dtype` — a platform-native dtype here
+    would make the same file read differently across hosts — or the
+    constructor raises.
     """
 
     def __init__(self, fields: tuple):
         self.fields = tuple((str(name), str(dtype)) for name, dtype in fields)
         for name, dtype in self.fields:
-            if not _DTYPE_RE.match(dtype):
+            if not is_exact_dtype(dtype):
                 raise StoreFormatError(
                     f"store column {name!r} declares dtype {dtype!r}; store "
                     "dtypes must be fixed-width and explicit-endian "

@@ -19,9 +19,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.distributed import Combiner, MessageBatch, MessageSchema
+from repro.distributed import Combiner, MessageBatch
 
-OBJECT_SCHEMA = MessageSchema("per-vertex-object", fields=(("payload", "O"),))
+
+@dataclass(frozen=True)
+class _ObjectSchema:
+    """What a :class:`MessageBatch` reads of a schema, for one pickled
+    object column metered at the pointer's 8 bytes.  A stand-in, not a
+    ``MessageSchema``: that constructor refuses object dtypes, because a
+    real wire column must size and decode the same on every host."""
+
+    name: str = "per-vertex-object"
+    fields: tuple = (("payload", "O"),)
+    entry_fields: tuple = ()
+    fixed_nbytes: int = 8
+    entry_nbytes: int = 0
+
+
+OBJECT_SCHEMA = _ObjectSchema()
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -10,17 +10,9 @@ import time
 
 import numpy as np
 
-from repro.distributed.messages import MessageSchema
-
 rng = np.random.default_rng()                      # REP001: unseeded
 noise = np.random.rand(4)                          # REP001: global RNG
 pick = random.choice([1, 2, 3])                    # REP001: stdlib random
-
-BAD_SCHEMA = MessageSchema(fields=(
-    ("vid", "<i8"),
-    ("payload", "object"),                         # REP003: pickled column
-    ("score", "f8"),                               # REP003: no byte order
-))
 
 
 def fold(weights: dict) -> float:

@@ -1,15 +1,15 @@
 """Deliberately race-prone module for the reprolint concurrency self-check.
 
-Companion to ``known_bad.py`` for the REP007/REP008/REP009 concurrency
-rules: every function here violates the shared-memory write-disjointness
-contract, the dispatch/barrier pipe protocol, or the framed-wire API.
-CI lints this file and asserts the linter *fails* — if the analyzers
-ever pass it, the gate has gone no-op.  Never "fix" this module; it is
-linted, not imported.
+Companion to ``known_bad.py`` for the REP007 concurrency rule: the
+worker here violates the shared-memory write-disjointness contract.  CI
+lints this file and asserts the linter *fails* — if the analyzer ever
+passes it, the gate has gone no-op.  Never "fix" this module; it is
+linted, not imported.  (An unpaired dispatch or an unmetered wire call has
+no fixture: ``PipeWorkers`` and the rpc master offer no way to write one,
+and ``tests/test_retired_knobs.py`` keeps it that way.)
 """
 
 from repro.distributed.shared_pool import SharedArrayPack
-from repro.distributed.wire import recv_obj, send_obj
 
 
 def racy_worker(handle, conn):
@@ -23,35 +23,3 @@ def racy_worker(handle, conn):
     views["side"] = gains                    # REP007: rebinds shared entry
     total = views["gain_cache"].sum()        # REP007: reads siblings' writes
     conn.send(("done", total))
-
-
-def fire_and_forget_master(conns):
-    """Dispatches without ever draining the barrier (REP008)."""
-    for conn in conns:
-        conn.send(("gains", 0, 8))
-    return None                              # REP008: no barrier recv
-
-
-def close_with_outstanding(conn):
-    """Hangs up while a dispatch is still in flight (REP008)."""
-    conn.send(("level", 1))
-    conn.close()                             # REP008: close before the reply
-
-
-def swallowing_master(conn):
-    """Loses a worker death and keeps going desynchronized (REP008)."""
-    conn.send(("step", 1))
-    reply = None
-    try:
-        reply = conn.recv()
-    except OSError:
-        pass                                 # REP008: swallowed failed barrier
-    return reply
-
-
-def unmetered_wire(sock):
-    """Drops byte counts and interleaves raw bytes (REP009)."""
-    send_obj(sock, ("init", {}))             # REP009: byte count discarded
-    reply, _ = recv_obj(sock)                # REP009: count unpacked into '_'
-    sock.send(b"ping")                       # REP009: raw send on framed sock
-    return reply

@@ -4,22 +4,14 @@ Counterpart of ``known_bad.py`` for the out-of-core graph store rules:
 every statement here trips a REP rule the ``.rgs`` format depends on.  CI
 lints this file and asserts the linter *fails* — if a refactor ever makes
 the analyzer pass this file, the storage gate has gone no-op.  Never
-"fix" this module.
+"fix" this module.  (A store column with a native or object dtype is not
+here: ``StoreSchema(...)`` refuses to construct one, so there is nothing
+for a linter to find.)
 """
 
 import time
 
 import numpy as np
-
-from repro.storage import StoreSchema
-
-BAD_STORE_SCHEMA = StoreSchema(fields=(
-    ("q_indptr", "i8"),                            # REP003: native byte order
-    ("q_indices", "int64"),                        # REP003: platform-width alias
-    ("blob", "object"),                            # REP003: pickled section
-))
-
-OPAQUE_SCHEMA = StoreSchema(fields=make_fields())  # REP003: unauditable  # noqa: F821
 
 
 def plan_spill_buckets(degrees):

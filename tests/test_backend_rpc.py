@@ -241,7 +241,7 @@ def test_total_wire_bytes_is_every_byte_moved_after_init(graph, monkeypatch, kil
 
     def closing():
         after_init.append(sum(moved))
-        close()  # sends the unmetered, fire-and-forget ``exit``
+        close()  # sends the reply-less ``exit``, after the job's totals were read
 
     monkeypatch.setattr(backend, "_open", opened)
     monkeypatch.setattr(backend, "_close", closing)
@@ -251,6 +251,12 @@ def test_total_wire_bytes_is_every_byte_moved_after_init(graph, monkeypatch, kil
     in_steps = sum(step.wire_bytes for step in metrics.supersteps)
     assert metrics.collect_wire_bytes == after_init[0] - in_steps > 0
     assert backend._setup_wire_bytes > 0  # init: metered, but in no job total
+    if not kills:
+        # Pinned where init, every barrier and exit first went through the
+        # two metered call sites: the integers of the parent, which metered
+        # init and the barriers by hand and exit not at all.
+        assert (metrics.total_wire_bytes, backend._setup_wire_bytes,
+                metrics.collect_wire_bytes) == (762_827, 60_900, 3_304)
 
 
 def test_dict_oracle_survives_death_in_the_descent_cycle(graph, sim_reference, monkeypatch):
@@ -317,11 +323,19 @@ def test_all_peers_dead_raises(graph):
 
 
 def test_host_without_a_numeric_port_is_a_named_error():
-    """``int()``'s raw ValueError used to surface for 'host:notaport'."""
-    for spec in ("localhost", "localhost:notaport", "localhost:"):
-        backend = RpcBackend(hosts=[spec])
+    """``int()``'s raw ValueError used to surface for 'host:notaport' — and a
+    port only ``int()`` or ``socket`` could love used to be dialled: 99999
+    wraps to 34463, '٣٣٣٣' reads as 3333.  Refused at construction, by the
+    rule ``execution.hosts`` is validated with."""
+    for spec in ("localhost", "localhost:notaport", "localhost:",
+                 "127.0.0.1:99999", "h:٣٣٣٣", "a:b:80", "h:0"):
         with pytest.raises(ValueError, match="not of the form 'host:port'"):
-            backend._connect_peers(1)
+            RpcBackend(hosts=[spec])
+    assert backend_rpc.parse_endpoint("node-b:65535") == ("node-b", 65535)
+    backend = RpcBackend(hosts=["10.0.0.1:7077"])
+    backend.hosts.append("late:99999")  # mutated after construction: caught at connect
+    with pytest.raises(ValueError, match="'late:99999' is not of the form"):
+        backend._connect_peers(1)
 
 
 def test_external_hosts_via_serve_worker(graph, sim_reference):
@@ -348,6 +362,31 @@ def test_external_hosts_via_serve_worker(graph, sim_reference):
     assert np.array_equal(run.assignment, reference.assignment)
     server.join(timeout=10)
     assert not server.is_alive()
+
+
+def test_a_peer_that_hangs_up_during_init_is_a_named_error(graph):
+    """Init goes through the same metered exchange as every barrier; with
+    nothing to fail over from yet, a dead peer there ends the run — naming
+    the peer (it used to be a bare ``peer closed with 12 of 12 frame bytes
+    outstanding``)."""
+    import socket
+
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        port = srv.getsockname()[1]
+
+        def hang_up():
+            conn, _ = srv.accept()
+            conn.close()
+
+        server = threading.Thread(target=hang_up, daemon=True)
+        server.start()
+        backend = RpcBackend(hosts=[f"127.0.0.1:{port}"], step_timeout=10.0)
+        with pytest.raises(
+            ConnectionError, match=rf"^rpc worker 127\.0\.0\.1:{port} hung up during init$"
+        ):
+            _run(graph, backend)
+        server.join(timeout=10)
+    assert backend._peers == []  # Backend.run's finally closed what was open
 
 
 def test_jobspec_runner_selects_rpc(tmp_path):

@@ -224,6 +224,15 @@ class TestRunCommand:
         with pytest.raises(SystemExit, match=r"algorithm\.options\.level_mode: unknown"):
             main(["run", str(spec_path)])
 
+    def test_run_stream_refine_on_local_exits_before_loading_the_graph(self, tmp_path):
+        # The pairing used to be refused inside the stream-refine runner,
+        # after the graph was loaded: here the graph file does not exist.
+        spec_path = self._write_spec(tmp_path, tmp_path / "missing.hgr", kind="stream-refine")
+        with pytest.raises(
+            SystemExit, match=r"^error: \S+job\.json: execution\.backend: kind 'stream-refine' refines on"
+        ):
+            main(["run", str(spec_path)])
+
     def test_run_missing_file_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="not found"):
             main(["run", str(tmp_path / "nope.toml")])

@@ -63,7 +63,7 @@ class TestRoundTrip:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        kind=st.sampled_from(["partition", "serving"]),
+        kind=st.sampled_from(["partition", "serving", "stream-refine"]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         name=st.sampled_from(PARTITIONERS.names()),
         k=st.integers(min_value=2, max_value=64),
@@ -79,12 +79,15 @@ class TestRoundTrip:
         source,
     ):
         """from_dict(to_dict(s)) == s over the whole enum/range grid."""
-        # An engine partition job needs an engine-capable algorithm: that
-        # pairing is rejected at construction (tested on its own below).
-        assume(
-            kind == "serving" or backend == "local"
-            or PARTITIONERS.meta(name).get("engine_mode")
-        )
+        # An engine partition job needs an engine-capable algorithm, a
+        # stream-refine job that and an engine backend: other pairings are
+        # rejected at construction (tested on their own below).
+        engine_capable = bool(PARTITIONERS.meta(name).get("engine_mode"))
+        assume({
+            "serving": True,
+            "partition": backend == "local" or engine_capable,
+            "stream-refine": backend != "local" and engine_capable,
+        }[kind])
         spec = JobSpec(
             kind=kind,
             seed=seed,
@@ -210,6 +213,12 @@ class TestValidationErrors:
             ({"execution": {"backend": "rpc", "hosts": ["h:7077", 7078]}}, r"^execution.hosts\[1\]"),
             ({"execution": {"backend": "rpc", "hosts": []}}, "^execution.hosts"),
             ({"execution": {"backend": "sim", "hosts": ["h:7077"]}}, "^execution.hosts"),
+            # ... by the rule the rpc backend dials with (`parse_endpoint`): a port
+            # socket would wrap, one int() would transliterate, a second colon.
+            *(
+                ({"execution": {"backend": "rpc", "hosts": [entry]}}, r"^execution.hosts\[0\]")
+                for entry in ("127.0.0.1:99999", "h:٣٣٣٣", "a:b:80")
+            ),
         ],
     )
     def test_bad_ranges_name_dotted_path(self, data, dotted_path):
@@ -231,6 +240,12 @@ class TestValidationErrors:
                  "execution": {"backend": "mp"}},
                 r"^algorithm\.name: kind 'stream-refine' needs an engine-capable "
                 r"refinement algorithm \(shp-k, shp-2\); got 'label-prop'$",
+            ),
+            # ... and this one later still, inside the stream-refine runner.
+            (
+                {"kind": "stream-refine"},
+                r"^execution\.backend: kind 'stream-refine' refines on the "
+                r"vertex-centric engine; pick one of 'sim', 'mp', 'rpc'$",
             ),
         ],
     )

@@ -176,7 +176,7 @@ PARSER_SURFACE = {'run': [((), 'spec', '+', None, None, None, True, 'job spec fi
          (('--smoke',), 'smoke', 0, None, False, None, False,
           'shrink the job for CI smoke runs (same code paths, tiny budgets)'),
          (('--sanitize',), 'sanitize', 0, None, False, None, False,
-          'enable the runtime sanitizer (shared-write disjointness + wire state machine; equivalent to REPRO_SAN=1) '
+          'enable the runtime sanitizer (shared-write disjointness; equivalent to REPRO_SAN=1) '
           'and fail on violations')],
  'partition': [((), 'input', None, None, None, None, True, 'graph file (.hgr / .tsv / .npz)'),
                (('-k',), 'k', None, 'int', None, None, True, 'number of buckets'),

@@ -38,8 +38,12 @@ def _poison() -> None:
     raise PicklePoison("custom failure")
 
 
+def _die() -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _misbehaving_worker(conn) -> None:
-    serve(conn, {"poison": _poison, "sleep": time.sleep, "echo": lambda x: x})
+    serve(conn, {"poison": _poison, "sleep": time.sleep, "echo": lambda x: x, "die": _die})
 
 
 # (worker entry, the label its owner gives it, a request its table fails on
@@ -74,20 +78,44 @@ def test_sigkill_before_a_barrier_is_a_named_error_with_the_exit_code(
 
 
 def test_sigkill_mid_dispatch_is_a_named_error_with_the_exit_code():
+    # Worker 1 takes its request and SIGKILLs itself; worker 0's reply keeps
+    # the master busy until that has happened, so worker 1 is read dead.
     group = PipeWorkers(None, _misbehaving_worker, [()] * 2, "worker", 60.0)
     try:
-        group.send(0, ("echo", 1))
-        group.send(1, ("sleep", 30))
-        victim = group.procs[1]
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=10)
         started = time.monotonic()
-        assert group.recv(0) == 1
         with pytest.raises(RuntimeError, match=r"^worker 1 died at the barrier \(exitcode -9\)"):
-            group.recv(1)
+            group.barrier([("sleep", 0.5), ("die",)])
         assert time.monotonic() - started < 5.0
     finally:
         group.close(grace=0.0)
+
+
+def test_the_dispatch_surface_is_barrier_and_gather():
+    """No per-worker send / recv to call: an owner cannot write a dispatch
+    whose reply is never read, or read a reply it never asked for."""
+    public = {name for name in vars(PipeWorkers) if not name.startswith("_")}
+    assert public == {"barrier", "gather", "close"}
+    group = PipeWorkers(None, _misbehaving_worker, [()] * 2, "worker", 30.0)
+    try:
+        with pytest.raises(ValueError, match="1 requests for 2 workers"):
+            group.barrier([("echo", 1)])  # refused before anything is sent
+        assert group.barrier([("echo", 1), ("echo", 2)]) == [1, 2]
+    finally:
+        group.close()
+
+
+def _announcing_worker(conn, port) -> None:
+    conn.send(("ok", port))  # the unsolicited start-up reply
+    serve(conn, {"echo": lambda x: x})
+
+
+def test_gather_reads_the_start_up_reply_of_every_worker():
+    group = PipeWorkers(None, _announcing_worker, [(7001,), (7002,)], "worker", 30.0)
+    try:
+        assert group.gather() == [7001, 7002]
+        assert group.barrier([("echo", "a"), ("echo", "b")]) == ["a", "b"]
+    finally:
+        group.close()
 
 
 @TABLES

@@ -7,6 +7,7 @@ must lint clean — the same gate CI enforces.
 """
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -14,6 +15,9 @@ import pytest
 
 from repro.analysis import LINT_CHECKS, lint_paths
 from repro.cli import main as cli_main
+from repro.distributed.messages import MessageSchema
+from repro.storage import STORE_SCHEMA, StoreFormatError, StoreSchema
+from test_retired_knobs import KNOBS, hits
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -33,18 +37,17 @@ def codes(report) -> list[str]:
 # ----------------------------------------------------------------------
 
 def test_all_nine_rules_are_registered():
-    # Eight since REP005 (registry-cli-sync) retired with the hand-listed
-    # CLI choices it policed; codes are not re-used, so REP006-REP009 keep theirs.
-    assert LINT_CHECKS.names() == [
-        "REP001", "REP002", "REP003", "REP004", "REP006",
-        "REP007", "REP008", "REP009",
-    ]
+    # Five of the nine codes ever issued: REP005 (registry-cli-sync) retired
+    # with the hand-listed CLI choices it policed, REP003 / REP008 / REP009
+    # when a constructor, one dispatch function and two metered call sites
+    # made their violations unwritable.  Codes are not re-used.
+    assert LINT_CHECKS.names() == ["REP001", "REP002", "REP004", "REP006", "REP007"]
     # aliases resolve like every other registry
     assert LINT_CHECKS.canonical("unseeded-rng") == "REP001"
     assert LINT_CHECKS.canonical("rep002") == "REP002"
     assert LINT_CHECKS.canonical("shared-write-disjointness") == "REP007"
-    assert LINT_CHECKS.canonical("pipe-protocol-pairing") == "REP008"
-    assert LINT_CHECKS.canonical("frame-api-misuse") == "REP009"
+    for retired in ("wire-schema-exactness", "pipe-protocol-pairing", "frame-api-misuse"):
+        assert retired not in LINT_CHECKS
 
 
 def test_select_and_ignore_narrow_the_run(tmp_path):
@@ -126,44 +129,58 @@ def test_rep002_allows(tmp_path, good):
 
 
 # ----------------------------------------------------------------------
-# REP003 wire-schema-exactness
+# REP003 wire-schema-exactness (retired): the constructors are the rule.
+# The rule's own cases, run against ``MessageSchema(...)`` / ``StoreSchema(...)``
+# instead of against their source text.
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("bad_dtype", ["object", "O", "f8", "i4", "int", "float64"])
-def test_rep003_flags(tmp_path, bad_dtype):
-    source = f'S = MessageSchema(fields=(("a", "<i8"), ("b", "{bad_dtype}")))\n'
-    assert "REP003" in codes(run_lint(tmp_path, source, select=["REP003"]))
+@pytest.mark.parametrize("bad_dtype", ["object", "O", "f8", "i4", "int", "float64", "=i4", "S4"])
+def test_rep003_flags(bad_dtype):
+    for section in ("fields", "entry_fields"):
+        columns = {"fields": (), section: (("a", "<i8"), ("b", bad_dtype))}
+        with pytest.raises(ValueError, match=rf"schema 'x': {section} column 'b' declares dtype"):
+            MessageSchema("x", **columns)
 
 
-def test_rep003_flags_non_literal_fields(tmp_path):
-    source = "S = MessageSchema(fields=make_fields())\n"
-    assert "REP003" in codes(run_lint(tmp_path, source, select=["REP003"]))
+def test_rep003_flags_non_literal_fields():
+    # What the linter could not audit, the constructor sees: values, not syntax.
+    def make_fields():
+        return tuple((name, "int64") for name in ("a", "b"))
+
+    with pytest.raises(ValueError, match="column 'a' declares dtype 'int64'"):
+        MessageSchema("x", fields=make_fields())
+    with pytest.raises(ValueError, match="column 'a'"):
+        MessageSchema("x", fields=(("a", int),))  # a type, not a dtype string
 
 
 @pytest.mark.parametrize("good_dtype", ["<i4", "<i8", "<f8", ">u4", "i1", "u1", "?"])
-def test_rep003_allows_exact(tmp_path, good_dtype):
-    source = f'S = MessageSchema(fields=(("a", "{good_dtype}"),))\n'
-    assert codes(run_lint(tmp_path, source, select=["REP003"])) == []
+def test_rep003_allows_exact(good_dtype):
+    schema = MessageSchema("x", fields=(("a", good_dtype),), entry_fields=(("e", good_dtype),))
+    assert schema.fixed_nbytes == schema.entry_nbytes > 0
 
 
 def test_rep003_accepts_repo_schemas():
-    schemas = REPO / "src/repro/distributed_shp/schemas.py"
-    report = lint_paths([schemas], select=["REP003"])
-    assert codes(report) == []
+    # Importing the module *is* the check: a bad column fails here, on every
+    # backend and in every test, instead of in a lint run.
+    from repro.distributed_shp import schemas
+
+    for name in schemas.__all__:
+        schema = getattr(schemas, name)
+        assert MessageSchema(schema.name, schema.fields, schema.entry_fields) == schema
 
 
 @pytest.mark.parametrize("bad_dtype", ["object", "f8", "i8", "int64"])
-def test_rep003_covers_store_schema(tmp_path, bad_dtype):
+def test_rep003_covers_store_schema(bad_dtype):
     """The on-disk StoreSchema is held to the same wire-exactness bar as
     MessageSchema — a native-endian section dtype is not portable."""
-    source = f'S = StoreSchema(fields=(("q_indptr", "{bad_dtype}"),))\n'
-    assert "REP003" in codes(run_lint(tmp_path, source, select=["REP003"]))
+    with pytest.raises(StoreFormatError, match="q_indptr"):
+        StoreSchema(fields=(("q_indptr", bad_dtype),))
 
 
 def test_rep003_accepts_repo_store_schema():
-    fmt = REPO / "src/repro/storage/format.py"
-    report = lint_paths([fmt], select=["REP003"])
-    assert codes(report) == []
+    assert StoreSchema(STORE_SCHEMA.fields).fields == STORE_SCHEMA.fields
+    # ... and wire and store share the one acceptance set.
+    MessageSchema("store-columns", fields=STORE_SCHEMA.fields)
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +348,30 @@ def test_rep007_ignores_non_worker_scope(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# REP008 pipe-protocol-pairing
+# REP008 pipe-protocol-pairing / REP009 frame-api-misuse (retired): a
+# dispatch is paired by the only function that can dispatch, a wire call is
+# metered by the two call sites there are.  What keeps it so is the table in
+# test_retired_knobs.py; the snippets the rules flagged are the scratch
+# edits that must trip it.
 # ----------------------------------------------------------------------
+
+@functools.cache
+def _hits_in_the_repo() -> dict[str, int]:
+    return {knob.id: len(hits(knob)) for knob in KNOBS}
+
+
+def tripped(tmp_path, snippet: str, file: str = "src/repro/scratch.py") -> set[str]:
+    """Ids of the table rows that break when ``snippet`` is added to the
+    tree as ``file``."""
+    scratch = tmp_path / file
+    scratch.parent.mkdir(parents=True, exist_ok=True)
+    scratch.write_text(snippet)
+    now = _hits_in_the_repo()
+    return {
+        knob.id for knob in KNOBS
+        if now[knob.id] <= knob.max_hits < now[knob.id] + len(hits(knob, tmp_path))
+    }
+
 
 @pytest.mark.parametrize("bad", [
     # dispatch with no barrier before exit
@@ -366,133 +405,19 @@ def test_rep007_ignores_non_worker_scope(tmp_path):
     ),
 ])
 def test_rep008_flags(tmp_path, bad):
-    assert "REP008" in codes(run_lint(tmp_path, bad, select=["REP008"]))
+    assert "no-hand-dispatched-request-kind" in tripped(tmp_path, bad)
 
 
-@pytest.mark.parametrize("good", [
-    # the canonical dispatch/barrier pairing
-    (
-        "def master(conns):\n"
-        "    for c in conns:\n"
-        '        c.send(("gains", 0, 4))\n'
-        "    for c in conns:\n"
-        "        c.recv()\n"
-    ),
-    # a handler that reacts (marks the peer dead) is a failover, not a swallow
-    (
-        "def master(conn):\n"
-        '    conn.send(("step", 1))\n'
-        "    try:\n"
-        "        reply = conn.recv()\n"
-        "    except OSError:\n"
-        "        mark_dead(conn)\n"
-    ),
-    # barrier discharged in a finally covers the exception path
-    (
-        "def master(conn):\n"
-        '    conn.send(("step", 1))\n'
-        "    try:\n"
-        "        check()\n"
-        "    finally:\n"
-        "        conn.recv()\n"
-    ),
-])
-def test_rep008_allows(tmp_path, good):
-    assert codes(run_lint(tmp_path, good, select=["REP008"])) == []
-
-
-def test_rep008_fire_and_forget_kind_mined_from_service_loop(tmp_path):
-    # The worker enters the service loop with a handler table: 'work' is
-    # answered, so it demands a barrier; 'exit' ends the loop reply-less,
-    # so the master's un-received exit send is fine.
-    source = (
-        "def worker(conn, host):\n"
-        '    serve(conn, {"work": host.work})\n'
-        "\n"
-        "def shutdown(conn):\n"
-        '    conn.send(("exit",))\n'
-        "    conn.close()\n"
-        "\n"
-        "def bad_dispatch(conn):\n"
-        '    conn.send(("work", 1))\n'
-    )
-    report = run_lint(tmp_path, source, select=["REP008"])
-    found = codes(report)
-    assert found == ["REP008"]  # only bad_dispatch; shutdown is clean
-    assert "work" in report.unsuppressed[0].message
-
-
-def test_rep008_dispatch_table_loop_is_mined(tmp_path):
-    # The table is read wherever the file calls serve — a method call on
-    # the worker module works like the bare name — and a worker-side reply
-    # ('ok' / 'error' lead replies) is never mistaken for a dispatch.
-    source = (
-        "def worker(conn, host, port):\n"
-        '    conn.send(("ok", port))\n'
-        '    worker_mod.serve(conn, {"work": host.work, "stop": host.stop})\n'
-        "\n"
-        "def bad_dispatch(conn):\n"
-        '    conn.send(("stop",))\n'
-    )
-    report = run_lint(tmp_path, source, select=["REP008"])
-    assert codes(report) == ["REP008"]
-    assert "stop" in report.unsuppressed[0].message
-
-
-def test_rep008_master_only_file_is_checked_against_the_shared_engine_loop(tmp_path):
-    # Both engine masters have no service loop of their own: their workers
-    # run distributed/worker.py:serve.  The rule must read *that* loop —
-    # an empty table would wave every dispatch through or, with the
-    # "unknown kinds reply" default, condemn the fire-and-forget exit.
-    from repro.analysis.checks.rep008 import engine_protocol_table
-
-    table = engine_protocol_table()
-    assert {k: table[k] for k in ("init", "adopt", "step", "collect", "exit")} == {
-        "init": True, "adopt": True, "step": True, "collect": True, "exit": False,
-    }
-    source = (
-        "def superstep(conn):\n"
-        '    conn.send(("step", 3, {}, {}, False))\n'
-        "    return None\n"
-        "\n"
-        "def teardown(conn):\n"
-        '    conn.send(("exit",))\n'
-        "    conn.close()\n"
-    )
-    report = run_lint(tmp_path, source, select=["REP008"])
-    assert report.unsuppressed and {f.code for f in report.unsuppressed} == {"REP008"}
-    # Every finding is the un-received step; teardown's exit + close is clean.
-    assert all("'step'" in f.message for f in report.unsuppressed)
-
-
-def test_rep008_master_retry_loop_is_not_a_service_loop(tmp_path):
-    # backend_rpc idiom: `while pending:` around the barrier recvs is master
-    # code and must be scanned, not mistaken for a worker loop and skipped.
-    source = (
-        "def superstep(conn, pending):\n"
-        "    while pending:\n"
-        '        conn.send(("step", 1))\n'
-        "        reply = conn.recv()\n"
-        "        pending.discard(reply)\n"
-        '    conn.send(("collect",))\n'
-    )
-    report = run_lint(tmp_path, source, select=["REP008"])
-    assert [f.code for f in report.unsuppressed] == ["REP008"]
-    assert "'collect'" in report.unsuppressed[0].message
-
-
-def test_rep008_aliased_payload_tuple_is_tracked(tmp_path):
-    # backend_rpc idiom: the payload tuple is built first, sent by name.
-    source = (
-        "def master(conn):\n"
-        '    payload = ("step", 1, 2)\n'
-        "    conn.send(payload)\n"
-    )
-    assert "REP008" in codes(run_lint(tmp_path, source, select=["REP008"]))
+def test_reaching_into_the_private_dispatch_halves_trips_the_table(tmp_path):
+    pool = "class Pool:\n    def go(self):\n        self._group._send(0, ('gains', 0, 4))\n"
+    assert "no-private-dispatch-from-outside" in tripped(tmp_path, pool)
+    # ... and inside the rpc master, a second place where a reply is received.
+    rpc = "    def _retry(self, peer_idx):\n        return self._recv(peer_idx, 'retry')\n"
+    assert "rpc-send-meets-recv-once" in tripped(tmp_path, rpc, "src/repro/distributed/backend_rpc.py")
 
 
 # ----------------------------------------------------------------------
-# REP009 frame-api-misuse
+# REP009 frame-api-misuse (retired; see above)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [
@@ -511,25 +436,27 @@ def test_rep008_aliased_payload_tuple_is_tracked(tmp_path):
     ),
 ])
 def test_rep009_flags(tmp_path, bad):
-    assert "REP009" in codes(run_lint(tmp_path, bad, select=["REP009"]))
+    # Anywhere in src/ it is a wire call outside the two files that may make
+    # one; inside backend_rpc.py it is a call that does not meter.
+    assert "wire-helpers-stay-in-backend-rpc" in tripped(tmp_path, bad)
+    in_rpc = tripped(tmp_path, bad, "src/repro/distributed/backend_rpc.py")
+    assert {"wire-helpers-have-four-call-sites", "every-master-wire-call-is-metered"} <= in_rpc
+    assert ("raw-socket-io-only-in-wire" in in_rpc) == ("sock.recv(4)" in bad)
 
 
 @pytest.mark.parametrize("good", [
-    # metered into an accumulator
-    "def f(sock, wire):\n    wire += send_obj(sock, ('init', {}))\n    return wire\n",
-    # both returns consumed
-    "def f(sock):\n    reply, nbytes = recv_obj(sock)\n    return reply, nbytes\n",
     # raw ops on a socket that never carries frames are out of scope
     "def f(raw):\n    raw.send(b'x')\n    return raw.recv(4)\n",
 ])
 def test_rep009_allows(tmp_path, good):
-    assert codes(run_lint(tmp_path, good, select=["REP009"])) == []
+    assert tripped(tmp_path, good) == set()
 
 
-def test_rep009_exempts_the_wire_module_itself():
-    wire = REPO / "src/repro/distributed/wire.py"
-    report = lint_paths([wire], select=["REP009"])
-    assert codes(report) == []
+def test_rep009_exempts_the_wire_module_itself(tmp_path):
+    # Raw socket I/O on framed connections is wire.py's implementation.
+    raw = [knob for knob in KNOBS if knob.id == "raw-socket-io-only-in-wire"][0]
+    assert "src/repro/distributed/wire.py" in raw.exclude
+    assert tripped(tmp_path, "sock.sendall(frame)\n", "src/repro/distributed/wire.py") == set()
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +559,8 @@ def test_cli_clean_file_exits_zero(tmp_path, capsys):
 def test_cli_select_unknown_code_errors(tmp_path):
     good = tmp_path / "good.py"
     good.write_text("x = 1\n")
-    for code in ("NOPE", "REP005"):  # a retired code is as unknown as a typo
+    # a retired code is as unknown as a typo
+    for code in ("NOPE", "REP003", "REP005", "REP008", "REP009"):
         with pytest.raises(SystemExit, match="error: unknown lint check"):
             cli_main(["lint", "--select", code, str(good)])
 
@@ -644,7 +572,7 @@ def test_cli_flags_the_committed_known_bad_fixture(capsys):
     assert exit_code > 0
     hit = {f["code"] for f in payload["findings"]}
     # every rule the fixture targets must fire
-    assert {"REP001", "REP002", "REP003", "REP004", "REP006"} <= hit
+    assert {"REP001", "REP002", "REP004", "REP006"} <= hit
 
 
 def test_cli_flags_the_committed_concurrency_fixture(capsys):
@@ -653,8 +581,8 @@ def test_cli_flags_the_committed_concurrency_fixture(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert exit_code > 0
     hit = {f["code"] for f in payload["findings"]}
-    # all three concurrency rules must fire, or the gate has gone no-op
-    assert {"REP007", "REP008", "REP009"} <= hit
+    # the concurrency rule must fire, or the gate has gone no-op
+    assert hit == {"REP007"}
 
 
 def test_cli_flags_the_committed_storage_fixture(capsys):
@@ -664,7 +592,7 @@ def test_cli_flags_the_committed_storage_fixture(capsys):
     assert exit_code > 0
     hit = {f["code"] for f in payload["findings"]}
     # the store-format rules must fire, or the storage gate has gone no-op
-    assert {"REP001", "REP003", "REP006"} <= hit
+    assert {"REP001", "REP006"} <= hit
 
 
 # ----------------------------------------------------------------------

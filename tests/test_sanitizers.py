@@ -3,7 +3,7 @@
 Three layers:
 
 * unit tests drive the :class:`~repro.analysis.sanitizers.Sanitizer`
-  probes directly (interval overlap, coverage, wire state machine);
+  probe directly (interval overlap, coverage);
 * an integration test seeds a *true* write-write race through a real
   :class:`~repro.core.parallel_refine.ParallelGainPool` — a duplicated
   rank straddling two blocks — and asserts the sanitizer catches it at
@@ -86,49 +86,6 @@ class TestGainProbes:
 
 
 # ----------------------------------------------------------------------
-# unit: wire frame state machine
-# ----------------------------------------------------------------------
-
-class _Conn:
-    """Weakref-able stand-in for a socket."""
-
-
-class TestWireStateMachine:
-    def test_clean_frame_cycles(self):
-        san = Sanitizer(strict=True)
-        conn = _Conn()
-        for op in ("send", "recv", "send"):
-            san.frame_begin(conn, op)
-            san.frame_end(conn)
-        assert san.findings == []
-
-    def test_reuse_after_mid_frame_abort_flagged(self):
-        san = Sanitizer(strict=True)
-        conn = _Conn()
-        san.frame_begin(conn, "recv")
-        san.frame_break(conn)  # e.g. TruncatedFrameError mid-payload
-        with pytest.raises(SanitizerError, match="desynchronized"):
-            san.frame_begin(conn, "recv")
-        assert san.findings[0].code == "SAN008"
-
-    def test_reentering_inflight_frame_flagged(self):
-        san = Sanitizer(strict=True)
-        conn = _Conn()
-        san.frame_begin(conn, "send")
-        with pytest.raises(SanitizerError, match="in flight"):
-            san.frame_begin(conn, "send")
-
-    def test_states_are_per_connection(self):
-        san = Sanitizer(strict=True)
-        a, b = _Conn(), _Conn()
-        san.frame_begin(a, "send")
-        san.frame_begin(b, "recv")  # independent connection, no violation
-        san.frame_end(a)
-        san.frame_end(b)
-        assert san.findings == []
-
-
-# ----------------------------------------------------------------------
 # module switch + report plumbing
 # ----------------------------------------------------------------------
 
@@ -157,14 +114,11 @@ class TestSwitch:
         from repro.analysis.core import LintReport
 
         with sanitized(strict=False) as san:
-            conn = _Conn()
-            san.frame_begin(conn, "recv")
-            san.frame_break(conn)
-            san.frame_begin(conn, "recv")  # collected, not raised
+            san.gain_dispatch(np.array([2, 4, 8]))  # collected, not raised
             static = LintReport(findings=[], files_checked=3, checks_run=("REP001",))
             merged = sanitizers.merge_runtime_findings(static)
-            assert [f.code for f in merged.findings] == ["SAN008"]
-            assert "SAN008" in merged.checks_run
+            assert [f.code for f in merged.findings] == ["SAN007"]
+            assert merged.checks_run == ("REP001", "SAN007")
 
 
 # ----------------------------------------------------------------------

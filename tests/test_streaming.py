@@ -153,16 +153,17 @@ class TestStreamRefinePipeline:
         assert warm.quality.fanout <= cold.quality.fanout
 
     def test_rejects_local_execution(self, graph_path):
+        # A spec rule since the check moved out of the runner: the pairing is
+        # refused at construction, before any graph is loaded.
         spec = _stream_refine_spec(graph_path)
-        local = JobSpec(
-            kind="stream-refine",
-            seed=spec.seed,
-            graph=spec.graph,
-            pipeline=spec.pipeline,
-            algorithm=AlgorithmSpec(name="shp-2", k=4),
-        )
-        with pytest.raises(SpecError, match="vertex-centric engine"):
-            run(local)
+        with pytest.raises(SpecError, match="^execution.backend: .*vertex-centric engine"):
+            JobSpec(
+                kind="stream-refine",
+                seed=spec.seed,
+                graph=spec.graph,
+                pipeline=spec.pipeline,
+                algorithm=AlgorithmSpec(name="shp-2", k=4),
+            )
 
     def test_rejects_unknown_warmstart(self):
         with pytest.raises(SpecError, match="warmstart"):

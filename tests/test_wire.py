@@ -162,3 +162,76 @@ def test_pickle_frame_matches_manual_framing():
     frame = encode_frame(payload)
     magic, length = struct.unpack("!4sQ", frame[: HEADER.size])
     assert magic == MAGIC and length == len(payload)
+
+
+# ----------------------------------------------------------------------
+# A failed frame ends the connection — with no sanitizer in the picture
+# ----------------------------------------------------------------------
+
+@pytest.fixture()
+def default_env(monkeypatch):
+    monkeypatch.delenv("REPRO_SAN", raising=False)
+
+
+def _partial(frame: bytes, cut: int, hang_up: bool):
+    def start(a):
+        a.sendall(frame[:cut])
+        if hang_up:
+            a.close()
+    return start
+
+
+@pytest.mark.parametrize(
+    "start, first",
+    [
+        (_partial(encode_frame(b"x" * 1000), 6, False), "timed out with 6 of 12"),
+        (_partial(encode_frame(b"x" * 1000), 200, False), "timed out with 812 of 1000"),
+        (_partial(encode_frame(b"x" * 1000), 200, True), "peer closed with 812 of 1000"),
+        (_partial(HEADER.pack(b"EVIL", 4) + b"data", 16, False), "bad frame magic"),
+    ],
+    ids=["timeout-mid-header", "timeout-mid-payload", "peer-close-mid-payload", "bad-magic"],
+)
+def test_a_recv_that_fails_closes_the_socket_so_the_stream_cannot_be_reread(
+    pair, default_env, start, first
+):
+    """The stream is no longer at a frame boundary: with the socket left
+    open, the next ``recv_frame`` read payload bytes as a header (``bad
+    frame magic b'xxxx'``) — and only ``REPRO_SAN=1`` said so."""
+    a, b = pair
+    b.settimeout(0.05)
+    start(a)
+    with pytest.raises(WireError, match=first):
+        recv_frame(b)
+    assert b.fileno() == -1
+    if a.fileno() != -1:
+        with pytest.raises(BrokenPipeError):  # the rest of the payload has no reader
+            a.sendall(b"x" * 812)
+    with pytest.raises(WireError, match="connection failed mid-frame") as again:
+        recv_frame(b)
+    assert not isinstance(again.value, FrameProtocolError)
+    assert b.fileno() == -1
+
+
+def test_a_send_that_fails_closes_the_socket(pair, default_env):
+    a, b = pair
+    b.close()  # peer gone
+    with pytest.raises(WireError, match="send failed"):
+        send_frame(a, b"y" * 100_000)
+    assert a.fileno() == -1
+    with pytest.raises(WireError):
+        send_obj(a, ("step", 1))
+
+
+def test_a_clean_eof_between_frames_is_still_a_truncated_frame(pair, default_env):
+    a, b = pair
+    send_frame(a, b"whole")
+    a.close()
+    assert recv_frame(b)[0] == b"whole"
+    with pytest.raises(TruncatedFrameError, match="peer closed with 12 of 12 frame bytes"):
+        recv_frame(b)
+
+
+def test_the_wire_has_no_sanitizer_hook():
+    import repro.distributed.wire as wire_module
+
+    assert not hasattr(wire_module, "_sanitizer")
