@@ -12,7 +12,7 @@ import time
 from conftest import bench_dataset
 
 from repro import SHPConfig, SHP2Partitioner, SHPKPartitioner
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.objectives import average_fanout, imbalance
 
 K = 32
@@ -57,7 +57,7 @@ def _run():
 def test_ablation_recursion(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
     text = format_table(rows, title=f"Ablation A2 — SHP-2 refinements (k={K})")
-    record("ablation_recursion", text, data=rows)
+    print(f"\n{text}")
 
     by_label = {row["variant"]: row for row in rows}
     # The ε schedule keeps the final imbalance within ε.

@@ -14,7 +14,7 @@ import time
 from conftest import bench_dataset
 
 from repro import SHPConfig, SHPKPartitioner
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.objectives import average_fanout, imbalance
 
 VARIANTS = [
@@ -48,7 +48,7 @@ def _run():
 def test_ablation_swap_matching(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
     text = format_table(rows, title="Ablation A1 — swap matcher variants (SHP-k, k=32)")
-    record("ablation_swaps", text, data=rows)
+    print(f"\n{text}")
 
     by_label = {row["variant"]: row for row in rows}
     default = by_label["histogram + negatives (default)"]

@@ -30,7 +30,7 @@ import numpy as np
 from conftest import smoke_mode
 
 from repro import SHPConfig
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.distributed import ClusterSpec, RpcBackend
 from repro.distributed_shp import DistributedSHP
 from repro.hypergraph import community_bipartite
@@ -128,14 +128,8 @@ def _run_combiner_wire():
 def test_combiner_wire_savings(benchmark):
     rows = benchmark.pedantic(_run_combiner_wire, rounds=1, iterations=1)
     display = [{k: v for k, v in row.items() if not k.startswith("_")} for row in rows]
-    record(
-        "combiner_wire_savings",
-        format_table(
-            display,
-            title="Net-delta combiner on the rpc backend: wire bytes on vs off",
-        ),
-        data={"rows": display},
-    )
+    title = "Net-delta combiner on the rpc backend: wire bytes on vs off"
+    print("\n" + format_table(display, title=title))
     off, on = rows[0], rows[1]
     assert off["_parity"], "combiner changed the assignment"
     # The acceptance criterion: combiner-on wire bytes strictly below
@@ -149,10 +143,7 @@ def test_combiner_wire_savings(benchmark):
 
 def test_distributed_throughput(benchmark):
     rows = benchmark.pedantic(_run_throughput, rounds=1, iterations=1)
-    record(
-        "distributed_throughput",
-        format_table(rows, title="Distributed SHP throughput (columnar kernels, sim backend)"),
-        data={"rows": rows},
-    )
+    title = "Distributed SHP throughput (columnar kernels, sim backend)"
+    print("\n" + format_table(rows, title=title))
     for row in rows:
         assert row["reproducible"], f"mode {row['mode']}: rerun diverged"

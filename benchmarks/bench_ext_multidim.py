@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import SHPConfig, partition_multidim, shp_2
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.hypergraph import community_bipartite
 from repro.objectives import average_fanout
 
@@ -65,7 +65,7 @@ def test_ext_multidim(benchmark):
     text = format_table(
         rows, title=f"Extension E2 — multi-dimensional balance via c·k merge (k={K})"
     )
-    record("ext_multidim", text, data=rows)
+    print(f"\n{text}")
 
     plain = rows[0]
     merged = {row["c"]: row for row in rows[1:]}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import shp_2
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.hypergraph import BipartiteGraph, community_bipartite
 from repro.objectives import bucket_counts
 from repro.workloads import zipf_weights
@@ -60,7 +60,7 @@ def test_ext_weighted_queries(benchmark):
     text = format_table(
         rows, title=f"Extension E3 — traffic-weighted optimization (k={K}, Zipf traffic)"
     )
-    record("ext_weighted", text, data=rows)
+    print(f"\n{text}")
 
     plain, weighted = rows
     # Weighted optimization improves what production cares about: the fanout

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 
 from repro import SHPConfig, SHPKPartitioner
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.core import move_gains_dense
 from repro.hypergraph import figure2_graph, figure2_reference_partition
 from repro.objectives import (
@@ -63,7 +63,7 @@ def test_fig2_local_minimum(benchmark):
     gain_rows, summary = benchmark.pedantic(_run, rounds=1, iterations=1)
     text = format_table(gain_rows, title="Figure 2 — move gains in the stuck state")
     text += "\n" + format_table([summary], title="Escape with SHP (p = 0.5)")
-    record("fig2_local_minimum", text, data={"gains": gain_rows, "summary": summary})
+    print(f"\n{text}")
     assert gain_rows[0]["improving moves"] == 0
     assert all(row["improving moves"] > 0 for row in gain_rows[1:])
     assert summary["after SHP(p=0.5)"] == 4.0

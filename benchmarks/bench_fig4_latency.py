@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import shp_2
-from repro.bench import format_series, format_table, record
+from repro.bench import format_series, format_table
 from repro.baselines import random_partitioner
 from repro.hypergraph import darwini_bipartite
 from repro.sharding import LatencyModel, latency_by_fanout, percentile_curve, replay_traffic
@@ -80,10 +80,7 @@ def test_fig4_latency(benchmark):
     text += "\n" + format_table(
         comparison, title="Random vs SHP sharding on 40 servers (paper: ~2x latency, CPU drop)"
     )
-    record(
-        "fig4_latency", text,
-        data={"fig4a": synthetic, "fig4b": curve_rows, "comparison": comparison},
-    )
+    print(f"\n{text}")
 
     # Shape assertions.
     p99 = synthetic["p99"]

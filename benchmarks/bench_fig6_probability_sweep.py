@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import bench_dataset, smoke_mode
 
 from repro import shp_2
-from repro.bench import format_series, record
+from repro.bench import format_series
 from repro.baselines import random_partitioner
 from repro.objectives import average_fanout
 
@@ -47,7 +47,7 @@ def test_fig6_probability_sweep(benchmark):
         {f"k={k} (% vs random)": values for k, values in reductions.items()},
         title="Figure 6 — fanout reduction vs fanout probability p (soc-Pokec stand-in)",
     )
-    record("fig6_probability_sweep", text, data={str(k): v for k, v in reductions.items()})
+    print(f"\n{text}")
 
     for k, series in reductions.items():
         # All reductions negative (better than random) at any scale.

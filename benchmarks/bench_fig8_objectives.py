@@ -14,7 +14,7 @@ import numpy as np
 from conftest import bench_dataset, smoke_mode
 
 from repro import shp_2
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.objectives import average_fanout
 
 DATASETS = [
@@ -56,7 +56,7 @@ def test_fig8_objectives(benchmark):
         rows,
         title="Figure 8 — objective ablation with SHP-2 (paper: p=1 ≈ +45% avg, clique-net smaller)",
     )
-    record("fig8_objectives", text, data=rows)
+    print(f"\n{text}")
 
     direct_penalty = np.array([row["8a: p=1 +%"] for row in rows])
     clique_penalty = np.array([row["8b: cliquenet +%"] for row in rows])

@@ -18,7 +18,7 @@ from conftest import bench_dataset, smoke_mode
 
 from repro.api import AlgorithmSpec, GraphSpec, JobSpec, OutputSpec, run
 from repro.baselines import get_partitioner
-from repro.bench import format_table, record
+from repro.bench import format_table
 
 K = 16
 SEED = 11
@@ -71,7 +71,7 @@ def test_jobspec_runner_overhead(benchmark, tmp_path):
         lambda: _bench(tmp_path), rounds=1, iterations=1
     )
     text = format_table(rows, title=f"job-spec runner overhead (shp-2, k={K})")
-    record("jobspec_runner", text, rows)
+    print(f"\n{text}")
     if not smoke_mode():
         # The declarative layer (spec validation + evaluation + report
         # assembly) must stay a small fraction of the optimization itself.

@@ -17,7 +17,7 @@ import numpy as np
 from conftest import smoke_mode
 
 from repro import shp_2
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.hypergraph import darwini_bipartite
 from repro.sharding import LatencyModel, replay_traffic
 from repro.workloads import sample_queries
@@ -49,7 +49,7 @@ def _throughput():
 def test_serving_throughput(benchmark):
     row, first, again = benchmark.pedantic(_throughput, rounds=1, iterations=1)
     text = format_table([row], title="traffic replay throughput (batched planner)")
-    record("serving_throughput", text, data={"rows": [row]})
+    print(f"\n{text}")
 
     assert first.requests_total == again.requests_total
     assert np.array_equal(first.fanouts, again.fanouts)

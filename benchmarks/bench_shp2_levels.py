@@ -33,7 +33,7 @@ import numpy as np
 from conftest import smoke_mode
 
 from repro import shp_2
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.hypergraph import darwini_bipartite
 from repro.objectives import average_fanout, imbalance
 
@@ -115,14 +115,7 @@ def _run_parallel():
 def test_shp2_parallel_refinement(benchmark):
     rows = benchmark.pedantic(_run_parallel, rounds=1, iterations=1)
     display = [{k: v for k, v in row.items() if not k.startswith("_")} for row in rows]
-    record(
-        "shp2_parallel_refine",
-        format_table(
-            display,
-            title="SHP-2 refinement: serial vs shared-memory parallel",
-        ),
-        data={"rows": display},
-    )
+    print("\n" + format_table(display, title="SHP-2 refinement: serial vs shared-memory parallel"))
     if smoke_mode():
         return  # tiny graphs: pool spawn dominates, timings not meaningful
     for row in rows:
@@ -172,8 +165,4 @@ def test_sanitizer_instrumentation_compiled_out():
 
 def test_shp2_level_fusion(benchmark):
     rows = benchmark.pedantic(_run_levels, rounds=1, iterations=1)
-    record(
-        "shp2_levels",
-        format_table(rows, title="SHP-2 level fusion: time and fanout per budget"),
-        data={"rows": rows},
-    )
+    print("\n" + format_table(rows, title="SHP-2 level fusion: time and fanout per budget"))

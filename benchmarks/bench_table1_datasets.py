@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from conftest import BENCH_SCALES, bench_dataset, scale_factor
 
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.hypergraph import DATASETS, graph_stats
 
 
@@ -39,7 +39,7 @@ def test_table1_dataset_properties(benchmark):
     text = format_table(
         rows, title="Table 1 — hypergraph properties (published vs stand-in)"
     )
-    record("table1_datasets", text, data=rows)
+    print(f"\n{text}")
     # Sanity: the published size ordering is preserved by the stand-ins.
     by_paper = sorted(rows, key=lambda r: r["paper |E|"])
     generated = [r["|E|"] for r in by_paper]

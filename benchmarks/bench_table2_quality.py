@@ -20,7 +20,7 @@ import time
 
 from conftest import bench_dataset
 
-from repro.bench import format_table, record
+from repro.bench import format_table
 from repro.baselines import get_partitioner
 from repro.objectives import average_fanout
 
@@ -92,7 +92,7 @@ def test_table2_quality_grid(benchmark):
     text += "\n" + format_table(
         paper_rows, title="Paper reference values (published scale)"
     )
-    record("table2_quality", text, data=rows)
+    print(f"\n{text}")
 
     # Shape assertions from Section 4.2.2.
     shp2_gap = [row["shp-2 +%"] for row in rows]

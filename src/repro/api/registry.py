@@ -21,9 +21,9 @@ Lookup is alias- and spelling-tolerant (case, ``-``/``_`` separators), so
 ``get("CLIQUE_NET")`` finds the entry registered as ``"cliquenet"`` with
 alias ``"clique-net"`` — matching the historical ``get_objective``
 behaviour.  Entries may carry arbitrary metadata keyword arguments
-(retrieved via :meth:`Registry.meta`); the runner uses this to know, e.g.,
-which algorithm knobs a partitioner accepts instead of hard-coding name
-checks.
+(retrieved via :meth:`Registry.meta`); the spec and the runner use this to
+know, e.g., which declared config a partitioner's options are checked
+against, instead of hard-coding name checks.
 """
 
 from __future__ import annotations
@@ -146,10 +146,10 @@ PARTITIONERS = Registry("partitioner", loader="repro.baselines")
 #: Objective factories: ``fn(p=0.5) -> SeparableObjective``.
 OBJECTIVES = Registry("objective", loader="repro.objectives")
 
-#: Distributed-engine backend factories: ``fn() -> Backend``.  Factories
-#: are zero-argument (a spec names a backend, it does not configure one);
-#: backends with connection parameters — ``rpc``'s hosts/timeouts — are
-#: constructed directly by the runner from ``ExecutionSpec`` fields.
+#: Distributed-engine backend factories: ``fn(**connection) -> Backend``,
+#: callable with no arguments.  An entry's ``takes`` metadata names the
+#: ``ExecutionSpec`` fields its constructor has (``rpc``: hosts and both
+#: timeouts; ``mp``: the barrier timeout); the runner passes those.
 BACKENDS = Registry("backend", loader="repro.distributed.backend")
 
 #: Swap-matcher factories: ``fn(config: SHPConfig) -> matcher``.

@@ -33,11 +33,12 @@ from typing import Any
 import numpy as np
 
 from .. import __version__
+from ..core.config import SHPConfig
 from ..core.persistence import save_assignment
 from ..hypergraph import BipartiteGraph, darwini_bipartite, load_dataset, load_graph
 from ..objectives import PartitionQuality, evaluate_partition
-from .registry import PARTITIONERS
-from .spec import AlgorithmSpec, JobSpec, SpecError
+from .registry import BACKENDS, PARTITIONERS
+from .spec import JobSpec
 
 __all__ = [
     "run",
@@ -135,7 +136,7 @@ def smoke_spec(spec: JobSpec) -> JobSpec:
         repair_iterations=min(spec.serving.repair_iterations, 5),
     )
     algorithm = spec.algorithm
-    if "p" in PARTITIONERS.meta(algorithm.name).get("accepts", ()):
+    if PARTITIONERS.meta(algorithm.name).get("config") is not None:
         # SHP family: cap the refinement budgets (other baselines take no
         # iteration knobs and are already fast at smoke graph sizes).
         options = dict(algorithm.options)
@@ -149,79 +150,44 @@ def smoke_spec(spec: JobSpec) -> JobSpec:
 # execution dispatch
 # ----------------------------------------------------------------------
 
-def _run_local(spec: JobSpec, graph: BipartiteGraph) -> Any:
-    """In-process partitioner run via the registry."""
+def _shp_config(spec: JobSpec, **fixed: Any) -> SHPConfig:
+    """The one ``spec -> SHPConfig`` assembly: the spec's own keys, then
+    ``algorithm.options`` (``JobSpec`` checked the table against the same
+    declarations and refused those keys in it), then what the substrate fixes."""
     alg = spec.algorithm
-    partitioner = PARTITIONERS.get(alg.name)
-    accepts = PARTITIONERS.meta(alg.name).get("accepts", ())
-    kwargs: dict = {"k": alg.k, "epsilon": alg.epsilon, "seed": spec.seed}
-    if "p" in accepts:
-        kwargs["p"] = alg.p
-        if alg.objective != "pfanout":
-            kwargs["objective"] = alg.objective
-    if "refine_workers" in accepts and spec.execution.refine_workers > 1:
-        # Parallel level-fused refinement: an execution knob (it changes
-        # where gains are computed, never the bits), so it rides on the
-        # execution spec rather than algorithm options.
-        kwargs["refine_workers"] = spec.execution.refine_workers
-    kwargs.update(_shp_options(alg) if "p" in accepts else alg.options)
-    return partitioner(graph, **kwargs)
+    return SHPConfig(
+        k=alg.k, p=alg.p, objective=alg.objective, epsilon=alg.epsilon, seed=spec.seed,
+        refine_workers=spec.execution.refine_workers, **alg.options, **fixed,
+    )
 
 
-def _shp_options(alg: AlgorithmSpec) -> dict:
-    """``algorithm.options`` of an SHP-family entry, every key checked.
-
-    The options become :class:`~repro.core.config.SHPConfig` keyword
-    arguments; an unknown one is a spec error naming its dotted path, not
-    a ``TypeError`` from the dataclass constructor.
-    """
-    from ..core.config import SHPConfig
-
-    known = [f.name for f in dataclasses.fields(SHPConfig)]
-    for key in alg.options:
-        if key not in known:
-            raise SpecError(
-                f"algorithm.options.{key}: unknown SHP option for "
-                f"{alg.name!r}; known: {', '.join(known)}"
-            )
-    return alg.options
+def _run_local(spec: JobSpec, graph: BipartiteGraph) -> Any:
+    """In-process partitioner run via the registry's calling convention."""
+    alg = spec.algorithm
+    if PARTITIONERS.meta(alg.name).get("config") is not None:  # the SHP family
+        kwargs = dataclasses.asdict(_shp_config(spec))
+    else:
+        kwargs = {"k": alg.k, "epsilon": alg.epsilon, "seed": spec.seed, **alg.options}
+    return PARTITIONERS.get(alg.name)(graph, **kwargs)
 
 
 def _run_engine(
     spec: JobSpec, graph: BipartiteGraph, initial: np.ndarray | None = None
 ) -> Any:
     """Vertex-centric engine run on the configured backend."""
-    from ..core.config import SHPConfig
     from ..distributed import ClusterSpec
     from ..distributed_shp import DistributedSHP
 
-    alg, execution = spec.algorithm, spec.execution
-    mode = PARTITIONERS.meta(alg.name)["engine_mode"]  # JobSpec validated the pairing
-    config_kwargs: dict = {
-        "k": alg.k,
-        "p": alg.p,
-        "objective": alg.objective,
-        "epsilon": alg.epsilon,
-        "seed": spec.seed,
-        "swap_mode": "bernoulli",
-    }
-    config_kwargs.update(_shp_options(alg))
-    config = SHPConfig(**config_kwargs)
-    backend = execution.backend
-    if backend == "rpc":
-        # The rpc backend takes connection parameters the registry's
-        # zero-argument factory cannot carry; build it explicitly.
-        from ..distributed import RpcBackend
-
-        backend = RpcBackend(
-            hosts=execution.hosts,
-            connect_timeout=execution.connect_timeout,
-            step_timeout=execution.step_timeout,
-        )
+    execution = spec.execution
+    # Connection parameters go to whichever backend takes them (rpc: hosts
+    # and both timeouts; mp: the barrier timeout; sim: none).
+    takes = BACKENDS.meta(execution.backend).get("takes", ())
+    backend = BACKENDS.get(execution.backend)(**{key: getattr(execution, key) for key in takes})
     job = DistributedSHP(
-        config,
+        _shp_config(spec, swap_mode="bernoulli"),
         cluster=ClusterSpec(num_workers=execution.workers),
-        mode=mode,
+        # JobSpec validated the pairing: an engine backend, an engine_mode algorithm.
+        mode=PARTITIONERS.meta(spec.algorithm.name)["engine_mode"],
         backend=backend,
         combiner=execution.combiner,
     )

@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import json
+import numbers
 import operator
 import typing
 from collections.abc import Iterable, Iterator, Mapping
@@ -48,15 +50,15 @@ from .registry import BACKENDS, OBJECTIVES, PARTITIONERS
 
 try:  # Python 3.11+
     import tomllib
-except ModuleNotFoundError:  # pragma: no cover - Python 3.10 fallback
-    try:
-        import tomli as tomllib  # type: ignore[no-redef]
-    except ModuleNotFoundError:
-        tomllib = None  # type: ignore[assignment]
+except ModuleNotFoundError:  # pragma: no cover - 3.10: the `tomli` dependency
+    import tomli as tomllib  # type: ignore[no-redef]
 
 __all__ = [
     "SpecError",
+    "OWNED_OPTIONS",
     "option",
+    "same_option",
+    "check_option",
     "check_options",
     "iter_options",
     "option_choices",
@@ -75,6 +77,12 @@ __all__ = [
 ]
 
 LOCAL_BACKEND = "local"
+#: Partitioner knobs that are spec keys of their own: an ``options`` table
+#: refuses them, naming the key to set instead.
+OWNED_OPTIONS = {
+    "k": "algorithm.k", "p": "algorithm.p", "objective": "algorithm.objective",
+    "epsilon": "algorithm.epsilon", "seed": "seed", "refine_workers": "execution.refine_workers",
+}
 
 
 class SpecError(ValueError):
@@ -88,10 +96,11 @@ class SpecError(ValueError):
 #: Bound keywords of :func:`option`: name -> (holds(value, bound), symbol).
 _BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "le": (operator.le, "<=")}
 _OPTION_KEYS = {*_BOUNDS, "choices", "registry", "flags", "metavar", "help"}
-#: What an annotation accepts from TOML/JSON: an int is a float, any
-#: mapping a dict, a tuple a list (a bool is never a number; see _check_type).
+#: What an annotation accepts from TOML/JSON or a library caller: any
+#: integer (numpy's included) is an int and a float, any mapping a dict, a
+#: tuple a list (a bool is never a number; see _check_type).
 _ACCEPTS: dict[Any, tuple[type, ...]] = {
-    float: (int, float), dict: (Mapping,), list: (list, tuple),
+    int: (numbers.Integral,), float: (numbers.Real,), dict: (Mapping,), list: (list, tuple),
 }
 
 
@@ -108,6 +117,13 @@ def option(default: Any, **known: Any) -> Any:
     if unknown:
         raise TypeError(f"option() got unknown keys {sorted(unknown)}")
     return field(default=default, metadata=known)
+
+
+def same_option(cls: type, name: str) -> Any:
+    """Declare on a library config the option ``cls.name`` already is: its
+    default, bounds, choices and help are read from that one line."""
+    f = cls.__dataclass_fields__[name]
+    return option(f.default, **f.metadata)
 
 
 @functools.cache
@@ -144,28 +160,32 @@ def option_choices(f: dataclasses.Field) -> list[str] | None:
     return [name for source in sources for name in source] if sources else None
 
 
-def check_options(spec: Any, prefix: str = "") -> None:
-    """Validate every field of a spec dataclass against its declaration.
+def check_option(f: dataclasses.Field, annotation: Any, value: Any, path: str) -> None:
+    """Validate one value against a field's declaration: the type from the
+    annotation, range and choices from :func:`option`; the error starts
+    with ``path``."""
+    _check_type(value, annotation, path)
+    if value is None:
+        return
+    for key, (holds, _) in _BOUNDS.items():
+        if key in f.metadata and not holds(value, f.metadata[key]):
+            raise SpecError(f"{path}: must be {option_range(f)}; got {value!r}")
+    allowed = option_choices(f)
+    # `in` on a registry also resolves aliases and spelling variants.
+    if allowed is not None and value not in allowed and value not in f.metadata.get("registry", ()):
+        what = f.metadata["registry"].kind if "registry" in f.metadata else f.name
+        raise SpecError(f"{path}: unknown {what} {value!r}; known: {', '.join(allowed)}")
 
-    The type comes from the annotation, range and choices from
-    :func:`option`; each error starts with the field's dotted path.
-    Mapping / tuple values are normalised to ``dict`` / ``list`` in place.
-    """
+
+def check_options(spec: Any, prefix: str = "") -> None:
+    """Validate every field of a declared dataclass (:func:`check_option`),
+    each under its dotted path.  Mapping / tuple values are normalised to
+    ``dict`` / ``list`` in place."""
     hints = _hints(type(spec))
     for f in dataclasses.fields(spec):
         path = f"{prefix}.{f.name}" if prefix else f.name
-        value, meta = getattr(spec, f.name), f.metadata
-        _check_type(value, hints[f.name], path)
-        if value is None:
-            continue
-        for key, (holds, _) in _BOUNDS.items():
-            if key in meta and not holds(value, meta[key]):
-                raise SpecError(f"{path}: must be {option_range(f)}; got {value!r}")
-        allowed = option_choices(f)
-        # `in` on a registry also resolves aliases and spelling variants.
-        if allowed is not None and value not in allowed and value not in meta.get("registry", ()):
-            what = meta["registry"].kind if "registry" in meta else f.name
-            raise SpecError(f"{path}: unknown {what} {value!r}; known: {', '.join(allowed)}")
+        value = getattr(spec, f.name)
+        check_option(f, hints[f.name], value, path)
         if isinstance(value, Mapping):
             for key in value:
                 _check_type(key, str, f"{path} key")
@@ -173,6 +193,34 @@ def check_options(spec: Any, prefix: str = "") -> None:
                 object.__setattr__(spec, f.name, dict(value))
         elif isinstance(value, tuple):
             object.__setattr__(spec, f.name, list(value))
+
+
+def check_option_table(table: Mapping, name: str, path: str, owned: Mapping[str, str]) -> None:
+    """Validate an ``options`` table against what partitioner ``name`` takes.
+
+    An entry registered with ``config=`` (the SHP family) takes the fields
+    of that declared dataclass, each checked by :func:`check_option` under
+    ``path.<key>``; any other takes the named parameters of its callable.
+    ``owned`` maps a key the spec sets itself to the key to write instead.
+    """
+    if not table:
+        return
+    config = PARTITIONERS.meta(name).get("config")
+    if config is not None:
+        known = {f.name: f for f in dataclasses.fields(config)}
+    else:
+        parameters = inspect.signature(PARTITIONERS.get(name)).parameters.values()
+        known = {p.name: p for p in parameters if p.kind is not p.VAR_KEYWORD and p.name != "graph"}
+    for key, value in table.items():
+        if key in owned:
+            raise SpecError(f"{path}.{key}: set {owned[key]} instead")
+        if key not in known:
+            raise SpecError(
+                f"{path}.{key}: unknown {'SHP ' if config else ''}option for {name!r}; "
+                f"known: {', '.join(known) or 'none'}"
+            )
+        if config is not None:
+            check_option(known[key], _hints(config)[key], value, f"{path}.{key}")
 
 
 def iter_options(cls: type, prefix: str = "") -> Iterator[tuple[str, dataclasses.Field, type]]:
@@ -224,7 +272,7 @@ class GraphSpec:
     source: str = option("file", choices=("file", "dataset", "darwini"))
     path: str | None = option(None, flags=("input",), help="graph file (.hgr / .tsv / .npz)")
     dataset: str | None = option(None)
-    scale: float = option(0.01, gt=0)
+    scale: float = option(0.01, gt=0, flags=("--scale",))
     users: int = option(
         4000, ge=1, flags=("--users",),
         help="users in the generated workload (no input file; default: {default})",
@@ -253,12 +301,12 @@ class AlgorithmSpec:
     """Which partitioner to run and its quality knobs.
 
     ``name`` is any :data:`~repro.api.registry.PARTITIONERS` entry.  ``p``
-    and ``objective`` apply only to algorithms whose registry metadata
-    accepts them (the runner routes knobs by metadata, so e.g. ``random``
-    ignores ``objective`` instead of crashing).
-    ``options`` is a free-form table of extra keyword arguments forwarded
-    verbatim to the partitioner / :class:`~repro.core.config.SHPConfig`
-    (``matcher``, ``move_damping``, ``max_iterations``, ...).
+    and ``objective`` apply only to the SHP family (``random`` ignores
+    ``objective`` instead of crashing).  ``options`` holds the partitioner's
+    remaining knobs — for the SHP family the other
+    :class:`~repro.core.config.SHPConfig` fields (``matcher``,
+    ``move_damping``, ``max_iterations``, ...), each checked against its
+    declaration there when the :class:`JobSpec` is built.
     """
 
     name: str = option(
@@ -266,7 +314,7 @@ class AlgorithmSpec:
         help="partitioner (default: {default})",
     )
     # k = 1 is degenerate but legal for the trivial baselines (random/hash);
-    # SHP's own k >= 2 floor is enforced by SHPConfig.
+    # the SHP family's k >= 2 floor is a JobSpec rule.
     k: int = option(2, ge=1, flags=("-k",), help="number of buckets")
     epsilon: float = option(0.05, ge=0, flags=("--epsilon",), help="imbalance bound")
     p: float = option(0.5, gt=0, le=1, flags=("-p",), help="fanout probability")
@@ -380,8 +428,9 @@ class PipelineSpec:
     ``warmstart`` names any :data:`~repro.api.registry.PARTITIONERS` entry
     used to produce the initial assignment — by default ``"streaming"``,
     the single-pass out-of-core partitioner, which is the configuration
-    that scales past RAM.  ``options`` is forwarded verbatim to the
-    warm-start partitioner.  The refinement stage is described by the
+    that scales past RAM.  ``options`` holds the warm-start partitioner's
+    own knobs, checked like ``algorithm.options`` when the :class:`JobSpec`
+    is built.  The refinement stage is described by the
     ordinary ``[algorithm]`` / ``[execution]`` tables: the runner hands
     the warm assignment to the distributed engine via ``initial=``.
     """
@@ -453,7 +502,7 @@ class JobSpec:
     """The root of the spec tree: one declarative, reproducible job."""
 
     kind: str = option("partition", choices=("partition", "serving", "stream-refine"))
-    seed: int = option(0, flags=("--seed",))
+    seed: int = option(0, ge=0, flags=("--seed",))
     graph: GraphSpec = field(default_factory=GraphSpec)
     algorithm: AlgorithmSpec = field(default_factory=AlgorithmSpec)
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
@@ -463,6 +512,23 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         check_options(self)
+        # The two ``options`` tables hold what their partitioner declares,
+        # minus the knobs that are spec keys of their own.
+        name, k = self.algorithm.name, self.algorithm.k
+        shp = PARTITIONERS.meta(name).get("config") is not None
+        if shp and k < 2:
+            raise SpecError(f"algorithm.k: k must be at least 2 for {name!r}; got {k}")
+        owned = dict(OWNED_OPTIONS)
+        if shp and not self.execution.is_local:
+            owned["swap_mode"] = (
+                f"execution.backend = {LOCAL_BACKEND!r} (the engine's swaps are always 'bernoulli')"
+            )
+        check_option_table(self.algorithm.options, name, "algorithm.options", owned)
+        # A warm start is handed k (it follows algorithm.k), epsilon and the seed.
+        check_option_table(
+            self.pipeline.options, self.pipeline.warmstart, "pipeline.options",
+            {key: OWNED_OPTIONS[key] for key in ("k", "epsilon", "seed")},
+        )
         refines = self.kind == "stream-refine"
         if refines and self.execution.is_local:
             raise SpecError(
@@ -473,7 +539,6 @@ class JobSpec:
         # The vertex-centric engine runs the algorithms whose registry entry
         # names an ``engine_mode``; both ways of reaching it need one.
         on_engine = self.kind == "partition" and not self.execution.is_local
-        name = self.algorithm.name
         if (refines or on_engine) and not PARTITIONERS.meta(name).get("engine_mode"):
             capable = ", ".join(
                 n for n in PARTITIONERS.names() if PARTITIONERS.meta(n).get("engine_mode")
@@ -530,11 +595,6 @@ def load_spec(path: str | Path) -> dict:
             return json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: invalid JSON: {exc}") from exc
-    if tomllib is None:  # pragma: no cover - Python 3.10 without tomli
-        raise SpecError(
-            "TOML specs need Python 3.11+ (or the 'tomli' package); "
-            "JSON specs work everywhere"
-        )
     try:
         return tomllib.loads(path.read_text(encoding="utf-8"))
     except tomllib.TOMLDecodeError as exc:
@@ -557,18 +617,10 @@ def parse_override(item: str) -> tuple[list[str], Any]:
     if not all(parts):
         raise SpecError(f"override {item!r}: empty path component in {key!r}")
     raw = raw.strip()
-    value: Any = raw
-    if tomllib is not None:
-        try:
-            value = tomllib.loads(f"v = {raw}")["v"]
-        except tomllib.TOMLDecodeError:
-            value = raw
-    else:  # pragma: no cover - Python 3.10 without tomli
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-    return parts, value
+    try:
+        return parts, tomllib.loads(f"v = {raw}")["v"]
+    except tomllib.TOMLDecodeError:
+        return parts, raw
 
 
 def apply_overrides(data: dict, overrides: Iterable[str]) -> dict:

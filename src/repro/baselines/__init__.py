@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..api.registry import PARTITIONERS
+from ..core.config import SHPConfig
 from ..core.result import PartitionResult
 from ..core.shp_2 import shp_2
 from ..core.shp_k import shp_k
@@ -58,10 +59,12 @@ __all__ = [
 
 Partitioner = Callable[..., PartitionResult]
 
-# Registration order is comparison-table order.  ``accepts`` names the
-# algorithm knobs beyond (k, epsilon, seed) the entry understands — the
-# runner routes JobSpec fields by this metadata instead of name checks —
-# and ``engine_mode`` marks entries runnable on the vertex-centric engine.
+# Registration order is comparison-table order.  ``config`` names the
+# declared dataclass an entry's keyword arguments build (the SHP family:
+# JobSpec checks ``algorithm.options`` against it and the runner assembles
+# it, instead of name checks); any other entry takes the named parameters
+# of its callable.  ``engine_mode`` marks entries runnable on the
+# vertex-centric engine.
 PARTITIONERS.register("random")(random_partitioner)
 PARTITIONERS.register("hash")(hash_partitioner)
 PARTITIONERS.register("label-prop")(label_propagation_partitioner)
@@ -70,14 +73,12 @@ PARTITIONERS.register("label-prop")(label_propagation_partitioner)
 PARTITIONERS.register("streaming")(streaming_partitioner)
 
 
-@PARTITIONERS.register("shp-k", accepts=("p", "objective"), engine_mode="k")
+@PARTITIONERS.register("shp-k", config=SHPConfig, engine_mode="k")
 def _shp_k(graph: BipartiteGraph, k: int, epsilon: float = 0.05, seed: int = 0, **kw):
     return shp_k(graph, k, epsilon=epsilon, seed=seed, **kw)
 
 
-@PARTITIONERS.register(
-    "shp-2", accepts=("p", "objective", "refine_workers"), engine_mode="2"
-)
+@PARTITIONERS.register("shp-2", config=SHPConfig, engine_mode="2")
 def _shp_2(graph: BipartiteGraph, k: int, epsilon: float = 0.05, seed: int = 0, **kw):
     return shp_2(graph, k, epsilon=epsilon, seed=seed, **kw)
 

@@ -1,6 +1,5 @@
-"""Experiment harness: table/series rendering and result recording."""
+"""Experiment harness: table / series rendering."""
 
-from .recorder import record, results_dir
-from .tables import ascii_bars, format_series, format_table
+from .tables import format_series, format_table
 
-__all__ = ["format_table", "format_series", "ascii_bars", "record", "results_dir"]
+__all__ = ["format_table", "format_series"]

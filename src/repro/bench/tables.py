@@ -1,15 +1,14 @@
 """ASCII table and series rendering for the experiment harness.
 
 Benchmarks print the same rows/series the paper reports; these helpers keep
-the output aligned and diffable (results are also recorded as JSON by
-:mod:`repro.bench.recorder`).
+the output aligned and diffable.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["format_table", "format_series", "ascii_bars"]
+__all__ = ["format_table", "format_series"]
 
 
 def _cell(value: object) -> str:
@@ -64,24 +63,3 @@ def format_series(
             row[name] = values[idx] if idx < len(values) else ""
         rows.append(row)
     return format_table(rows, title=title)
-
-
-def ascii_bars(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 50,
-    title: str | None = None,
-    unit: str = "",
-) -> str:
-    """Horizontal ASCII bar chart (for quick visual shape checks)."""
-    if not labels:
-        return (title + "\n(empty)\n") if title else "(empty)\n"
-    peak = max(max(values), 1e-12)
-    label_width = max(len(str(label)) for label in labels)
-    parts: list[str] = []
-    if title:
-        parts.append(title)
-    for label, value in zip(labels, values):
-        bar = "#" * max(0, int(round(width * value / peak)))
-        parts.append(f"{str(label).rjust(label_width)} | {bar} {value:.3g}{unit}")
-    return "\n".join(parts) + "\n"

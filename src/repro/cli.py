@@ -67,6 +67,9 @@ SPEC_FLAGS: dict[str, tuple] = {
         ("algorithm.k", {**_REQUIRED, "help": None}),
         *_KNOBS,
     ),
+    # A bucket count and no job: rooted at AlgorithmSpec (no JobSpec pairing rules).
+    "evaluate": (("k", {"default": None, "help": "bucket count (default: stored or max+1)"}),),
+    "generate": ("graph.scale", "seed"),
     "serve-sim": (
         ("graph.path", {
             "nargs": "?",
@@ -186,6 +189,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .core.persistence import load_assignment
     from .objectives import evaluate_partition
 
+    spec_from_args(args, root=AlgorithmSpec)  # a given -k is algorithm.k's declaration
     try:
         graph = load_graph(args.input)
     except GraphValidationError as exc:
@@ -205,7 +209,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    spec = spec_from_args(args)
+    graph = load_dataset(args.dataset, scale=spec.graph.scale, seed=spec.seed)
     try:
         save_graph(graph, args.output)
     except GraphValidationError as exc:
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="evaluate an existing assignment")
     e.add_argument("input", help="graph file")
     e.add_argument("assignment", help="assignment file (.npz, or one bucket id per line)")
-    e.add_argument("-k", type=int, default=0, help="bucket count (default: stored or max+1)")
+    add_spec_flags(e, SPEC_FLAGS["evaluate"], root=AlgorithmSpec)
     e.set_defaults(func=_cmd_evaluate)
 
     c = sub.add_parser("compare", help="run several partitioners and rank by fanout")
@@ -422,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a Table 1 dataset stand-in")
     g.add_argument("dataset", choices=dataset_names())
-    g.add_argument("--scale", type=float, default=0.01)
-    g.add_argument("--seed", type=int, default=0)
+    add_spec_flags(g, SPEC_FLAGS["generate"])
     g.add_argument("-o", "--output", required=True, help="output file (.hgr / .tsv / .npz)")
     g.set_defaults(func=_cmd_generate)
 

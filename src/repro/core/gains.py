@@ -26,6 +26,7 @@ __all__ = [
     "data_query_matrix",
     "move_gains_dense",
     "best_moves",
+    "count_column_grids",
     "gain_tables",
     "segment_sums",
 ]
@@ -169,23 +170,25 @@ def segment_sums(
     return sums
 
 
+def count_column_grids(max_count: int, num_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(count, column)`` index grids of shape ``(max_count + 1, num_labels)``.
+
+    Separable objectives are functions of the small integer ``n_i(q)`` and
+    (at most) the bucket column, so a kernel can replace per-edge
+    transcendental evaluation with gathers from a table evaluated once on
+    these grids — valid for any :class:`SeparableObjective`.
+    """
+    shape = (max_count + 1, num_labels)
+    counts = np.broadcast_to(np.arange(max_count + 1, dtype=np.int64)[:, None], shape)
+    columns = np.broadcast_to(np.arange(num_labels, dtype=np.int64)[None, :], shape)
+    return counts, columns
+
+
 def gain_tables(
     objective: SeparableObjective, max_count: int, num_labels: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulated ``(removal_gain, insertion_cost)`` over (count, column).
-
-    Separable objectives are functions of the small integer ``n_i(q)`` and
-    (at most) the bucket column, so the gain kernel can replace per-edge
-    transcendental evaluation with two gathers from a
-    ``(max_count + 1) × L`` table — built once per call from the generic
-    ``*_at`` hooks, valid for any :class:`SeparableObjective`.
-    """
-    n_grid = np.broadcast_to(
-        np.arange(max_count + 1, dtype=np.int64)[:, None], (max_count + 1, num_labels)
-    )
-    col_grid = np.broadcast_to(
-        np.arange(num_labels, dtype=np.int64)[None, :], (max_count + 1, num_labels)
-    )
-    removal = np.ascontiguousarray(objective.removal_gain_at(n_grid, col_grid))
-    insertion = np.ascontiguousarray(objective.insertion_cost_at(n_grid, col_grid))
+    """Tabulated ``(removal_gain, insertion_cost)`` over (count, column)."""
+    grids = count_column_grids(max_count, num_labels)
+    removal = np.ascontiguousarray(objective.removal_gain(*grids))
+    insertion = np.ascontiguousarray(objective.insertion_cost(*grids))
     return removal, insertion

@@ -82,7 +82,7 @@ from ..hypergraph.bipartite import (
     sorted_unique,
 )
 from .config import SHPConfig
-from .gains import gain_tables, segment_sums
+from .gains import count_column_grids, gain_tables, segment_sums
 from .parallel_refine import (
     PARALLEL_MIN_RANKS,
     ParallelGainPool,
@@ -126,15 +126,8 @@ class _LevelTracker:
     """
 
     def __init__(self, objective, num_labels, max_count, norm):
-        n_grid = np.broadcast_to(
-            np.arange(max_count + 1, dtype=np.int64)[:, None],
-            (max_count + 1, num_labels),
-        )
-        col_grid = np.broadcast_to(
-            np.arange(num_labels, dtype=np.int64)[None, :],
-            (max_count + 1, num_labels),
-        )
-        self.table = np.ascontiguousarray(objective.contribution_at(n_grid, col_grid))
+        grids = count_column_grids(max_count, num_labels)
+        self.table = np.ascontiguousarray(objective.contribution(*grids))
         self.inverse_n = 1.0 / np.maximum(np.arange(max_count + 1), 1)
         self.norm = norm
         self.value_total = 0.0

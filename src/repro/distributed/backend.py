@@ -421,18 +421,18 @@ def _make_sim() -> Backend:
     return SimulatedBackend()
 
 
-@BACKENDS.register("mp")
-def _make_mp() -> Backend:
+@BACKENDS.register("mp", takes=("step_timeout",))
+def _make_mp(**connection) -> Backend:
     from .backend_mp import MultiprocessBackend
 
-    return MultiprocessBackend()
+    return MultiprocessBackend(**connection)
 
 
-@BACKENDS.register("rpc")
-def _make_rpc() -> Backend:
+@BACKENDS.register("rpc", takes=("hosts", "connect_timeout", "step_timeout"))
+def _make_rpc(**connection) -> Backend:
     from .backend_rpc import RpcBackend
 
-    return RpcBackend()
+    return RpcBackend(**connection)
 
 
 def backend_names() -> list[str]:

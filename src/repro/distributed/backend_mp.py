@@ -37,6 +37,7 @@ import time
 
 import numpy as np
 
+from ..api.spec import ExecutionSpec
 from ..storage import open_store_view
 from .backend import Backend
 from .shared_pool import SharedArrayPack, SharedArrayPool, default_mp_context
@@ -271,7 +272,9 @@ class MultiprocessBackend(Backend):
 
     name = "mp"
 
-    def __init__(self, mp_context: str | None = None, step_timeout: float = 600.0):
+    def __init__(
+        self, mp_context: str | None = None, step_timeout: float = ExecutionSpec.step_timeout
+    ):
         self.mp_context = mp_context or default_mp_context()
         self.step_timeout = step_timeout
         # Per-run state (managed by the _open/_finish/_close hooks; the

@@ -59,6 +59,7 @@ import pickle
 import socket
 import time
 
+from ..api.spec import ExecutionSpec
 from .backend import Backend
 from .backend_mp import PipeWorkers
 from .shared_pool import default_mp_context
@@ -193,8 +194,8 @@ class RpcBackend(Backend):
     def __init__(
         self,
         hosts: list[str] | None = None,
-        connect_timeout: float = 10.0,
-        step_timeout: float = 600.0,
+        connect_timeout: float = ExecutionSpec.connect_timeout,  # the spec keys' defaults,
+        step_timeout: float = ExecutionSpec.step_timeout,  # read from their declarations
         mp_context: str | None = None,
         chaos_kill: tuple[int, int] | None = None,
     ):

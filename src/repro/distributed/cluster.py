@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..api.spec import ExecutionSpec
+
 __all__ = ["MachineSpec", "ClusterSpec", "CostModel", "PAPER_MACHINE"]
 
 
@@ -44,7 +46,7 @@ PAPER_MACHINE = MachineSpec()
 class ClusterSpec:
     """A homogeneous cluster of workers."""
 
-    num_workers: int = 4
+    num_workers: int = ExecutionSpec.workers  # the spec key's default, read from its declaration
     machine: MachineSpec = PAPER_MACHINE
 
     def __post_init__(self) -> None:

@@ -37,41 +37,26 @@ class SeparableObjective(ABC):
     #: short name used by the registry and benchmark tables
     name: str = "objective"
 
+    # ``buckets``, where given, is the bucket column of each element: the
+    # level-fused kernels evaluate on gathered count vectors and
+    # (count, column) grids rather than full |Q| × k matrices, so an
+    # objective that depends on the column (per-bucket ``splits_ahead``)
+    # needs the ids.  Column-independent objectives ignore it.
     @abstractmethod
-    def contribution(self, counts: np.ndarray) -> np.ndarray:
+    def contribution(self, counts: np.ndarray, buckets: np.ndarray | None = None) -> np.ndarray:
         """Elementwise ``f(n)`` over an integer array of neighbor counts."""
 
     @abstractmethod
-    def removal_gain(self, counts: np.ndarray) -> np.ndarray:
+    def removal_gain(self, counts: np.ndarray, buckets: np.ndarray | None = None) -> np.ndarray:
         """Elementwise ``f(n) − f(n−1)``; only called with ``n ≥ 1``."""
 
-    @abstractmethod
-    def insertion_cost(self, counts: np.ndarray) -> np.ndarray:
-        """Elementwise ``f(n+1) − f(n)``."""
+    def insertion_cost(self, counts: np.ndarray, buckets: np.ndarray | None = None) -> np.ndarray:
+        """Elementwise ``f(n+1) − f(n)``: the removal gain one neighbor later."""
+        return self.removal_gain(counts + 1, buckets)
 
     def contribution_at(self, counts: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-        """``contribution`` at explicit bucket columns (gathered evaluation).
-
-        Default ignores ``buckets`` — correct for column-independent
-        objectives; see :meth:`removal_gain_at`.
-        """
-        return self.contribution(counts)
-
-    def removal_gain_at(self, counts: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-        """``removal_gain`` at explicit bucket columns (gathered evaluation).
-
-        The level-fused gain kernel evaluates the objective on per-edge
-        *gathered* count vectors rather than full |Q| × k matrices, so
-        bucket-dependent objectives (:class:`~repro.objectives.pfanout.ScaledPFanout`
-        with per-bucket ``splits_ahead``) need the column id of each element.
-        The default ignores ``buckets`` — correct for every column-independent
-        objective.
-        """
-        return self.removal_gain(counts)
-
-    def insertion_cost_at(self, counts: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-        """``insertion_cost`` at explicit bucket columns (gathered evaluation)."""
-        return self.insertion_cost(counts)
+        """``contribution`` at explicit bucket columns (gathered evaluation)."""
+        return self.contribution(counts, buckets)
 
     def value_from_counts(self, counts: np.ndarray) -> float:
         """Total objective (normalized per query) from a |Q| × k counts matrix."""

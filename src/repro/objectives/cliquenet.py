@@ -27,17 +27,13 @@ class CliqueNetObjective(SeparableObjective):
 
     name = "clique-net"
 
-    def contribution(self, counts: np.ndarray) -> np.ndarray:
+    def contribution(self, counts: np.ndarray, buckets: np.ndarray | None = None) -> np.ndarray:
         c = counts.astype(np.float64)
         return -0.5 * c * (c - 1.0)
 
-    def removal_gain(self, counts: np.ndarray) -> np.ndarray:
+    def removal_gain(self, counts: np.ndarray, buckets: np.ndarray | None = None) -> np.ndarray:
         # f(n) − f(n−1) = −(n−1)
         return -(counts.astype(np.float64) - 1.0)
-
-    def insertion_cost(self, counts: np.ndarray) -> np.ndarray:
-        # f(n+1) − f(n) = −n
-        return -counts.astype(np.float64)
 
     def cut_from_counts(self, counts: np.ndarray) -> float:
         """The actual weighted edge cut (pairs of co-queried data vertices split)."""

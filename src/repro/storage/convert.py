@@ -45,7 +45,7 @@ from ..hypergraph.io import (
     read_hmetis_header,
     read_hmetis_vertex_weights,
 )
-from .format import StoreHeader, StoreWriter
+from .format import StorageError, StoreHeader, StoreWriter
 
 __all__ = ["convert_to_store", "CONVERT_SUFFIXES"]
 
@@ -256,6 +256,9 @@ def convert_to_store(
     removed on exit, success or failure.  Returns the finalized header.
     """
     src, dst = Path(src), Path(dst)
+    if chunk_edges < 1:
+        # 0 reads no edges and writes a store without them; < 0 dies in a reader.
+        raise StorageError(f"chunk_edges must be at least 1, got {chunk_edges}")
     source = _open_source(src, chunk_edges)
     store_name = name if name is not None else src.stem
     with tempfile.TemporaryDirectory(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..api.spec import AlgorithmSpec, JobSpec, ServingSpec, check_options, option, same_option
 from ..core.config import SHPConfig
 from ..core.incremental import budgeted_incremental_update
 from ..core.shp_2 import SHP2Partitioner
@@ -40,29 +41,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Tunables of the serving loop."""
+    """Tunables of the serving loop (the ``[serving]`` spec keys, declared
+    once there, plus what a library caller may also set)."""
 
-    num_servers: int = 16
-    rounds: int = 3
-    queries_per_round: int = 2000
-    skew: float = 0.8  # Zipf exponent of the traffic sample
-    churn_fraction: float = 0.05  # fraction of queries rewired per round
-    migration_budget: float = 0.10  # max fraction of records moved per repair
-    epsilon: float = 0.05
-    move_penalty: float = 0.05  # starting gain tax (escalated to meet budget)
-    repair_iterations: int = 15
-    method: str = "2"  # incremental repair driver: "2" (SHP-2) or "k" (SHP-k)
-    seed: int = 0
+    num_servers: int = same_option(ServingSpec, "servers")
+    rounds: int = same_option(ServingSpec, "rounds")
+    queries_per_round: int = same_option(ServingSpec, "queries_per_round")
+    skew: float = same_option(ServingSpec, "skew")
+    churn_fraction: float = same_option(ServingSpec, "churn_fraction")
+    migration_budget: float = same_option(ServingSpec, "migration_budget")
+    epsilon: float = same_option(AlgorithmSpec, "epsilon")
+    move_penalty: float = option(
+        0.05, ge=0, help="starting gain tax per move (escalated to meet the budget)"
+    )
+    repair_iterations: int = same_option(ServingSpec, "repair_iterations")
+    method: str = same_option(ServingSpec, "method")
+    seed: int = same_option(JobSpec, "seed")
 
     def __post_init__(self) -> None:
-        if self.num_servers < 2:
-            raise ValueError("num_servers must be at least 2")
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        if not 0.0 <= self.churn_fraction <= 1.0:
-            raise ValueError("churn_fraction must be in [0, 1]")
-        if self.method not in ("2", "k"):
-            raise ValueError("method must be '2' or 'k'")
+        check_options(self)
 
 
 @dataclass(frozen=True)

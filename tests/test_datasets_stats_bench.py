@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.bench import ascii_bars, format_series, format_table, record
+from repro.bench import format_series, format_table
 from repro.hypergraph import (
     DATASETS,
     dataset_names,
@@ -104,19 +102,6 @@ class TestBenchUtils:
         text = format_series("k", [2, 8], {"fanout": [1.5, 3.2]})
         assert "k" in text and "fanout" in text
         assert "3.2" in text
-
-    def test_ascii_bars(self):
-        text = ascii_bars(["a", "bb"], [1.0, 2.0], width=10)
-        assert "#" in text
-        lines = text.splitlines()
-        assert len(lines) == 2
-
-    def test_record_writes_files(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        path = record("unit-test", "hello\n", data={"x": 1}, echo=False)
-        assert path.read_text() == "hello\n"
-        payload = json.loads((tmp_path / "unit-test.json").read_text())
-        assert payload == {"x": 1}
 
 
 class TestClusteringValidation:

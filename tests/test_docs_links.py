@@ -96,8 +96,11 @@ def test_readme_spec_table_is_the_rendered_one():
     """The README's job-spec key table is derived, not hand-kept."""
     assert check_docs_links.check_spec_table() == []
     table = check_docs_links.render_spec_table()
-    assert len(table.splitlines()) == 2 + 36  # header + one row per key
+    # header + one row per spec key + one per SHPConfig field under algorithm.options
+    assert len(table.splitlines()) == 2 + 36 + 19
     assert "| `serving.queries_per_round` | `int` | `2000` | >= 0 | `--queries` |" in table
+    assert "| `algorithm.options.num_bins` | `int` | `40` | >= 1 |  |" in table
+    assert "| `algorithm.options.k` | `int` | `2` | refused: set `algorithm.k` |  |" in table
 
 
 def test_checker_flags_a_stale_or_missing_spec_table(tmp_path):

@@ -20,21 +20,7 @@ from repro.api import (
     apply_overrides,
     parse_override,
 )
-from repro.api.registry import BACKENDS, OBJECTIVES, PARTITIONERS
-
-try:
-    import tomllib  # noqa: F401
-
-    HAVE_TOML = True
-except ModuleNotFoundError:  # pragma: no cover - Python 3.10 without tomli
-    try:
-        import tomli as tomllib  # noqa: F401
-
-        HAVE_TOML = True
-    except ModuleNotFoundError:
-        HAVE_TOML = False
-
-needs_toml = pytest.mark.skipif(not HAVE_TOML, reason="no TOML parser available")
+from repro.api.registry import BACKENDS, MATCHERS, OBJECTIVES, PARTITIONERS
 
 
 class TestRoundTrip:
@@ -73,16 +59,24 @@ class TestRoundTrip:
         backend=st.sampled_from(["local", *BACKENDS.names()]),
         workers=st.integers(min_value=1, max_value=8),
         source=st.sampled_from(["dataset", "darwini"]),
+        options=st.fixed_dictionaries({}, optional={
+            "num_bins": st.integers(min_value=1, max_value=64),
+            "move_damping": st.floats(min_value=0.1, max_value=1.0),
+            "matcher": st.sampled_from(MATCHERS.names()),
+        }),
     )
     def test_round_trip_property(
         self, kind, seed, name, k, epsilon, p, objective, backend, workers,
-        source,
+        source, options,
     ):
         """from_dict(to_dict(s)) == s over the whole enum/range grid."""
         # An engine partition job needs an engine-capable algorithm, a
         # stream-refine job that and an engine backend: other pairings are
         # rejected at construction (tested on their own below).
         engine_capable = bool(PARTITIONERS.meta(name).get("engine_mode"))
+        # ... and an options table only what its partitioner declares: these
+        # three keys are SHPConfig's.
+        assume(not options or PARTITIONERS.meta(name).get("config") is not None)
         assume({
             "serving": True,
             "partition": backend == "local" or engine_capable,
@@ -93,7 +87,7 @@ class TestRoundTrip:
             seed=seed,
             graph=GraphSpec(source=source, dataset="email-Enron", scale=0.01),
             algorithm=AlgorithmSpec(
-                name=name, k=k, epsilon=epsilon, p=p, objective=objective,
+                name=name, k=k, epsilon=epsilon, p=p, objective=objective, options=options,
             ),
             execution=ExecutionSpec(backend=backend, workers=workers),
         )
@@ -153,20 +147,16 @@ class TestValidationErrors:
     @pytest.mark.parametrize("backend", ["local", "sim"])
     def test_unknown_shp_option_names_dotted_path(self, backend):
         """An `algorithm.options` key SHPConfig does not have is a SpecError
-        at run time on both the local and the engine path (it used to be a
-        TypeError from the dataclass constructor)."""
-        from repro.api import run
-        from repro.hypergraph import community_bipartite
-
-        spec = JobSpec(
-            algorithm=AlgorithmSpec(name="shp-2", k=4, options={"bogus": 1}),
-            execution=ExecutionSpec(backend=backend, workers=2),
-        )
-        graph = community_bipartite(120, 160, 1100, num_communities=6, seed=9)
+        when the JobSpec is built, for the local and the engine path alike
+        (it used to surface at run time, once a TypeError from the
+        dataclass constructor)."""
         with pytest.raises(
             SpecError, match=r"algorithm\.options\.bogus: unknown SHP option.*known:.*seed"
         ):
-            run(spec, graph=graph)
+            JobSpec(
+                algorithm=AlgorithmSpec(name="shp-2", k=4, options={"bogus": 1}),
+                execution=ExecutionSpec(backend=backend, workers=2),
+            )
 
     @pytest.mark.parametrize(
         "data, dotted_path",
@@ -326,7 +316,6 @@ class TestOverrides:
 
 
 class TestFileLoading:
-    @needs_toml
     def test_toml_load_with_overrides(self, tmp_path):
         path = tmp_path / "job.toml"
         path.write_text(
@@ -349,14 +338,12 @@ class TestFileLoading:
         with pytest.raises(SpecError, match="not found"):
             JobSpec.from_file(tmp_path / "nope.toml")
 
-    @needs_toml
     def test_invalid_toml(self, tmp_path):
         path = tmp_path / "bad.toml"
         path.write_text("kind = [unterminated")
         with pytest.raises(SpecError, match="invalid TOML"):
             JobSpec.from_file(path)
 
-    @needs_toml
     def test_unknown_key_in_file_names_path(self, tmp_path):
         path = tmp_path / "job.toml"
         path.write_text("[algorithm]\nkk = 4\n")

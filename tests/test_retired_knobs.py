@@ -42,6 +42,41 @@ _CADENCE = r"checkpoint_(every|period|interval|cadence)"
 _STALE_RULE = r"full_recompute|recompute_all|incremental_s3"
 
 KNOBS = [
+    # -- an option is declared once, the other half (PR 23) --------------
+    Knob(
+        "one-spec-to-config-assembly", r"_shp_options|SHPConfig\(", ("src/repro/api",), 1,
+        "the runner's key check is back, or a spec is turned into an SHPConfig in a second "
+        "place (runner._shp_config is the one; JobSpec checks the options table)",
+        "    config_kwargs.update(_shp_options(alg))",
+    ),
+    Knob(
+        "no-toml-less-fork", r"tomllib = None|tomllib is None", _SRC, 0,
+        "the no-TOML fallback is back (requires-python >= 3.10 with tomli below 3.11: "
+        "no supported install reaches it)",
+        "    if tomllib is None:  # pragma: no cover",
+    ),
+    Knob(
+        "no-results-dir", r"REPRO_RESULTS_DIR|results_dir\(", ("src", "benchmarks", "tests"), 0,
+        "bench/recorder.py's untracked results directory is back (bench scripts print "
+        "their tables; recorded numbers belong in the perf ledger)",
+        'override = os.environ.get("REPRO_RESULTS_DIR")',
+        exclude=("tests/test_retired_knobs.py",),
+    ),
+    Knob(
+        "no-default-drift-test", r"TestLibraryDefaultsHaveNotDrifted", ("tests",), 0,
+        "a test pairing spec defaults with library defaults is back: a shared default is "
+        "one literal the other side reads (spec.same_option / ExecutionSpec.<field>)",
+        "class TestLibraryDefaultsHaveNotDrifted:",
+        exclude=("tests/test_retired_knobs.py",),
+    ),
+    Knob(
+        "marginals-written-once", r"def (insertion_cost|removal_gain)_at|def insertion_cost\b",
+        _SRC, 0,
+        "an objective spells its insertion cost or a *_at twin again (insertion_cost(n) is "
+        "removal_gain(n + 1), once, in SeparableObjective; columns are the optional argument)",
+        "    def insertion_cost_at(self, counts, buckets):",
+        exclude=("src/repro/objectives/base.py",),
+    ),
     # -- an invariant lives where it cannot be bypassed (PR 22) ----------
     Knob(
         "wire-helpers-have-four-call-sites", r"(send_obj|recv_obj)\(", _SRC, 4,
@@ -160,10 +195,10 @@ KNOBS = [
     ),
     # -- an option is declared once (PR 18) ------------------------------
     Knob(
-        "cli-flags-derive-from-the-spec", r"add_argument\(", (_CLI,), 27,
+        "cli-flags-derive-from-the-spec", r"add_argument\(", (_CLI,), 24,
         "cli.py restates spec keys as hand-written flags again (declare them in "
-        "api/spec.py: partition / compare / serve-sim flags derive from the fields, so "
-        "cli.py holds only the commands that have no spec key)",
+        "api/spec.py: every flag that is a spec key derives from its field, so cli.py "
+        "holds only the arguments that have no spec key)",
         'parser.add_argument("--workers", type=int)',
     ),
     Knob(

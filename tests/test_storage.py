@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from repro.hypergraph.bipartite import BipartiteGraph
-from repro.hypergraph.io import save_npz, write_hmetis
+from repro.hypergraph.io import save_graph, save_npz, write_hmetis
 from repro.storage import (
     FORMAT_VERSION,
     MAGIC,
     GraphStore,
+    StorageError,
     StoreBackedGraph,
     StoreFormatError,
     StoreSchema,
@@ -368,6 +369,21 @@ class TestConverter:
         convert_to_store(src, tmp_path / "g.rgs", chunk_edges=50)
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".rgs-spill")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("chunk_edges", [0, -5])
+    @pytest.mark.parametrize("suffix", [".hgr", ".npz"])
+    def test_a_chunk_that_holds_no_edge_is_refused(self, tmp_path, chunk_edges, suffix):
+        """`--chunk-edges 0` used to write a store with none of the edges
+        and exit 0; `-5` died in a reader (`read length must be ...`)."""
+        from repro.cli import main
+
+        src, dst = tmp_path / f"g{suffix}", tmp_path / "g.rgs"
+        save_graph(_random_graph(16), src)
+        with pytest.raises(StorageError, match=f"chunk_edges must be at least 1, got {chunk_edges}"):
+            convert_to_store(src, dst, chunk_edges=chunk_edges)
+        with pytest.raises(SystemExit, match=r"^error: chunk_edges must be at least 1"):
+            main(["convert", str(src), str(dst), "--chunk-edges", str(chunk_edges)])
+        assert not dst.exists()
 
     @pytest.mark.parametrize("name, text, where", [
         ("g.tsv", "0 1\n5\n", r"line 2: .*'5'"),

@@ -103,23 +103,39 @@ def _import_repro(repo: Path = REPO) -> None:
 
 def render_spec_table() -> str:
     """The README's reference table of every job-spec key, from the
-    declarations in ``repro/api/spec.py`` (one row per ``option(...)``)."""
+    declarations (one row per ``option(...)``): the spec tree in
+    ``repro/api/spec.py``, and under ``algorithm.options`` one row per field
+    of the default algorithm's declared config (``SHPConfig``)."""
     _import_repro()
-    from repro.api import JobSpec
-    from repro.api.spec import iter_options, option_choices, option_range
+    import dataclasses
 
-    rows = ["| Key | Type | Default | Range / choices | Flag(s) |", "|---|---|---|---|---|"]
-    for key, f, _ in iter_options(JobSpec):
+    from repro.api import PARTITIONERS, AlgorithmSpec, JobSpec
+    from repro.api.spec import OWNED_OPTIONS, iter_options, option_choices, option_range
+
+    def row(key: str, f: dataclasses.Field, allowed: str = "", flags: bool = True) -> str:
         default = f.default_factory() if callable(f.default_factory) else f.default
-        allowed = option_choices(f)
+        choices = option_choices(f)
         cells = [
             f"`{key}`",
             f"`{f.type}`".replace("|", "\\|"),
             "—" if default is None else f"`{json.dumps(default)}`",
-            option_range(f) or (", ".join(f"`{name}`" for name in allowed) if allowed else ""),
-            ", ".join(f"`{flag}`" for flag in f.metadata.get("flags", ())),
+            allowed or option_range(f)
+            or (", ".join(f"`{name}`" for name in choices) if choices else ""),
+            ", ".join(f"`{flag}`" for flag in f.metadata.get("flags", ()) if flags),
         ]
-        rows.append("| " + " | ".join(cells) + " |")
+        return "| " + " | ".join(cells) + " |"
+
+    rows = ["| Key | Type | Default | Range / choices | Flag(s) |", "|---|---|---|---|---|"]
+    for key, f, _ in iter_options(JobSpec):
+        rows.append(row(key, f))
+        if key == "algorithm.options":
+            config = PARTITIONERS.meta(AlgorithmSpec.name)["config"]
+            rows += [  # a flag spells the spec key, never the table entry
+                row(f"{key}.{g.name}", g, flags=False, allowed=(
+                    f"refused: set `{OWNED_OPTIONS[g.name]}`" if g.name in OWNED_OPTIONS else ""
+                ))
+                for g in dataclasses.fields(config)
+            ]
     return "\n".join(rows)
 
 
