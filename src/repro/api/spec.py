@@ -538,8 +538,9 @@ class JobSpec:
             )
         # The vertex-centric engine runs the algorithms whose registry entry
         # names an ``engine_mode``; both ways of reaching it need one.
-        on_engine = self.kind == "partition" and not self.execution.is_local
-        if (refines or on_engine) and not PARTITIONERS.meta(name).get("engine_mode"):
+        on_engine = refines or (self.kind == "partition" and not self.execution.is_local)
+        engine_mode = PARTITIONERS.meta(name).get("engine_mode")
+        if on_engine and not engine_mode:
             capable = ", ".join(
                 n for n in PARTITIONERS.names() if PARTITIONERS.meta(n).get("engine_mode")
             )
@@ -551,6 +552,12 @@ class JobSpec:
             raise SpecError(
                 f"execution.backend: {self.execution.backend!r} supports {capable} "
                 f"(got algorithm.name = {name!r}); other algorithms need backend 'local'"
+            )
+        # Engine mode "2" bisects every bucket of a level in the same cycle.
+        if on_engine and engine_mode == "2" and k & (k - 1):
+            raise SpecError(
+                f"algorithm.k: {name!r} on an engine backend requires k to be a "
+                f"power of two; got {k}"
             )
 
     # ------------------------------------------------------------------

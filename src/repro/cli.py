@@ -134,15 +134,22 @@ def spec_from_args(
         raise SystemExit(f"error: {exc}") from exc
 
 
+#: What loading a graph can raise on bad input — a missing or unreadable
+#: file (``OSError``), a malformed one (``GraphValidationError`` and the
+#: store's ``StorageError`` are ``ValueError``s): one ``error:`` line each.
+_LOAD_ERRORS = (ValueError, OSError)
+
+
 def _api_run(spec: JobSpec, graph=None, smoke: bool = False):
     """Invoke the runner, converting API errors into CLI exits."""
     from .api import run
 
     try:
         return run(spec, graph=graph, smoke=smoke)
-    except (SpecError, GraphValidationError, KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
-        raise SystemExit(f"error: {message}") from exc
+    except KeyError as exc:
+        raise SystemExit(f"error: {exc.args[0] if exc.args else exc}") from exc
+    except _LOAD_ERRORS as exc:  # SpecError is a ValueError too
+        raise SystemExit(f"error: {exc}") from exc
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -192,9 +199,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     spec_from_args(args, root=AlgorithmSpec)  # a given -k is algorithm.k's declaration
     try:
         graph = load_graph(args.input)
-    except GraphValidationError as exc:
+        assignment, stored_k = load_assignment(args.assignment)
+    except _LOAD_ERRORS as exc:
         raise SystemExit(f"error: {exc}") from exc
-    assignment, stored_k = load_assignment(args.assignment)
     if assignment.size != graph.num_data:
         raise SystemExit(
             f"assignment has {assignment.size} entries, graph has {graph.num_data} data vertices"
@@ -222,13 +229,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     """Stream-convert a graph into the mmap-able ``.rgs`` binary store."""
-    from .storage import StorageError, convert_to_store
+    from .storage import convert_to_store
 
     try:
         header = convert_to_store(
             args.input, args.output, chunk_edges=args.chunk_edges, name=args.name
         )
-    except (GraphValidationError, StorageError, OSError) as exc:
+    except _LOAD_ERRORS as exc:
         raise SystemExit(f"error: {exc}") from exc
     out_bytes = Path(args.output).stat().st_size
     print(
@@ -263,7 +270,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # run(graph=...) skips the per-spec file reload.
     try:
         graph = load_graph_spec(base)
-    except GraphValidationError as exc:
+    except _LOAD_ERRORS as exc:
         raise SystemExit(f"error: {exc}") from exc
     rows = []
     for name in names:

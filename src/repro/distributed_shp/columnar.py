@@ -3,8 +3,8 @@
 :class:`SHPColumnarProgram` is the job's one
 :class:`~repro.distributed.BatchVertexProgram`: each worker holds its
 partition as numpy columns — ``bucket`` / ``target`` / ``gain`` / ``bin``
-for data vertices, CSR-backed sparse neighbor data for query vertices — and
-executes every protocol phase as vectorized kernels over the whole
+for data vertices, neighbor data in pair-compact :class:`SlotTable` rows for
+query vertices — and executes every protocol phase as vectorized kernels over the whole
 partition.  Messages travel as typed
 :class:`~repro.distributed.MessageBatch` columns (schemas in
 :mod:`repro.distributed_shp.schemas`).  State goes in as the initial
@@ -21,18 +21,27 @@ vertex over dict state).  Four properties make the latter hold:
 * gain terms come from tables built by the *same* scalar closures the
   reference calls (``_scalar_gain_fns``), and every floating-point
   accumulation runs in one canonical order — ascending query id per data
-  vertex — via ``np.bincount``'s sequential left-to-right adds;
+  vertex — via ``np.bincount``'s sequential left-to-right adds.  An Eq. 1
+  term is evaluated once per cached *cell* — ``w · rem(n)``, ``w · (ins(n) −
+  ins0)``: the product the reference forms per edge from the same
+  operands, so gathering it per pin keeps every addend's bits; mode "2"
+  also adds the sibling cell of a pin whose sibling side is empty, a
+  ``w · (ins(0) − ins0) = ±0.0`` that changes no bit of a sum started at
+  ``+0.0``;
 * that per-vertex add order is preserved on any subset of rows (a
-  vertex's terms never meet another's), so S3 recomputes only *stale*
-  data vertices — Giraph's activity rule, ``_stale_rows`` — and a vertex
-  it skips holds, bit for bit, what a whole-partition pass would write;
+  vertex's terms never meet another's) and a cell's value is a function of
+  its count alone, re-evaluated when the count is rewritten, so S3
+  recomputes only *stale* data vertices — Giraph's activity rule,
+  ``_stale_rows`` — and a vertex it skips holds, bit for bit, what a
+  whole-partition pass would write;
 * the aggregated histograms are integer-valued, so master decisions match.
 
 Worker-local representation notes: a per-vertex execution would cache one
 copy of a query's neighbor data per adjacent data vertex; the columnar
 partition stores each cached query row once per worker (all copies are
-identical) and joins data vertices against it through the adjacency CSR,
-which is both the memory win and the vectorization enabler.  Message
+identical), as slots of one table, and joins data vertices against it
+through one level-static index per pin, which is both the memory win and
+the vectorization enabler.  Message
 metering still counts every logical (per-edge) message at its full schema
 size, and S3's ops and activity meters price the per-vertex execution
 (every vertex, every cached entry) whatever subset was recomputed;
@@ -46,10 +55,10 @@ import numpy as np
 from ..core.config import SHPConfig
 from ..core.histograms import GainBinning
 from ..distributed.messages import MessageBatch
-from ..hypergraph.bipartite import csr_row_positions, ragged_positions
-from .schemas import DELTA_SCHEMA, NDATA_SCHEMA, NET_DELTA_SCHEMA
+from ..hypergraph.bipartite import csr_row_positions, ragged_positions, sorted_unique
+from .schemas import DELTA_SCHEMA, NDATA_SCHEMA
 
-__all__ = ["SHPColumnarProgram"]
+__all__ = ["SHPColumnarProgram", "SlotTable"]
 
 _PHASES = ("S1-collect", "S2-neighbor-data", "S3-propose", "S4-move")
 
@@ -81,16 +90,87 @@ def _scalar_gain_fns(objective_name: str, p: float, splits_ahead: float):
 DENSE_S3_MAX_LEVEL_K = 8
 
 
-#: The ``_Partition`` fields a superstep writes — a snapshot's whole state.
-#: What is derived from them (the gain tables, the pin -> cache-row join)
-#: is rebuilt by ``load_state``.
+#: The ``_Partition`` fields a superstep writes: with the two slot tables'
+#: keys and counts, a snapshot's whole state.  What is derived from them
+#: (gain tables, cell values, the pin -> cell join) ``load_state`` rebuilds.
 _MUTABLE = (
     "bucket", "target", "gain", "bin", "stale", "computed_under",
     "has_delta", "delta_old",
-    "nd_indptr", "nd_bucket", "nd_count",
-    "cache_qids", "cache_weight", "cache_indptr", "cache_bucket", "cache_count",
+    "cache_qids", "cache_weight", "cache_len",
     "parity",
 )
+#: slot table -> its float value columns.
+_TABLES = {"nd": 0, "cache": 2}
+
+
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each wanted key sits (or would go) in ascending ``keys``, and
+    whether it is there."""
+    at = np.searchsorted(keys, wanted)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == wanted[hit]
+    return at, hit
+
+
+class SlotTable:
+    """Sparse ``(row, bucket) -> count`` table, pair-compact.
+
+    One *slot* per occupied ``(row, bucket >> 1)``: ``keys`` (``row << 31 |
+    bucket >> 1``, strictly ascending; rows are dense indices the owner
+    assigns) and two counts per slot — a zero side is an absent bucket.
+    A *cell* is one side of one slot, ``2 * slot + (bucket & 1)`` in the
+    flat ``sides`` column, so a row's cells run in ascending bucket order.
+    Slots only ever appear, by in-order insertion when a key is first seen
+    (:meth:`cells`), which moves every later cell up: a holder of cell
+    indices compares ``keys.size`` around the call.  ``values`` are float
+    columns aligned with ``sides`` for the owner to fill (new cells: 0.0).
+    """
+
+    def __init__(self, keys=None, sides=None, value_columns: int = 0):
+        self.keys = np.empty(0, dtype=np.int64) if keys is None else keys
+        self.sides = np.zeros(2 * self.keys.size, dtype=np.int32) if sides is None else sides
+        self.values = [np.zeros(self.sides.size) for _ in range(value_columns)]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(column.nbytes for column in (self.keys, self.sides, *self.values))
+
+    def cells(self, rows: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+        """The cell of each ``(row, bucket)``; slots not yet in the table
+        are inserted (zero counts and values) first."""
+        wanted = (rows << 31) | (buckets >> 1)
+        slot, hit = _lookup(self.keys, wanted)
+        if not hit.all():
+            new = sorted_unique(wanted[~hit])
+            at = np.searchsorted(self.keys, new)
+            self.keys = np.insert(self.keys, at, new)
+            at = np.repeat(2 * at, 2)
+            self.sides = np.insert(self.sides, at, 0)
+            self.values = [np.insert(column, at, 0.0) for column in self.values]
+            slot += np.searchsorted(new, wanted)
+        return 2 * slot + (buckets & 1)
+
+    def insert_rows(self, at: np.ndarray) -> None:
+        """Renumber the rows for new ones taking the row numbers ``at``
+        (ascending, as ``np.insert`` reads them)."""
+        self.keys += np.searchsorted(at, self.keys >> 31, side="right") << 31
+
+    def row_cells(self, rows: np.ndarray, num_rows: int) -> np.ndarray:
+        """Every cell of the listed rows, one block per row."""
+        slots = np.bincount(self.keys >> 31, minlength=num_rows)
+        return ragged_positions(2 * (np.cumsum(slots) - slots)[rows], 2 * slots[rows])
+
+    def bucket_of(self, cells: np.ndarray) -> np.ndarray:
+        return ((self.keys[cells >> 1] & 0x7FFFFFFF) << 1) | (cells & 1)
+
+    def entries(self, rows: np.ndarray, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The listed rows (ascending) as sparse histograms: ``(entries per
+        row, their cells)`` — each row's non-zero sides, ascending bucket."""
+        row_of = self.keys >> 31
+        listed = np.zeros(num_rows, dtype=bool)
+        listed[rows] = True
+        live = np.flatnonzero((self.sides.reshape(-1, 2) > 0) & listed[row_of][:, None])
+        return np.bincount(row_of[live >> 1], minlength=num_rows)[rows], live
 
 
 class _Partition:
@@ -120,25 +200,30 @@ class _Partition:
         self.q_weight = np.empty(0, dtype=np.float64)
         self.q_adj_indptr = np.zeros(1, dtype=np.int64)
         self.q_adj_d = np.empty(0, dtype=np.int64)
-        # Sparse neighbor data n_i(q) per local query: CSR rows sorted by
-        # bucket id (rebuilt, never mutated, so in-flight batches that
-        # alias the arrays stay valid).
-        self.nd_indptr = np.zeros(1, dtype=np.int64)
-        self.nd_bucket = np.empty(0, dtype=np.int64)
-        self.nd_count = np.empty(0, dtype=np.int64)
-        # Worker-shared cache of the latest neighbor data each adjacent
-        # query broadcast (one row per query, not one per adjacent vertex).
+        # Neighbor data n_i(q) of the local queries (row: index into
+        # ``qvids``): S2 scatters bucket deltas in, reads broadcasts out.
+        self.nd = SlotTable(value_columns=_TABLES["nd"])
+        # The latest neighbor data each adjacent query broadcast, one row
+        # per query per worker (row: index into ``cache_qids``), not one
+        # per adjacent vertex; ``cache_len``: entries of the row as sent.
+        # ``cache.values`` are Eq. 1's weighted terms per cell: [0] the
+        # removal gain of a vertex on that side, [1] the insertion cost,
+        # net of ``ins0``, of one moving onto it.
         self.cache_qids = np.empty(0, dtype=np.int64)
         self.cache_weight = np.empty(0, dtype=np.float64)
-        self.cache_indptr = np.zeros(1, dtype=np.int64)
-        self.cache_bucket = np.empty(0, dtype=np.int64)
-        self.cache_count = np.empty(0, dtype=np.int64)
-        # The level-static half of the S3 join, derived from ``cache_qids``
-        # by ``_join`` whenever the set of cached queries changes: per
-        # local pin (aligned with ``d_adj_q``) its cache row, -1 while the
-        # query has not broadcast; per cache row the local pins naming it.
-        self.pin_row = np.empty(0, dtype=np.int32)
-        self.row_refs = np.empty(0, dtype=np.int32)
+        self.cache_len = np.empty(0, dtype=np.int32)
+        self.cache = SlotTable(value_columns=_TABLES["cache"])
+        # The level-static half of the S3 join, derived by ``_join``
+        # whenever a row (mode "2": or a slot) is inserted.  Per local pin
+        # (aligned with ``d_adj_q``) where its reader starts — mode "2":
+        # the even cell of its own (query, sibling pair) slot, mode "k":
+        # the query's row — or -1 while the query has not broadcast; the
+        # transpose row -> local vertices (who is stale when the row is
+        # re-broadcast); per vertex the summed weights of its cached rows.
+        self.pin_cell = np.empty(0, dtype=np.int32)
+        self.row_ptr = np.zeros(1, dtype=np.int64)
+        self.row_vertex = np.empty(0, dtype=np.int32)
+        self.weight_sum = np.empty(0, dtype=np.float64)
         # Level-descent alternation state: per bucket, which child the
         # next descending vertex of this worker takes.
         self.parity: dict[int, int] = {}
@@ -152,7 +237,7 @@ class _Partition:
     def nbytes(self) -> int:
         total = 0
         for value in self.__dict__.values():
-            if isinstance(value, np.ndarray):
+            if isinstance(value, (np.ndarray, SlotTable)):
                 total += value.nbytes  # reprolint: disable=REP002 -- integer byte sizes: int sums are order-exact
         return total
 
@@ -222,7 +307,6 @@ class SHPColumnarProgram:
         q_positions, q_lengths = csr_row_positions(graph.q_indptr, queries)
         part.q_adj_indptr = np.concatenate(([0], np.cumsum(q_lengths)))
         part.q_adj_d = graph.q_indices[q_positions].astype(np.int64)
-        part.nd_indptr = np.zeros(qvids.size + 1, dtype=np.int64)
         self._join(part)
         return part
 
@@ -231,10 +315,15 @@ class SHPColumnarProgram:
         return part.dvids, part.bucket
 
     def save_state(self, part: _Partition) -> dict:
-        """What a peer cannot rebuild: the columns the kernels write.  The
-        static CSR comes back from ``create_partition``; the gain tables
-        and the pin -> cache-row join from ``load_state``."""
-        return {name: getattr(part, name) for name in _MUTABLE}
+        """What a peer cannot rebuild: the columns the kernels write and the
+        slot tables' keys and counts.  The static CSR comes back from
+        ``create_partition``; the gain tables, the cell values and the
+        pin -> cell join from ``load_state``."""
+        state = {name: getattr(part, name) for name in _MUTABLE}
+        for name in _TABLES:
+            table = getattr(part, name)
+            state[name + "_keys"], state[name + "_sides"] = table.keys, table.sides
+        return state
 
     def load_state(self, part: _Partition, state: dict) -> None:
         """Resume a freshly created partition from :meth:`save_state`.
@@ -245,8 +334,11 @@ class SHPColumnarProgram:
         """
         for name in _MUTABLE:
             setattr(part, name, state[name])
+        for name, columns in _TABLES.items():
+            setattr(part, name, SlotTable(state[name + "_keys"], state[name + "_sides"], columns))
         if part.computed_under is not None:
             self._tables(part, part.computed_under[0])
+            self._revalue(part)
         self._join(part)
 
     def partition_nbytes(self, part: _Partition) -> int:
@@ -324,12 +416,12 @@ class SHPColumnarProgram:
             part.delta_old = np.full(n, -1, dtype=np.int64)
             part.has_delta = np.ones(n, dtype=bool)
             part.stale = np.ones(n, dtype=bool)
-        # New level: cached neighbor data is stale.
+        # New level: cached neighbor data is stale (the queries' own
+        # table goes with the ``reset`` broadcast of the S2 that follows).
         part.cache_qids = np.empty(0, dtype=np.int64)
         part.cache_weight = np.empty(0, dtype=np.float64)
-        part.cache_indptr = np.zeros(1, dtype=np.int64)
-        part.cache_bucket = np.empty(0, dtype=np.int64)
-        part.cache_count = np.empty(0, dtype=np.int64)
+        part.cache_len = np.empty(0, dtype=np.int32)
+        part.cache = SlotTable(value_columns=_TABLES["cache"])
         self._join(part)
 
     # ------------------------------------------------------------------
@@ -338,98 +430,43 @@ class SHPColumnarProgram:
     def _s2_neighbor_data(self, ctx, part: _Partition, inbox: list) -> None:
         nq = part.qvids.size
         reset = bool(ctx.broadcasts.get("reset"))
-        deltas = [b for b in inbox if b.schema.name == DELTA_SCHEMA.name]
-        nets = [b for b in inbox if b.schema.name == NET_DELTA_SCHEMA.name]
-        if deltas:
-            dst = np.concatenate([b.dst for b in deltas])
-            d_old = np.concatenate([b.cols["old"] for b in deltas]).astype(np.int64)
-            d_new = np.concatenate([b.cols["new"] for b in deltas]).astype(np.int64)
-        else:
-            dst = np.empty(0, dtype=np.int64)
-            d_old = np.empty(0, dtype=np.int64)
-            d_new = np.empty(0, dtype=np.int64)
-        ql = np.searchsorted(part.qvids, dst)
+        if reset:
+            part.nd = SlotTable(value_columns=_TABLES["nd"])
+        # An inbound message is a few signed adds into its query's row: +1
+        # on a raw delta's new bucket and -1 on its old one (none on a
+        # level's first announcement), or a combined message's (bucket,
+        # net) entries (ShpDeltaCombiner) — integer sums, exact in any
+        # order.  A zero-entry message adds nothing but still marks its
+        # query dirty: identical activity semantics to raw deltas.
         has_msg = np.zeros(nq, dtype=bool)
-        if ql.size:
+        adds: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for batch in inbox:
+            ql = np.searchsorted(part.qvids, batch.dst)
             has_msg[ql] = True
-        # Combined net adjustments (ShpDeltaCombiner): gather their ragged
-        # (bucket, net) entries into the same summed rebuild below.  A
-        # zero-entry message contributes no entries but still marks its
-        # query dirty — identical activity semantics to raw deltas.
-        net_rows: list[np.ndarray] = []
-        net_buckets: list[np.ndarray] = []
-        net_counts: list[np.ndarray] = []
-        for b in nets:
-            nql = np.searchsorted(part.qvids, b.dst)
-            has_msg[nql] = True
-            positions, lens = b.entry_positions(np.arange(len(b), dtype=np.int64))
-            if positions.size:
-                net_rows.append(np.repeat(nql, lens))
-                net_buckets.append(b.entries["bucket"][positions].astype(np.int64))
-                net_counts.append(b.entries["net"][positions].astype(np.int64))
-
-        # Rebuild the neighbor-data CSR: existing entries (dropped wholesale
-        # on reset) plus +1/-1 delta entries, summed per (query, bucket).
-        # Sum-combining is equivalent to a sequential increment/decrement
-        # per delta because counts never go transiently negative
-        # for a bucket that survives (each data vertex contributes one
-        # delta per cycle and was already counted before moving out).
-        rows_parts = []
-        bucket_parts = []
-        count_parts = []
-        if not reset and part.nd_bucket.size:
-            rows_parts.append(
-                np.repeat(np.arange(nq, dtype=np.int64), np.diff(part.nd_indptr))
-            )
-            bucket_parts.append(part.nd_bucket)
-            count_parts.append(part.nd_count)
-        if ql.size:
-            rows_parts.append(ql)
-            bucket_parts.append(d_new)
-            count_parts.append(np.ones(ql.size, dtype=np.int64))
-            dec = d_old >= 0
-            if dec.any():
-                rows_parts.append(ql[dec])
-                bucket_parts.append(d_old[dec])
-                count_parts.append(np.full(int(dec.sum()), -1, dtype=np.int64))
-        if net_rows:
-            rows_parts.extend(net_rows)
-            bucket_parts.extend(net_buckets)
-            count_parts.extend(net_counts)
-        if rows_parts:
-            all_q = np.concatenate(rows_parts)
-            all_b = np.concatenate(bucket_parts)
-            all_c = np.concatenate(count_parts)
-            order = np.lexsort((all_b, all_q))
-            aq, ab, ac = all_q[order], all_b[order], all_c[order]
-            first = np.empty(aq.size, dtype=bool)
-            first[0] = True
-            first[1:] = (aq[1:] != aq[:-1]) | (ab[1:] != ab[:-1])
-            starts = np.flatnonzero(first)
-            sums = np.add.reduceat(ac, starts)
-            keep = sums > 0
-            kq, kb, kc = aq[starts][keep], ab[starts][keep], sums[keep]
-            # Transient-buffer meter: the concatenated rebuild scratch is
-            # this kernel's allocation peak (released on return).
-            ctx.charge_transient(
-                3 * all_q.nbytes + order.nbytes + first.nbytes + sums.nbytes
-            )
-        else:
-            kq = np.empty(0, dtype=np.int64)
-            kb = np.empty(0, dtype=np.int64)
-            kc = np.empty(0, dtype=np.int64)
-        part.nd_bucket = kb
-        part.nd_count = kc
-        part.nd_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(kq, minlength=nq)))
-        )
+            if batch.schema.name == DELTA_SCHEMA.name:
+                old = batch.cols["old"]
+                dec = old >= 0
+                adds.append((ql, batch.cols["new"], np.ones(ql.size, dtype=np.int32)))
+                adds.append((ql[dec], old[dec], np.full(int(dec.sum()), -1, dtype=np.int32)))
+            else:
+                positions, lens = batch.entry_positions(np.arange(len(batch), dtype=np.int64))
+                adds.append(
+                    (np.repeat(ql, lens), batch.entries["bucket"][positions],
+                     batch.entries["net"][positions])
+                )
+        if adds:
+            rows, buckets, signed = (np.concatenate(column) for column in zip(*adds))
+            cells = part.nd.cells(rows, buckets)
+            np.add.at(part.nd.sides, cells, signed)
+            # Transient-buffer meter: the scatter's operands are this
+            # kernel's allocation peak (released on return).
+            ctx.charge_transient(rows.nbytes + buckets.nbytes + signed.nbytes + cells.nbytes)
 
         dirty = has_msg | reset
         send_q = np.flatnonzero(dirty)
         if send_q.size:
             positions, lengths = csr_row_positions(part.q_adj_indptr, send_q)
-            row_start = part.nd_indptr[send_q]
-            row_len = part.nd_indptr[send_q + 1] - row_start
+            row_len, cells = part.nd.entries(send_q, nq)
             if positions.size:
                 batch = MessageBatch(
                     NDATA_SCHEMA,
@@ -438,11 +475,11 @@ class SHPColumnarProgram:
                         "query": np.repeat(part.qvids[send_q], lengths),
                         "weight": np.repeat(part.q_weight[send_q], lengths),
                     },
-                    entry_start=np.repeat(row_start, lengths),
+                    entry_start=np.repeat(np.cumsum(row_len) - row_len, lengths),
                     entry_len=np.repeat(row_len, lengths),
                     entries={
-                        "bucket": part.nd_bucket.astype(np.int32),
-                        "count": part.nd_count.astype(np.int32),
+                        "bucket": part.nd.bucket_of(cells).astype(np.int32),
+                        "count": part.nd.sides[cells],
                     },
                 )
                 ctx.send_batch(batch)
@@ -454,102 +491,42 @@ class SHPColumnarProgram:
     # S3: data vertices recompute gains from cached neighbor data
     # ------------------------------------------------------------------
     def _s3_propose(self, ctx, part: _Partition, inbox: list) -> None:
-        self._update_cache(part, inbox)
         nloc = part.dvids.size
-        if nloc == 0:
-            return
         cfg = self.config
         splits = float(ctx.broadcasts.get("splits_ahead", 1.0))
-        rem_t, ins_t, ins0 = self._tables(part, splits)
+        retabulated = part._table_splits != splits
+        ins0 = self._tables(part, splits)[2]
+        if retabulated:
+            self._revalue(part)
+        received = self._receive(part, inbox)
+        if nloc == 0:
+            return
         level_k = int(ctx.broadcasts.get("level_k", cfg.k))
-        rows = self._stale_rows(part, inbox, (splits, level_k))
+        rows = self._stale_rows(part, received, (splits, level_k))
         nrows = rows.size
 
         # Join the stale data vertices with the worker's query cache:
         # their pins through the adjacency CSR (rows already ascending in
-        # query id), each pin's cache row through the level-static join.
+        # query id), each pin's cells through the level-static join.
         # ``edge_d`` indexes ``rows``, not the partition.
         pins, degree = csr_row_positions(part.d_adj_indptr, rows)
         edge_d = np.repeat(np.arange(nrows, dtype=np.int64), degree)
-        crow = part.pin_row[pins]
-        found = crow >= 0
-        f_d = edge_d[found]
-        f_row = crow[found]
-        w_e = part.cache_weight[f_row]
-        row_len = part.cache_indptr[f_row + 1] - part.cache_indptr[f_row]
-        positions = ragged_positions(part.cache_indptr[f_row], row_len)
-        ent_edge = np.repeat(np.arange(f_d.size, dtype=np.int64), row_len)
-        ent_b = part.cache_bucket[positions]
-        ent_c = part.cache_count[positions]
-
+        at = part.pin_cell[pins]
+        if at.size and at.min() < 0:
+            found = at >= 0
+            edge_d, at = edge_d[found], at[found]
         bucket = part.bucket[rows]
-        bucket_e = bucket[f_d]
-        match = ent_b == bucket_e[ent_edge]
-        count_here = np.ones(f_d.size, dtype=np.int64)
-        count_here[ent_edge[match]] = ent_c[match]
+        # One table, two readers.  Either sums with bincount, which adds
+        # sequentially in input order — (data vertex, ascending query id),
+        # the canonical order — so the float sums are bitwise reproducible
+        # (and equal to a sorted per-vertex fold) on any subset of rows.
+        read = self._gather_pairs if self.mode == "2" else self._walk_rows
+        rsum, best_bucket, best_adjust, scratch = read(part, bucket, edge_d, at, level_k)
+        # Transient-buffer meter: the join scratch is the kernel's
+        # allocation high-water mark (freed before the superstep returns).
+        ctx.charge_transient(pins.nbytes + edge_d.nbytes + at.nbytes + scratch)
 
-        # bincount accumulates sequentially in input order — (data vertex,
-        # ascending query id), the canonical order — so the float sums are
-        # bitwise reproducible (and equal to a sorted per-vertex fold) on
-        # any subset of rows: a vertex's terms never meet another's.
-        rsum = np.bincount(f_d, weights=w_e * rem_t[count_here], minlength=nrows)
-        weight_sum = np.bincount(f_d, weights=w_e, minlength=nrows)
-
-        other = ~match
-        # Transient-buffer meter: the join scratch above is the kernel's
-        # allocation high-water mark (freed before the superstep returns);
-        # selection-path scratch is added per branch below.
-        join_bytes = (
-            pins.nbytes
-            + edge_d.nbytes
-            + crow.nbytes
-            + f_d.nbytes
-            + f_row.nbytes
-            + w_e.nbytes
-            + row_len.nbytes
-            + positions.nbytes
-            + ent_edge.nbytes
-            + ent_b.nbytes
-            + ent_c.nbytes
-            + count_here.nbytes
-        )
-        if self.mode == "2":
-            # Level-fused composite labels: a bucket id at a synchronous
-            # descent level encodes the ``(group, side)`` pair as
-            # ``2·group + side``, so the only legal destination is the
-            # sibling column ``bucket ^ 1`` of the vertex's own group.
-            # Aggregating *only* sibling entries keeps memory at O(occupied
-            # pairs) — the dense ``rows × level_k`` grid never exists —
-            # and is bitwise-equal to the dense column: the filtered
-            # subsequence preserves the (data vertex, ascending query) add
-            # order.
-            sib = other & (ent_b == (bucket_e ^ 1)[ent_edge])
-            rows_sib = f_d[ent_edge[sib]]
-            terms = w_e[ent_edge[sib]] * (ins_t[ent_c[sib]] - ins0)
-            adjust = np.bincount(rows_sib, weights=terms, minlength=nrows)
-            occupied = np.bincount(rows_sib, minlength=nrows) > 0
-            best_bucket = bucket ^ 1
-            best_adjust = np.where(occupied, adjust, 0.0)
-            select_bytes = (
-                sib.nbytes + rows_sib.nbytes + terms.nbytes + adjust.nbytes
-            )
-        else:
-            cells = f_d[ent_edge[other]] * level_k + ent_b[other]
-            terms = w_e[ent_edge[other]] * (ins_t[ent_c[other]] - ins0)
-            select_bytes = cells.nbytes + terms.nbytes
-            if level_k <= DENSE_S3_MAX_LEVEL_K:
-                # Dense grid: float64 sums + bool present, rows × level_k each.
-                select_bytes += nrows * level_k * 9
-                best_bucket, best_adjust = self._select_dense(
-                    bucket, level_k, cells, terms
-                )
-            else:
-                best_bucket, best_adjust = self._select_sparse(
-                    bucket, level_k, cells, terms
-                )
-        ctx.charge_transient(join_bytes + select_bytes)
-
-        gain = rsum - (weight_sum * ins0 + best_adjust)
+        gain = rsum - (part.weight_sum[rows] * ins0 + best_adjust)
         if cfg.move_penalty > 0.0:
             gain = gain - cfg.move_penalty
         part.target[rows] = best_bucket
@@ -564,12 +541,60 @@ class SHPColumnarProgram:
         # (every data vertex folds every cached entry of every adjacent
         # query, then makes 2 aggregate calls), whatever subset ran here —
         # cache row lengths times the local pins naming each row.
-        entries = (np.diff(part.cache_indptr) * part.row_refs).sum()
+        entries = (part.cache_len * np.diff(part.row_ptr)).sum()
         ctx.charge(float(entries) + 2.0 * nloc)
         ctx.add_active(nloc)
 
     @staticmethod
-    def _stale_rows(part: _Partition, inbox: list, broadcast: tuple) -> np.ndarray:
+    def _gather_pairs(part: _Partition, bucket, edge_d, at, level_k: int):
+        """Mode-"2" reader: ``(removal sums, targets, insertion adjusts,
+        scratch bytes)`` of the rows being computed.
+
+        Level-fused composite labels: a bucket id at a synchronous descent
+        level encodes the ``(group, side)`` pair as ``2·group + side``, so
+        the only legal destination is the sibling column ``bucket ^ 1`` of
+        the vertex's own group — the other side of the pin's own slot, and
+        a gain is an index gather, two value gathers and two segment sums.
+        """
+        removal, insertion = part.cache.values
+        cell = at + (bucket & 1)[edge_d]
+        rsum = np.bincount(edge_d, weights=removal[cell], minlength=bucket.size)
+        adjust = np.bincount(edge_d, weights=insertion[cell ^ 1], minlength=bucket.size)
+        return rsum, bucket ^ 1, adjust, 3 * cell.nbytes
+
+    def _walk_rows(self, part: _Partition, bucket, edge_d, at, level_k: int):
+        """Mode-"k" reader, same returns: every bucket is a candidate, so
+        each pin walks the non-zero cells of its whole row."""
+        table = part.cache
+        cached = part.cache_qids.size
+        row_len, live = table.entries(np.arange(cached), cached)
+        lengths = row_len[at]
+        walk = live[ragged_positions((np.cumsum(row_len) - row_len)[at], lengths)]
+        ent_pin = np.repeat(np.arange(at.size, dtype=np.int64), lengths)
+        ent_d = np.repeat(edge_d, lengths)
+        ent_b = table.bucket_of(walk)
+        own = ent_b == bucket[ent_d]
+        here = np.flatnonzero(own)
+        count_here = np.ones(at.size, dtype=np.int64)
+        count_here[ent_pin[here]] = table.sides[walk[here]]
+        rsum = np.bincount(
+            edge_d, weights=part.cache_weight[at] * part._rem_table[count_here],
+            minlength=bucket.size,
+        )
+        other = np.flatnonzero(~own)
+        grid = ent_d[other] * level_k + ent_b[other]
+        terms = table.values[1][walk[other]]
+        scratch = live.nbytes + 5 * walk.nbytes + own.nbytes + 2 * at.nbytes + 3 * grid.nbytes
+        if level_k <= DENSE_S3_MAX_LEVEL_K:
+            # Dense grid: float64 sums + bool present, rows × level_k each.
+            scratch += bucket.size * level_k * 9
+            select = self._select_dense
+        else:
+            select = self._select_sparse
+        return rsum, *select(bucket, level_k, grid, terms), scratch
+
+    @staticmethod
+    def _stale_rows(part: _Partition, received, broadcast: tuple) -> np.ndarray:
         """Giraph's activity rule for S3: the local data vertices (ascending
         row indices) whose proposal must be recomputed; clears the flags.
 
@@ -577,13 +602,14 @@ class SHPColumnarProgram:
         adjacent queries and the ``(splits_ahead, level_k)`` broadcast, so
         a vertex is stale iff it moved (S4 and the level descent set the
         flag; never-computed vertices start with it), it received neighbor
-        data this superstep (the inbox's ``dst`` name exactly the local
-        vertices adjacent to a re-broadcast query), or the broadcast is not
-        the one its gain was computed under (then everyone).  Anyone else
-        would recompute the value it already holds, bit for bit.
+        data this superstep (S2 sends a row to *all* of its data neighbors:
+        the local vertices of the ``received`` cache rows), or the
+        broadcast is not the one its gain was computed under (then
+        everyone).  Anyone else would recompute the value it already
+        holds, bit for bit.
         """
-        for batch in inbox:
-            part.stale[np.searchsorted(part.dvids, batch.dst)] = True
+        if len(received):
+            part.stale[part.row_vertex[csr_row_positions(part.row_ptr, received)[0]]] = True
         if part.computed_under != broadcast:
             part.stale[:] = True
             part.computed_under = broadcast
@@ -639,14 +665,9 @@ class SHPColumnarProgram:
         best_b = np.full(n, level_k, dtype=np.int64)
         np.minimum.at(best_b, c_rows[is_min], c_b[is_min])
         fallback = (bucket + 1) % level_k
-        fb_cells = np.arange(n, dtype=np.int64) * level_k + fallback
+        fb_idx, fb_present = _lookup(occupied, np.arange(n, dtype=np.int64) * level_k + fallback)
         fallback_adj = np.zeros(n, dtype=np.float64)
-        if occupied.size:
-            fb_idx = np.minimum(
-                np.searchsorted(occupied, fb_cells), occupied.size - 1
-            )
-            fb_present = occupied[fb_idx] == fb_cells
-            fallback_adj = np.where(fb_present, cell_sums[fb_idx], 0.0)
+        fallback_adj[fb_present] = cell_sums[fb_idx[fb_present]]
         use_min = minval < 0.0
         best_bucket = np.where(use_min, best_b, fallback)
         best_adjust = np.where(
@@ -654,70 +675,90 @@ class SHPColumnarProgram:
         )
         return best_bucket, best_adjust
 
-    def _update_cache(self, part: _Partition, inbox: list) -> None:
-        """Fold inbound S2 broadcasts into the worker's query-row cache.
+    def _receive(self, part: _Partition, inbox: list) -> np.ndarray:
+        """Scatter inbound S2 broadcasts into the worker's query-row cache;
+        returns the ``cache_qids`` rows that were (re-)written.
 
-        Every adjacent data vertex receives the same row, so one copy per
-        query per worker suffices; each query appears in at most one
-        inbound batch (its owner worker sends once).
+        Every adjacent data vertex receives the same row, so it is read
+        once per row, off the first of its messages: S2 emits a row's
+        messages back to back and routing keeps their order, and each
+        query appears in at most one inbound batch (its owner worker sends
+        once).  The row's cells are zeroed and its non-zero sides written;
+        their values are the only ones that can have changed.
         """
-        if not inbox:
-            return
-        qid_parts, w_parts, len_parts, b_parts, c_parts = [], [], [], [], []
+        heads = []
         for batch in inbox:
-            q = batch.cols["query"]
-            if not q.size:
-                continue
-            uq, first_idx = np.unique(q, return_index=True)
-            positions, lens = batch.entry_positions(first_idx)
-            qid_parts.append(uq)
-            w_parts.append(batch.cols["weight"][first_idx])
-            len_parts.append(lens)
-            b_parts.append(batch.entries["bucket"][positions].astype(np.int64))
-            c_parts.append(batch.entries["count"][positions].astype(np.int64))
-        if not qid_parts:
-            return
-        new_qids = np.concatenate(qid_parts)
-        new_w = np.concatenate(w_parts)
-        new_len = np.concatenate(len_parts)
-        new_b = np.concatenate(b_parts)
-        new_c = np.concatenate(c_parts)
-        new_start = np.concatenate(([0], np.cumsum(new_len)[:-1]))
-
-        keep = ~np.isin(part.cache_qids, new_qids, assume_unique=True)
-        old_start = part.cache_indptr[:-1][keep]
-        old_len = np.diff(part.cache_indptr)[keep]
-        pool_b = np.concatenate([part.cache_bucket, new_b])
-        pool_c = np.concatenate([part.cache_count, new_c])
-        qids = np.concatenate([part.cache_qids[keep], new_qids])
-        weights = np.concatenate([part.cache_weight[keep], new_w])
-        starts = np.concatenate([old_start, new_start + part.cache_bucket.size])
-        lens = np.concatenate([old_len, new_len])
-
-        order = np.argsort(qids, kind="stable")
-        starts, lens = starts[order], lens[order]
-        positions = ragged_positions(starts, lens)
-        # Rows were replaced one for one unless a query broadcast for the
-        # first time this level — in practice the level's first cycle only.
-        rejoin = qids.size != part.cache_qids.size
-        part.cache_qids = qids[order]
-        part.cache_weight = weights[order]
-        part.cache_indptr = np.concatenate(([0], np.cumsum(lens)))
-        part.cache_bucket = pool_b[positions]
-        part.cache_count = pool_c[positions]
+            query = batch.cols["query"]
+            if query.size:
+                first = np.flatnonzero(np.concatenate(([True], query[1:] != query[:-1])))
+                positions, lens = batch.entry_positions(first)
+                heads.append((
+                    query[first], batch.cols["weight"][first], lens,
+                    batch.entries["bucket"][positions], batch.entries["count"][positions],
+                ))
+        if not heads:
+            return np.empty(0, dtype=np.int64)
+        qids, weights, lens, buckets, counts = (np.concatenate(column) for column in zip(*heads))
+        row, known = _lookup(part.cache_qids, qids)
+        # A query broadcasting for the first time this level — in practice
+        # the level's first cycle only — takes a new row, and in mode "2"
+        # new slots (a query's pin count inside a sibling pair is invariant
+        # while a level runs); either moves what the join points at.
+        rejoin = not known.all()
+        if rejoin:
+            new = np.sort(qids[~known])
+            at = np.searchsorted(part.cache_qids, new)
+            part.cache_qids = np.insert(part.cache_qids, at, new)
+            part.cache_weight = np.insert(part.cache_weight, at, 0.0)
+            part.cache_len = np.insert(part.cache_len, at, 0)
+            part.cache.insert_rows(at)
+            row = np.searchsorted(part.cache_qids, qids)
+        part.cache_weight[row] = weights
+        part.cache_len[row] = lens
+        table = part.cache
+        slots = table.keys.size
+        written = table.cells(np.repeat(row, lens), buckets)
+        rejoin |= self.mode == "2" and table.keys.size != slots
+        cells = table.row_cells(row, part.cache_qids.size)
+        table.sides[cells] = 0
+        table.sides[written] = counts
+        self._revalue(part, cells)
         if rejoin:
             self._join(part)
+        return row
 
     @staticmethod
-    def _join(part: _Partition) -> None:
-        """Resolve every local pin to its cache row (the level-static half
-        of the S3 join) and count the pins naming each row."""
-        nrows = part.cache_qids.size
-        crow = np.searchsorted(part.cache_qids, part.d_adj_q)
-        found = crow < nrows
-        found[found] = part.cache_qids[crow[found]] == part.d_adj_q[found]
-        part.pin_row = np.where(found, crow, -1).astype(np.int32)
-        part.row_refs = np.bincount(crow[found], minlength=nrows).astype(np.int32)
+    def _revalue(part: _Partition, cells=None) -> None:
+        """Evaluate Eq. 1's two terms for the listed cache cells (default:
+        all) from the current gain tables.  An own side that reads 0 is
+        priced as the vertex alone, like a bucket missing from the row."""
+        table = part.cache
+        if cells is None:
+            cells = np.arange(table.sides.size)
+        n = table.sides[cells]
+        weight = part.cache_weight[table.keys[cells >> 1] >> 31]
+        removal, insertion = table.values
+        removal[cells] = weight * part._rem_table[np.maximum(n, 1)]
+        insertion[cells] = weight * (part._ins_table[n] - part._ins0)
+
+    def _join(self, part: _Partition) -> None:
+        """Resolve every local pin to where its S3 reader starts, transpose
+        pin -> cached row into row -> local vertices, and sum each
+        vertex's cached query weights (pin order: the canonical fold)."""
+        nloc, nrows = part.dvids.size, part.cache_qids.size
+        row, found = _lookup(part.cache_qids, part.d_adj_q)
+        vertex = np.repeat(np.arange(nloc, dtype=np.int32), np.diff(part.d_adj_indptr))
+        f_row, f_vertex = row[found], vertex[found]
+        part.weight_sum = np.bincount(
+            f_vertex, weights=part.cache_weight[f_row], minlength=nloc
+        )
+        part.row_ptr = np.concatenate(([0], np.cumsum(np.bincount(f_row, minlength=nrows))))
+        part.row_vertex = f_vertex[np.argsort(f_row, kind="stable")]
+        start = np.where(found, row, -1)
+        if self.mode == "2":  # a pin of a row not cached looks up a negative key
+            slot, found = _lookup(part.cache.keys, (start << 31) | (part.bucket[vertex] >> 1))
+            start = np.where(found, 2 * slot, -1)
+        part.pin_cell = start.astype(np.int32)
 
     def _tables(self, part: _Partition, splits: float):
         """Gain tables built from the *scalar* closures (bitwise-shared)."""
@@ -744,9 +785,8 @@ class SHPColumnarProgram:
         level_k = int(ctx.broadcasts.get("level_k", self.config.k))
         valid = part.target >= 0
         encoded = self.binning.cell_keys(part.bucket, part.target, part.bin, level_k)
-        idx = np.minimum(np.searchsorted(keys, encoded), keys.size - 1)
-        found = (keys[idx] == encoded) & valid
-        cand = np.flatnonzero(found)
+        idx, found = _lookup(keys, encoded)
+        cand = np.flatnonzero(found & valid)
         if cand.size == 0:
             return
         probability = values[idx[cand]]

@@ -9,6 +9,10 @@
 * :mod:`oracles.full_recompute` — ``SHPColumnarProgram`` with every data
   vertex marked stale before each S3: the whole-partition gain recompute
   the activity rule's proposals are checked against after every S3.
+* :mod:`oracles.rebuilt_tables` — ``SHPColumnarProgram`` auditing itself:
+  around every S2 and S3 both neighbor-data slot tables, every cell's Eq. 1
+  values and the pin -> cell join are rebuilt from scratch and compared
+  exactly with the incrementally maintained ones.
 * :mod:`oracles.shp2_loop` — SHP-2 by literal per-group recursion (one
   ``induced_subgraph`` + one ``refine`` loop per bisection), under
   production's driver; what the level-fused engine is checked against.

@@ -65,6 +65,15 @@ class TestPartitionCommand:
         with pytest.raises(SystemExit, match=r"^error: execution\.hosts\[0\]: .*'h:notaport'"):
             main(["partition", str(path), "-k", "4", "--backend", "rpc", "--hosts", "h:notaport"])
 
+    def test_engine_shp2_with_odd_k_is_refused_before_the_graph_is_read(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["partition", "/nonexistent.hgr", "-k", "6", "--algorithm", "shp-2",
+                  "--backend", "sim"])
+        assert exit_info.value.code == (
+            "error: algorithm.k: 'shp-2' on an engine backend requires k to be a "
+            "power of two; got 6"
+        )
+
     def test_k1_allowed_for_trivial_baselines(self, graph_file, capsys):
         path, _ = graph_file
         rc = main(["partition", str(path), "-k", "1", "--algorithm", "random"])
@@ -138,6 +147,37 @@ class TestEvaluateCommand:
         # argparse-style exit: a message (non-zero status), not an exception
         # escaping main().
         assert str(exit_info.value.code).startswith("error: line 2:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "{missing}.hgr", "-k", "4"],
+        ["partition", "{missing}.rgs", "-k", "4", "--backend", "sim"],
+        ["evaluate", "{missing}.npz", "a.txt", "-k", "4"],
+        ["evaluate", "{graph}", "{missing}.txt", "-k", "4"],
+        ["compare", "{missing}.hgr", "-k", "4"],
+        ["serve-sim", "{missing}.hgr"],
+        ["run", "{spec}"],
+        ["partition", "{truncated}", "-k", "4"],
+    ],
+)
+def test_unreadable_graph_is_one_error_line_not_a_traceback(graph_file, tmp_path, argv):
+    """``OSError`` (no such file) and ``StorageError`` (a truncated store)
+    used to escape ``main()`` as tracebacks from every graph-loading
+    subcommand but ``convert``."""
+    path, _ = graph_file
+    missing = tmp_path / "nonexistent"
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps({"graph": {"source": "file", "path": f"{missing}.hgr"}}))
+    truncated = tmp_path / "truncated.rgs"
+    truncated.write_bytes(b"RGS")
+    names = {"missing": missing, "graph": path, "spec": spec, "truncated": truncated}
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(**names) for arg in argv])
+    message = str(exit_info.value.code)
+    assert message.startswith("error: ") and "\n" not in message
+    assert ("truncated" if "{truncated}" in argv[1] else "nonexistent") in message
 
 
 class TestGenerateCommand:

@@ -73,7 +73,9 @@ class TestRoundTrip:
         # An engine partition job needs an engine-capable algorithm, a
         # stream-refine job that and an engine backend: other pairings are
         # rejected at construction (tested on their own below).
-        engine_capable = bool(PARTITIONERS.meta(name).get("engine_mode"))
+        engine_mode = PARTITIONERS.meta(name).get("engine_mode")
+        # ... on the engine shp-2 bisects level-synchronously: k = 2^n.
+        engine_capable = bool(engine_mode) and (engine_mode != "2" or k & (k - 1) == 0)
         # ... and an options table only what its partitioner declares: these
         # three keys are SHPConfig's.
         assume(not options or PARTITIONERS.meta(name).get("config") is not None)
@@ -242,6 +244,28 @@ class TestValidationErrors:
     def test_engine_needs_an_engine_mode_algorithm(self, data, message):
         with pytest.raises(SpecError, match=message):
             JobSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"algorithm": {"name": "shp-2", "k": 6}, "execution": {"backend": "sim"}},
+            {"kind": "stream-refine", "algorithm": {"name": "shp-2", "k": 12},
+             "execution": {"backend": "mp"}},
+        ],
+    )
+    def test_engine_shp2_needs_a_power_of_two_k(self, data):
+        """Used to surface from ``DistributedSHP.__init__``, after the graph
+        was loaded; it is the third engine cross-field rule of the spec."""
+        k = data["algorithm"]["k"]
+        with pytest.raises(
+            SpecError,
+            match=rf"^algorithm\.k: 'shp-2' on an engine backend requires k to be "
+                  rf"a power of two; got {k}$",
+        ):
+            JobSpec.from_dict(data)
+        # Same k: legal locally, legal for shp-k on the engine.
+        JobSpec.from_dict({"algorithm": data["algorithm"]})
+        JobSpec.from_dict({**data, "algorithm": {"name": "shp-k", "k": k}})
 
     def test_engine_mode_rule_leaves_other_pairings_alone(self):
         # serving replays locally whatever the backend says; engine-capable

@@ -41,7 +41,35 @@ _CLI = "src/repro/cli.py"
 _CADENCE = r"checkpoint_(every|period|interval|cadence)"
 _STALE_RULE = r"full_recompute|recompute_all|incremental_s3"
 
+_SHP = "src/repro/distributed_shp/columnar.py"
+
 KNOBS = [
+    # -- neighbor data is a table of slots (PR 24) -----------------------
+    Knob(
+        "no-ragged-neighbor-rows",
+        r"cache_indptr|cache_bucket|cache_count|\bnd_indptr|nd_bucket|nd_count|pin_row", _SRC, 0,
+        "a ragged neighbor-data CSR (or the pin -> cache-row join over one) is back beside "
+        "the slot tables (columnar.SlotTable holds both sides' counts; a row is a key range)",
+        "        part.cache_bucket = pool_b[positions]",
+    ),
+    Knob(
+        "one-lexsort-in-the-shp-program", r"np\.lexsort\(", (_SHP,), 1,
+        "the SHP program sorts per superstep again (S2 is a scatter into the slot table; "
+        "the 1 lexsort is create_partition's canonical pin order, once per partition)",
+        "            order = np.lexsort((all_b, all_q))",
+    ),
+    Knob(
+        "no-per-message-vertex-search", r"searchsorted\(part\.dvids", (_SHP,), 0,
+        "S3 looks every neighbor-data message's destination up again (the stale vertices "
+        "of a re-broadcast row are the row's slice of the row -> vertices transpose)",
+        "            part.stale[np.searchsorted(part.dvids, batch.dst)] = True",
+    ),
+    Knob(
+        "no-unique-on-a-message-column", r"np\.unique\(", (_SHP,), 1,
+        "S3 dedupes a message column by sorting it again (a row's messages arrive back to "
+        "back: one adjacent-difference pass; the 1 np.unique( is the hist aggregate's)",
+        "            uq, first_idx = np.unique(q, return_index=True)",
+    ),
     # -- an option is declared once, the other half (PR 23) --------------
     Knob(
         "one-spec-to-config-assembly", r"_shp_options|SHPConfig\(", ("src/repro/api",), 1,

@@ -27,6 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles.full_recompute import FullRecomputeProgram
+from oracles.rebuilt_tables import RebuiltTablesProgram
 from repro import SHPConfig
 from repro.core import balanced_random_assignment
 from repro.core.histograms import GainBinning
@@ -76,13 +77,18 @@ def _drive(program_cls, graph, config, mode, combiner=False):
 
 
 def _assert_same_proposals_after_every_s3(graph, config, mode, combiner=False) -> int:
-    """Lockstep production vs full recompute; returns the S3s compared."""
+    """Lockstep production vs full recompute, and vs the slot tables'
+    from-scratch rebuild (``oracles.rebuilt_tables`` audits itself around
+    every S2 and S3); returns the S3s compared."""
     compared = 0
-    for (superstep, _, parts, reports), (_, _, ref_parts, ref_reports) in zip(
+    for (superstep, _, parts, reports), (_, _, ref_parts, ref_reports), (_, audited, _, _) in zip(
         _drive(SHPColumnarProgram, graph, config, mode, combiner),
         _drive(FullRecomputeProgram, graph, config, mode, combiner),
+        _drive(RebuiltTablesProgram, graph, config, mode, combiner),
         strict=True,
     ):
+        # Two audits around each S2 and each S3, on every worker.
+        assert audited.checks == 2 * WORKERS * ((superstep + 3) // 4 + (superstep + 2) // 4)
         # Logical meters price the per-vertex execution, not what ran.
         for report, ref in zip(reports, ref_reports):
             assert (report.ops, report.active) == (ref.ops, ref.active), superstep
@@ -352,3 +358,108 @@ def test_master_probs_and_s4_movers_are_bitwise_the_dict_era(graph, monkeypatch,
             digest.update(parts[wid].dvids[parts[wid].has_delta].astype(np.int64).tobytes())
         cycles += 1
     assert (cycles, digest.hexdigest()) == PARENT_SHA[cell]
+
+
+# ----------------------------------------------------------------------
+# The cache is a table that is updated, never rebuilt
+# ----------------------------------------------------------------------
+
+def _first_s3(graph, config, mode):
+    """Drive to the job's first S3; returns ``(program, {wid: partition},
+    {wid: that S3's inbox})``."""
+
+    class Capturing(RebuiltTablesProgram):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.inboxes: dict[int, list] = {}
+
+        def _s3_propose(self, ctx, part, inbox):
+            self.inboxes[ctx.worker_id] = inbox
+            super()._s3_propose(ctx, part, inbox)
+
+    for superstep, program, parts, _ in _drive(Capturing, graph, config, mode):
+        if superstep == 2:
+            return program, parts, program.inboxes
+
+
+def _table_state(part) -> dict:
+    """Every slot of the cache by ``(query id, pair)``: counts and values."""
+    table = part.cache
+    return {
+        (int(part.cache_qids[key >> 31]), key & 0x7FFFFFFF): (
+            table.sides[2 * slot:2 * slot + 2].tolist(),
+            [column[2 * slot:2 * slot + 2].tobytes() for column in table.values],
+        )
+        for slot, key in enumerate(table.keys.tolist())
+    }
+
+
+@pytest.mark.parametrize("mode", ["2", "k"])
+def test_a_late_first_broadcast_is_inserted_not_rebuilt(graph, monkeypatch, mode):
+    """A query that first sends in a level's *second* cycle (impossible
+    under the job's master, so the inbox is hand-built) goes through the
+    one insertion routine: its row and slots appear, every other slot keeps
+    its counts and values, and the partition ends up exactly where
+    receiving everything at once puts it."""
+    from repro.distributed_shp.columnar import SlotTable
+
+    config = SHPConfig(k=4, seed=5, iterations_per_bisection=6, max_iterations=8,
+                       swap_mode="bernoulli")
+    program, parts, inboxes = _first_s3(graph, config, mode)
+    wid = max(parts, key=lambda w: parts[w].dvids.size)
+    whole, inbox = parts[wid], inboxes[wid]
+    # A query in the middle of the cached ids: rows and slots after it move.
+    late = int(whole.cache_qids[whole.cache_qids.size // 2])
+    early = [b.select(np.flatnonzero(b.cols["query"] != late)) for b in inbox]
+    rest = [b.select(np.flatnonzero(b.cols["query"] == late)) for b in inbox]
+    assert sum(len(b) for b in rest) > 0
+
+    part = program.create_partition(wid, np.concatenate([whole.dvids, whole.qvids]), graph)
+    program.received[id(part)] = {}
+    program._tables(part, whole.computed_under[0])
+    part.computed_under = whole.computed_under
+    assert np.array_equal(part.bucket, whole.bucket)
+    first_rows = program._receive(part, early)
+    assert late not in part.cache_qids and first_rows.size == whole.cache_qids.size - 1
+    before = _table_state(part)
+
+    built = []
+    real_init = SlotTable.__init__
+    monkeypatch.setattr(
+        SlotTable, "__init__", lambda self, *a, **kw: built.append(self) or real_init(self, *a, **kw)
+    )
+    late_rows = program._receive(part, rest)
+    assert not built, "the late row must be inserted into the table, not a new table built"
+    assert part.cache_qids[late_rows].tolist() == [late]
+    after = _table_state(part)
+    assert {key: after[key] for key in before} == before
+    assert {qid for qid, _ in after.keys() - before.keys()} == {late}
+    # ... and the stale set of the late row is the row's local vertices.
+    part.stale[:] = False
+    stale = SHPColumnarProgram._stale_rows(part, late_rows, part.computed_under)
+    assert np.array_equal(np.sort(np.concatenate([b.dst for b in rest])), part.dvids[stale])
+
+    assert _table_state(part) == _table_state(whole)
+    for name in ("cache_qids", "cache_weight", "cache_len", "pin_cell", "row_ptr", "weight_sum"):
+        assert getattr(part, name).tobytes() == getattr(whole, name).tobytes(), name
+    program.received[id(part)] = program.received[id(whole)]
+    program.check_cache(part)
+
+
+def test_a_changed_splits_broadcast_revalues_every_cell(graph):
+    """Under the job's master ``splits_ahead`` changes only with a descent,
+    which empties the cache first; the kernel does not rely on that."""
+    from repro.distributed.engine import BatchContext
+
+    config = SHPConfig(k=4, seed=5, iterations_per_bisection=6, swap_mode="bernoulli")
+    program, parts, _ = _first_s3(graph, config, "2")
+    part = parts[0]
+    splits, level_k = part.computed_under
+    old = [column.copy() for column in part.cache.values]
+    ctx = BatchContext(superstep=6, worker_id=0, seed=config.seed,
+                       broadcasts={"splits_ahead": splits / 2, "level_k": level_k})
+    SHPColumnarProgram._s3_propose(program, ctx, part, [])
+    assert part.computed_under == (splits / 2, level_k)
+    program.check_cache(part)  # every value, against the new scalar closures
+    assert all(not np.array_equal(was, now) for was, now in zip(old, part.cache.values))
+    assert ctx._aggregates and not part.stale.any()

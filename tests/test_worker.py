@@ -24,6 +24,7 @@ from repro.distributed import ClusterSpec, GiraphEngine, SimulatedBackend
 from repro.distributed.backend import merge_aggregates
 from repro.distributed.worker import WorkerHost
 from repro.distributed_shp import SHPColumnarProgram
+from repro.distributed_shp.columnar import _MUTABLE
 from repro.distributed_shp.job import _SHPMaster
 from repro.hypergraph import darwini_bipartite
 
@@ -225,16 +226,26 @@ def test_snapshot_is_the_mutable_state_and_a_fresh_host_resumes_from_it():
         aggregates = merge_aggregates([r.aggregates for r in results])
 
     static = {"dvids", "d_adj_indptr", "d_adj_q", "qvids", "q_weight", "q_adj_indptr", "q_adj_d"}
-    derived = {"pin_row", "row_refs", "_rem_table", "_ins_table"}
+    derived = {"pin_cell", "row_ptr", "row_vertex", "weight_sum", "_rem_table", "_ins_table"}
     for wid, (_, hops, ckpt) in replies.items():
         vids, state, held = snapshot = pickle.loads(ckpt)
         assert isinstance(vids, np.ndarray)
         partition = host.workers[wid][1]
         assert not static & state.keys() and static <= vars(partition).keys()
-        # Nothing derived travels either: the gain tables and the S3 join
-        # come back from ``load_state``.  What does travel is who S3 must
-        # recompute — the first cycle's movers, until the next S3.
+        # Nothing derived travels either: the gain tables, the cells' Eq. 1
+        # values and the S3 join come back from ``load_state``.  Of the two
+        # slot tables the keys and the counts travel, nothing else.
         assert not derived & state.keys() and derived <= vars(partition).keys()
+        assert not derived & set(_MUTABLE) and set(_MUTABLE) < state.keys()
+        for name in ("nd", "cache"):
+            table = getattr(partition, name)
+            assert np.array_equal(state[name + "_keys"], table.keys) and table.keys.size > 0
+            assert np.array_equal(state[name + "_sides"], table.sides)
+            assert state[name + "_sides"].dtype == np.int32
+        assert state.keys() - set(_MUTABLE) == {"nd_keys", "nd_sides", "cache_keys", "cache_sides"}
+        assert all(isinstance(state[name], np.ndarray) for name in state.keys() - {"parity", "computed_under"})
+        # What does travel is who S3 must recompute — the first cycle's
+        # movers, until the next S3.
         assert 0 < np.count_nonzero(state["stale"]) < state["stale"].size
         assert b"SHPColumnarProgram" not in ckpt
         # Columns only: no dict keyed by vertex id (each worker holds ~2000
@@ -252,7 +263,14 @@ def test_snapshot_is_the_mutable_state_and_a_fresh_host_resumes_from_it():
     assert program.partition_nbytes(kept_part) == program.partition_nbytes(fresh_part)
     for name in derived:
         assert np.array_equal(getattr(kept_part, name), getattr(fresh_part, name))
-    assert fresh_part.pin_row.size == fresh_part.d_adj_q.size and (fresh_part.pin_row >= 0).all()
+    for kept_table, fresh_table in ((kept_part.nd, fresh_part.nd), (kept_part.cache, fresh_part.cache)):
+        assert kept_table is not fresh_table and kept_table.nbytes == fresh_table.nbytes
+        assert np.array_equal(kept_table.keys, fresh_table.keys)
+        assert np.array_equal(kept_table.sides, fresh_table.sides)
+        for kept_values, fresh_values in zip(kept_table.values, fresh_table.values, strict=True):
+            assert kept_values.tobytes() == fresh_values.tobytes()
+    assert len(fresh_part.cache.values) == 2 and np.any(fresh_part.cache.values[0])
+    assert fresh_part.pin_cell.size == fresh_part.d_adj_q.size and (fresh_part.pin_cell >= 0).all()
     # master.compute mutates the master, so both hosts get one broadcast.
     (kept, broadcasts) = step(host, 5, aggregates, (1,), False)
     adopted = fresh.step(5, broadcasts, {1: backend._inboxes[1]}, False)
